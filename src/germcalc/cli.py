@@ -22,12 +22,12 @@ from .fields import BudgetExceededError
 from .jets import field_to_jet_matrix, to_jet_matrix
 from .lie import (
     NON_TERMINATING,
+    bracket_closure,
     central_series,
     derived_series,
     kappa_sequence,
     nilpotency_class,
     soluble_length,
-    span_reduce,
 )
 from .matrices import jordan_chevalley
 from .parsing import (
@@ -202,10 +202,12 @@ def _parse_matrix(text: str):
 
 
 def _span_from_args(args) -> "object":
+    """The Lie algebra generated by --gens: the series commands need a
+    closed algebra, not just the span of the generators."""
     gens = parse_fields(args.gens, args.dim)
     mode = args.mode
     order = args.order if mode == "jet" else None
-    return span_reduce(gens, mode, order, args.degree_budget)
+    return bracket_closure(gens, mode, order, args.degree_budget)
 
 
 def _series_payload(levels) -> list[int]:

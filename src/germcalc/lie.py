@@ -93,16 +93,13 @@ class LieAlgebraSpan:
         ech = self.echelon()
         return all(ech.contains(X.sparse()) for X in other.basis)
 
-    def same_span(self, other: "LieAlgebraSpan") -> bool:
-        return (
-            self.dimension == other.dimension
-            and self.contains_span(other)
-        )
-
     def _prepare(self, X: VectorField) -> VectorField:
         if X.dim != self.dim:
             raise ValueError(f"dimension mismatch: {X.dim} vs {self.dim}")
         if self.mode == "jet":
+            # truncation respects brackets only for fields vanishing at 0
+            if not X.is_formal():
+                raise ValueError("jet mode needs formal fields (coefficients in m)")
             return X.truncate(self.order)
         if X.abs_degree() > self.degree_budget:
             raise BudgetExceededError(
@@ -171,71 +168,130 @@ def bracket_closure(
         new_frontier = []
         for X in frontier:
             for Y in basis:
-                for Z in (_bracket_in_mode(span, X, Y),):
-                    if not Z.is_zero() and ech.insert(Z.sparse()):
-                        new_frontier.append(Z)
+                Z = _bracket_in_mode(span, X, Y)
+                if not Z.is_zero() and ech.insert(Z.sparse()):
+                    new_frontier.append(Z)
         basis.extend(new_frontier)
         frontier = new_frontier
     return LieAlgebraSpan(span.dim, mode, tuple(basis), order, degree_budget)
 
 
-def generated_subalgebra(span: LieAlgebraSpan) -> LieAlgebraSpan:
-    return bracket_closure(span.basis, span.mode, span.order, span.degree_budget)
+# -- derived and central series ----------------------------------------------
+#
+# Both series bracket a closed algebra g with one of its ideals I (I = g^(j)
+# or C^j), and [g, I] is again an ideal of g, so the span of the brackets of
+# basis pairs is the next term: no closure is needed.  Jet mode keeps this
+# true, because the formal fields with coefficients in m^(k+1) form an ideal.
+#
+# Every term lies inside the previous one, so two cheap tests decide that a
+# bracket cannot add anything and need not be formed:
+#
+# * truncation: in jet mode a bracket raises the lowest coefficient degree to
+#   at least p + q - 1, where p and q are those of its factors,
+# * weight saturation: the monomial field x^a d_i has weight a - e_i in Z^n
+#   and brackets add weights.  When every basis field is weight-homogeneous
+#   each term is a sum of its weight spaces, and a bracket of weight w lies in
+#   the weight-w space of the previous term; once the new term holds as many
+#   independent fields of weight w as that space (possibly none), every
+#   further bracket of weight w is redundant.
 
 
-def _pairwise_bracket_span(g: LieAlgebraSpan) -> LieAlgebraSpan:
-    """Bracket closure of all pairwise brackets of g's basis."""
-    brackets = []
-    basis = g.basis
-    for i, X in enumerate(basis):
-        for Y in basis[i + 1:]:
-            Z = _bracket_in_mode(g, X, Y)
-            if not Z.is_zero():
-                brackets.append(Z)
-    if not brackets:
-        return LieAlgebraSpan(g.dim, g.mode, (), g.order, g.degree_budget)
-    return bracket_closure(brackets, g.mode, g.order, g.degree_budget)
+def _field_weight(X: VectorField) -> tuple[int, ...] | None:
+    """The weight a - e_i shared by every term x^a d_i of X, or None when the
+    terms disagree."""
+    weight = None
+    for i, c in enumerate(X.coeffs):
+        for exps in c.terms:
+            w = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
+            if weight is None:
+                weight = w
+            elif w != weight:
+                return None
+    return weight
 
 
-def _mixed_bracket_span(g: LieAlgebraSpan, c: LieAlgebraSpan) -> LieAlgebraSpan:
-    """Bracket closure of [g, c] for the central series step."""
-    brackets = []
-    for X in g.basis:
-        for Y in c.basis:
-            Z = _bracket_in_mode(g, X, Y)
-            if not Z.is_zero():
-                brackets.append(Z)
-    if not brackets:
-        return LieAlgebraSpan(g.dim, g.mode, (), g.order, g.degree_budget)
-    return bracket_closure(brackets, g.mode, g.order, g.degree_budget)
+def _graded(basis: Sequence[VectorField]) -> list[tuple[VectorField, tuple | None, int]]:
+    """Each basis field with its weight and its lowest coefficient degree,
+    in ascending order of that degree.
+
+    The order lets the truncation test end a row of pairs early, and it
+    brackets the fields of low degree first: they act on the most others
+    (x_n d_n rescales every monomial field), so weight spaces fill early and
+    the later, mostly commuting pairs are skipped.
+    """
+    return sorted(
+        (
+            (X, _field_weight(X), min((c.min_total_degree() for c in X.coeffs if c.terms), default=0))
+            for X in basis
+        ),
+        key=lambda entry: entry[2],
+    )
+
+
+def _bracket_span(ideal: LieAlgebraSpan, outer: list | None = None) -> LieAlgebraSpan:
+    """Span of [outer, ideal], with ``outer`` from ``_graded``, or of
+    [ideal, ideal] when ``outer`` is None.  Every bracket must lie in
+    ``ideal``, which holds when ideal is an ideal of a Lie algebra containing
+    the outer fields."""
+    right = _graded(ideal.basis)
+    left = right if outer is None else outer
+    jet = ideal.mode == "jet"
+    limit = ideal.order + 1 if jet else None
+    graded = all(w is not None for _, w, _ in left) and all(w is not None for _, w, _ in right)
+    room: dict[tuple, int] = {}  # weight -> independent fields still missing
+    if graded:
+        for _, w, _ in right:
+            room[w] = room.get(w, 0) + 1
+    ech = SparseEchelon(VectorField.sparse_key)
+    kept = []
+    for i, (X, wx, dx) in enumerate(left):
+        for Y, wy, dy in (right[i + 1:] if outer is None else right):
+            if jet and dx + dy > limit:
+                break  # right is sorted by degree
+            if graded:
+                w = tuple(a + b for a, b in zip(wx, wy))
+                if not room.get(w):
+                    continue
+            Z = _bracket_in_mode(ideal, X, Y)
+            if not Z.is_zero() and ech.insert(Z.sparse()):
+                kept.append(Z)
+                if graded:
+                    room[w] -= 1
+    return LieAlgebraSpan(ideal.dim, ideal.mode, tuple(kept), ideal.order, ideal.degree_budget)
 
 
 def derived_series(g: LieAlgebraSpan, max_steps: int = 64) -> list[LieAlgebraSpan]:
     """g = g^(0), g^(1), ...  Stops at the zero span, or with two equal
     consecutive spans when the series stabilizes nonzero (the caller reads
-    that tail as non-terminating at this jet order)."""
+    that tail as non-terminating at this jet order).
+
+    g must be a Lie algebra (closed under the bracket of its mode), for
+    example the result of ``bracket_closure``; the series of a span that is
+    not closed is not the series of the algebra it generates.
+    """
     levels = [g]
     while not levels[-1].is_zero():
-        nxt = _pairwise_bracket_span(levels[-1])
-        if nxt.same_span(levels[-1]):
-            levels.append(nxt)
-            return levels
+        nxt = _bracket_span(levels[-1])
+        stable = nxt.dimension == levels[-1].dimension
         levels.append(nxt)
+        if stable:
+            return levels
         if len(levels) > max_steps:
             raise BudgetExceededError("derived series exceeded the step budget")
     return levels
 
 
 def central_series(g: LieAlgebraSpan, max_steps: int = 256) -> list[LieAlgebraSpan]:
-    """g = C^0, C^1 = [g, C^0], ...  Same termination contract as
-    derived_series."""
+    """g = C^0, C^1 = [g, C^0], ...  Same precondition (g a Lie algebra) and
+    termination contract as derived_series."""
+    outer = _graded(g.basis)
     levels = [g]
     while not levels[-1].is_zero():
-        nxt = _mixed_bracket_span(g, levels[-1])
-        if nxt.same_span(levels[-1]):
-            levels.append(nxt)
-            return levels
+        nxt = _bracket_span(levels[-1], outer)
+        stable = nxt.dimension == levels[-1].dimension
         levels.append(nxt)
+        if stable:
+            return levels
         if len(levels) > max_steps:
             raise BudgetExceededError("central series exceeded the step budget")
     return levels
@@ -245,17 +301,20 @@ def series_terminates(levels: Sequence[LieAlgebraSpan]) -> bool:
     return levels[-1].is_zero()
 
 
-def soluble_length(g: LieAlgebraSpan):
+def soluble_length(g: LieAlgebraSpan, levels: Sequence[LieAlgebraSpan] | None = None):
     """Index of the first zero term of the derived series, or the
-    non-terminating marker."""
-    levels = derived_series(g)
+    non-terminating marker.  g must be a Lie algebra; ``levels`` is its
+    derived series when the caller has already built it."""
+    if levels is None:
+        levels = derived_series(g)
     if not series_terminates(levels):
         return NON_TERMINATING
     return len(levels) - 1
 
 
 def nilpotency_class(g: LieAlgebraSpan):
-    """First j with C^j g = 0, or the non-terminating marker."""
+    """First j with C^j g = 0, or the non-terminating marker.  g must be a
+    Lie algebra."""
     levels = central_series(g)
     if not series_terminates(levels):
         return NON_TERMINATING
@@ -396,10 +455,14 @@ class KappaSequence:
         )
 
 
-def kappa_sequence(g: LieAlgebraSpan) -> KappaSequence:
-    """Generic rank of every derived-series term.  Requires the series to
-    terminate at the working jet order."""
-    levels = derived_series(g)
+def kappa_sequence(
+    g: LieAlgebraSpan, levels: Sequence[LieAlgebraSpan] | None = None
+) -> KappaSequence:
+    """Generic rank of every derived-series term.  g must be a Lie algebra
+    and its series must terminate at the working jet order; ``levels`` is
+    that series when the caller has already built it."""
+    if levels is None:
+        levels = derived_series(g)
     if not series_terminates(levels):
         raise BudgetExceededError(
             "derived series does not terminate at this jet order; kappa undefined"

@@ -187,7 +187,7 @@ def _solvable_lengths(n: int, order: int):
     levels = derived_series(g0)
     if not series_terminates(levels):
         return None, None, levels
-    return len(levels) - 1, kappa_sequence(g0), levels
+    return len(levels) - 1, kappa_sequence(g0, levels), levels
 
 
 def verify_solvable_family(n: int, jet_order: int | None = None) -> VerificationReport:
@@ -227,6 +227,7 @@ def verify_solvable_family(n: int, jet_order: int | None = None) -> Verification
             continue
         mono = xn ** c
         Gj = build_chain_algebra(n, j, jet_order)
+        derived = levels[j].echelon()
         checked = 0
         for X in Gj.basis:
             scaled = VectorField([mono * co for co in X.coeffs]).truncate(jet_order)
@@ -234,7 +235,7 @@ def verify_solvable_family(n: int, jet_order: int | None = None) -> Verification
                 continue
             checked += 1
             claim.check(
-                levels[j].contains_field(scaled),
+                derived.contains(scaled.sparse()),
                 f"x{n}^{c} copy of chain space {j} escapes derived term {j}",
             )
         claim.notes.append(f"scaled-copy check at depth {j}: {checked} generators")
@@ -308,7 +309,8 @@ def verify_nilpotent_example(n: int) -> VerificationReport:
         )
     # lengths of the generated algebra (exact mode)
     g = bracket_closure(zs, "exact")
-    length = soluble_length(g)
+    levels = derived_series(g)
+    length = soluble_length(g, levels)
     claim.check(length == n, f"soluble length {length} != {n}")
     cls = nilpotency_class(g)
     claim.check(
@@ -318,19 +320,18 @@ def verify_nilpotent_example(n: int) -> VerificationReport:
     claim.parameters["soluble_length"] = length if length is not NON_TERMINATING else "non-terminating"
     claim.parameters["nilpotency_class"] = cls if cls is not NON_TERMINATING else "non-terminating"
     # derived terms decompose as (first integral) * X_k with shrinking k
-    _check_first_integral_structure(claim, n, xs, g)
+    _check_first_integral_structure(claim, n, xs, levels)
     return claim.report()
 
 
-def _check_first_integral_structure(claim: _Claim, n: int, xs, g):
-    """Each derived term g^(j) must decompose over the X basis with
-    coefficients vanishing past index n-j and coefficient k a first integral
-    of X_1..X_k."""
+def _check_first_integral_structure(claim: _Claim, n: int, xs, levels):
+    """Each derived term g^(j) (``levels`` is the derived series) must
+    decompose over the X basis with coefficients vanishing past index n-j
+    and coefficient k a first integral of X_1..X_k."""
     from .lie import BasisSplit, decompose_over_split
     from .ratfunc import apply_field_rational
 
     split = BasisSplit((), tuple(xs))
-    levels = derived_series(g)
     for j, level in enumerate(levels):
         if j >= n or not level.basis:
             continue

@@ -37,6 +37,27 @@ def test_soluble_length_example(capsys):
     assert out.strip() == "soluble-length: 2"
 
 
+def test_series_commands_close_the_generators(capsys):
+    # x1^2 d1 and x1^3 d1 generate x1^j d1 for j = 2..10, whose derived
+    # series has length 3; the span of the two generators alone gives 2
+    code, out, _ = run(
+        capsys,
+        "soluble-length", "--dim", "1", "--order", "10", "--mode", "jet",
+        "--gens", "x1^2 d1; x1^3 d1",
+    )
+    assert code == EXIT_OK
+    assert out.strip() == "soluble-length: 3"
+
+
+def test_jet_mode_rejects_non_formal_generators(capsys):
+    code, _, err = run(
+        capsys,
+        "derived-series", "--dim", "1", "--order", "4", "--mode", "jet",
+        "--gens", "1 d1; x1^2 d1",
+    )
+    assert code == EXIT_PRECONDITION and "formal" in err
+
+
 def test_log_round_trip(capsys):
     code, out, _ = run(capsys, "log", "--dim", "1", "--order", "4", "(x1 + x1^2 + x1^3 + x1^4)")
     assert code == EXIT_OK

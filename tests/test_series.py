@@ -1,0 +1,173 @@
+"""Derived and central series against a full-closure reference.
+
+The engine forms the next series term as the plain span of the brackets of
+basis pairs and skips pairs that truncation or the Z^n weight grading rule
+out.  The reference here does none of that: it brackets every pair and then
+closes the result under the bracket, so agreement checks both the ideal
+argument and the skip rules.
+"""
+
+from itertools import combinations, product
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from germcalc import lie
+from germcalc.families import build_chain_algebra, build_nilpotent_example
+from germcalc.fields import VectorField
+from germcalc.laurent import LaurentPoly
+from germcalc.lie import (
+    LieAlgebraSpan,
+    bracket_closure,
+    central_series,
+    derived_series,
+    kappa_sequence,
+    soluble_length,
+    span_reduce,
+)
+
+
+def _closed_bracket_span(g: LieAlgebraSpan, pairs) -> LieAlgebraSpan:
+    """Bracket closure of the brackets of the given pairs."""
+    brackets = []
+    for X, Y in pairs:
+        Z = X.bracket(Y)
+        if g.mode == "jet":
+            Z = Z.truncate(g.order)
+        if not Z.is_zero():
+            brackets.append(Z)
+    if not brackets:
+        return LieAlgebraSpan(g.dim, g.mode, (), g.order, g.degree_budget)
+    return bracket_closure(brackets, g.mode, g.order, g.degree_budget)
+
+
+def _same_span(a: LieAlgebraSpan, b: LieAlgebraSpan) -> bool:
+    return a.dimension == b.dimension and a.contains_span(b)
+
+
+def reference_derived_series(g: LieAlgebraSpan) -> list[LieAlgebraSpan]:
+    levels = [g]
+    while not levels[-1].is_zero():
+        nxt = _closed_bracket_span(g, combinations(levels[-1].basis, 2))
+        stable = _same_span(nxt, levels[-1])
+        levels.append(nxt)
+        if stable:
+            break
+    return levels
+
+
+def reference_central_series(g: LieAlgebraSpan) -> list[LieAlgebraSpan]:
+    levels = [g]
+    while not levels[-1].is_zero():
+        nxt = _closed_bracket_span(g, product(g.basis, levels[-1].basis))
+        stable = _same_span(nxt, levels[-1])
+        levels.append(nxt)
+        if stable:
+            break
+    return levels
+
+
+def assert_same_series(levels, expected):
+    assert [lv.dimension for lv in levels] == [lv.dimension for lv in expected]
+    for a, b in zip(levels, expected):
+        assert a.contains_span(b) and b.contains_span(a)
+
+
+def mono_field(dim, exps, direction, coeff=1):
+    return VectorField.from_terms(dim, (LaurentPoly.monomial(dim, exps, coeff), direction))
+
+
+@pytest.mark.parametrize("n, k", [(1, 6), (2, 8), (2, 12), (3, 9)])
+def test_chain_derived_series_matches_reference(n, k):
+    g = build_chain_algebra(n, 0, k)
+    levels = derived_series(g)
+    assert_same_series(levels, reference_derived_series(g))
+    assert kappa_sequence(g, levels) == kappa_sequence(g)
+
+
+def test_chain_n3_dimensions_and_kappa():
+    g = build_chain_algebra(3, 0, 9)
+    levels = derived_series(g)
+    assert [lv.dimension for lv in levels] == [114, 104, 83, 43, 1, 0]
+    assert kappa_sequence(g, levels).values == (3, 3, 2, 2, 1, 0)
+
+
+def test_chain_central_series_matches_reference():
+    g = build_chain_algebra(2, 0, 8)
+    assert_same_series(central_series(g), reference_central_series(g))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_nilpotent_family_series_match_reference(n):
+    _, _, zs = build_nilpotent_example(n)
+    g = bracket_closure(zs, "exact")
+    derived = derived_series(g)
+    assert_same_series(derived, reference_derived_series(g))
+    assert soluble_length(g, derived) == soluble_length(g) == n
+    assert_same_series(central_series(g), reference_central_series(g))
+
+
+def _is_weight_homogeneous(X: VectorField) -> bool:
+    weights = {
+        tuple(e - (j == i) for j, e in enumerate(exps))
+        for i, c in enumerate(X.coeffs)
+        for exps in c.terms
+    }
+    return len(weights) <= 1
+
+
+def test_inhomogeneous_jet_span_matches_reference():
+    # x1 d1 + x2^2 d1 mixes weights (0, 0) and (-1, 2), so only the
+    # truncation rule may skip brackets
+    gens = [
+        VectorField.from_terms(
+            2, (LaurentPoly.monomial(2, {1: 1}), 1), (LaurentPoly.monomial(2, {2: 2}), 1)
+        ),
+        mono_field(2, {2: 2}, 2),
+        mono_field(2, {1: 1, 2: 1}, 2, 3),
+    ]
+    g = bracket_closure(gens, "jet", 6)
+    assert not all(_is_weight_homogeneous(X) for X in g.basis)
+    assert_same_series(derived_series(g), reference_derived_series(g))
+    assert_same_series(central_series(g), reference_central_series(g))
+
+
+def test_series_never_recloses(monkeypatch):
+    g = build_chain_algebra(2, 0, 8)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("series step called bracket_closure")
+
+    monkeypatch.setattr(lie, "bracket_closure", fail)
+    assert [lv.dimension for lv in derived_series(g)][-1] == 0
+    central_series(g)
+
+
+def test_jet_mode_rejects_non_formal_fields():
+    with pytest.raises(ValueError):
+        span_reduce([mono_field(1, {}, 1)], "jet", 4)
+    g = build_chain_algebra(1, 0, 4)
+    with pytest.raises(ValueError):
+        g.contains_field(mono_field(1, {}, 1))
+
+
+@st.composite
+def monomial_algebras(draw):
+    """The jet-mode closure of up to three monomial fields c x^a d_i in two
+    variables, at an order of at most 6 that keeps them nonzero."""
+    order = draw(st.integers(2, 6))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        degree = draw(st.integers(1, order))
+        a1 = draw(st.integers(0, degree))
+        direction = draw(st.integers(1, 2))
+        coeff = draw(st.sampled_from([1, -1, 2]))
+        gens.append(mono_field(2, {1: a1, 2: degree - a1}, direction, coeff))
+    return bracket_closure(gens, "jet", order)
+
+
+@settings(max_examples=30, deadline=None)
+@given(monomial_algebras())
+def test_random_monomial_algebras_match_reference(g):
+    assert_same_series(derived_series(g), reference_derived_series(g))
+    assert_same_series(central_series(g), reference_central_series(g))
