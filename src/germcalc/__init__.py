@@ -15,11 +15,8 @@ from .diffeos import (
     FormalDiffeo,
     WordComm,
     WordLeaf,
-    compose,
     evaluate_word,
     exp_field,
-    group_commutator,
-    invert,
     log_diffeo,
     word_depth,
 )

@@ -14,6 +14,7 @@ matrix identity in jets.py is stated against this convention.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -59,6 +60,20 @@ class FormalDiffeo:
         except ValueError:
             raise ValueError("linear part is not invertible") from None
 
+    @staticmethod
+    def _trusted(dim: int, order: int, components) -> "FormalDiffeo":
+        """Wrap components that are valid by construction, skipping the checks.
+
+        For results of the group operations only: the components must already
+        be dim polynomials with zero constant term, truncated at order, whose
+        linear part is invertible.
+        """
+        out = FormalDiffeo.__new__(FormalDiffeo)
+        object.__setattr__(out, "dim", dim)
+        object.__setattr__(out, "order", order)
+        object.__setattr__(out, "components", tuple(components))
+        return out
+
     def __setattr__(self, name, value):
         raise AttributeError("FormalDiffeo is immutable")
 
@@ -72,15 +87,7 @@ class FormalDiffeo:
 
     @staticmethod
     def linear(matrix, order: int) -> "FormalDiffeo":
-        n = len(matrix)
-        comps = []
-        for i in range(n):
-            p = LaurentPoly.zero(n)
-            for j in range(n):
-                if matrix[i][j]:
-                    p = p + LaurentPoly.monomial(n, {j + 1: 1}, matrix[i][j])
-            comps.append(p)
-        return FormalDiffeo(comps, order)
+        return FormalDiffeo(_linear_components(matrix), order)
 
     # -- structure -----------------------------------------------------------
 
@@ -123,48 +130,63 @@ class FormalDiffeo:
         """self o other."""
         self._check_compatible(other)
         cache = SubstitutionCache(other.components, self.order)
-        return FormalDiffeo(
+        return FormalDiffeo._trusted(
+            self.dim,
+            self.order,
             [
                 substitute(comp, other.components, self.order, _cache=cache)
                 for comp in self.components
             ],
-            self.order,
         )
 
     def invert(self) -> "FormalDiffeo":
-        """The inverse jet, solved degree by degree.
+        """The inverse jet, by Newton doubling.
 
-        With psi correct through degree d-1, the error r = self o psi - id
-        starts at degree d and the linear part A of self acts on the degree-d
-        correction, so psi -= A^{-1} r_d fixes degree d without disturbing
-        lower degrees.
+        Start from psi = A^{-1} x, A the linear part of self, which is correct
+        through degree 1.  Newton step: if the error e = self o psi - x starts
+        at degree d, then psi - Dpsi . e is correct through degree 2d - 2.
+        Write psi = psi* + delta with psi* the true inverse, so delta starts
+        at degree d.  Then Dpsi* . e agrees with delta below degree 2d, since
+        Dpsi* = Dself(psi*)^-1, and D(delta) . e starts at degree 2d - 1.
+        The error degree goes d -> 2d - 1 (2, 3, 5, 9, 17, ...), and each
+        step's composition and products are truncated at min(order, 2d - 2)
+        rather than at order: O(log order) compositions instead of order - 1
+        (Brent & Kung, "Fast algorithms for manipulating formal power series",
+        J. ACM 1978).  The inverse jet is unique, so the result is the one
+        that solving degree by degree gives.
         """
         n, k = self.dim, self.order
-        a_inv = mat_inverse(self.linear_part())
-        psi = FormalDiffeo.linear(a_inv, k)
-        ident = FormalDiffeo.identity(n, k)
-        for d in range(2, k + 1):
+        psi = _linear_components(mat_inverse(self.linear_part()))
+        xs = [LaurentPoly.variable(n, i) for i in range(1, n + 1)]
+        d = 2  # the error of psi starts at degree >= d
+        while d <= k:
+            t = min(k, 2 * d - 2)
+            cache = SubstitutionCache(psi, t)
             err = [
-                c - i
-                for c, i in zip(self.compose(psi).components, ident.components)
+                substitute(comp, psi, t, _cache=cache) - x
+                for comp, x in zip(self.components, xs)
             ]
-            correction = [e.degree_part(d) for e in err]
-            if all(c.is_zero() for c in correction):
-                continue
-            new_comps = []
-            for i in range(n):
-                delta = LaurentPoly.zero(n)
-                for j in range(n):
-                    if a_inv[i][j]:
-                        delta = delta + correction[j] * a_inv[i][j]
-                new_comps.append(psi.components[i] - delta)
-            psi = FormalDiffeo(new_comps, k)
-        return psi
+            if any(err):
+                new_psi = []
+                for p in psi:
+                    step = p
+                    for j, e in enumerate(err, start=1):
+                        if e:
+                            step = step - p.partial_derivative(j).mul_truncated(e, t)
+                    new_psi.append(step)
+                psi = new_psi
+            d = t + 1
+        return FormalDiffeo._trusted(n, k, psi)
 
     def commutator(self, other: "FormalDiffeo") -> "FormalDiffeo":
-        """Group commutator a o b o a^-1 o b^-1."""
+        """Group commutator a o b o a^-1 o b^-1, formed as (a o b) o (b o a)^-1.
+
+        (b o a)^-1 = a^-1 o b^-1, and truncated composition is the group law
+        of the jet group, so this is the four-fold product exactly, with one
+        inversion instead of two.
+        """
         self._check_compatible(other)
-        return self.compose(other).compose(self.invert()).compose(other.invert())
+        return self.compose(other).compose(other.compose(self).invert())
 
     # -- comparison ------------------------------------------------------------
 
@@ -189,16 +211,17 @@ class FormalDiffeo:
         return format_diffeo(self)
 
 
-def compose(phi: FormalDiffeo, psi: FormalDiffeo) -> FormalDiffeo:
-    return phi.compose(psi)
-
-
-def invert(phi: FormalDiffeo) -> FormalDiffeo:
-    return phi.invert()
-
-
-def group_commutator(a: FormalDiffeo, b: FormalDiffeo) -> FormalDiffeo:
-    return a.commutator(b)
+def _linear_components(matrix) -> list[LaurentPoly]:
+    """The components of the linear map x -> matrix x."""
+    n = len(matrix)
+    comps = []
+    for i in range(n):
+        p = LaurentPoly.zero(n)
+        for j in range(n):
+            if matrix[i][j]:
+                p = p + LaurentPoly.monomial(n, {j + 1: 1}, matrix[i][j])
+        comps.append(p)
+    return comps
 
 
 # -- exponential and logarithm -------------------------------------------------
@@ -220,9 +243,7 @@ def exp_field(X: VectorField, t, order: int) -> FormalDiffeo:
     t = Scalar.of(t)
     comps = []
     # nilpotency index of the jet action is bounded by the jet dimension
-    from .jets import jet_basis
-
-    cap = len(jet_basis(X.dim, order)) + 1
+    cap = math.comb(X.dim + order, X.dim)  # jet dimension + 1
     for i in range(1, X.dim + 1):
         term = LaurentPoly.variable(X.dim, i)
         acc = term
@@ -257,9 +278,7 @@ def log_diffeo(phi: FormalDiffeo) -> VectorField:
         raise ValueError("log is defined for unipotent diffeomorphisms only")
     n, k = phi.dim, phi.order
     cache = SubstitutionCache(phi.components, k)
-    from .jets import jet_basis
-
-    cap = len(jet_basis(n, k)) + 1
+    cap = math.comb(n + k, n)  # jet dimension + 1
     coeffs = []
     for i in range(1, n + 1):
         w = LaurentPoly.variable(n, i)

@@ -340,13 +340,22 @@ def substitute(
     cache = _cache if _cache is not None else SubstitutionCache(phi, order)
     if cache.order != order or len(cache.phi) != g.dim:
         raise ValueError("substitution cache does not match this call")
-    out_dim = cache.out_dim
-    result = LaurentPoly.zero(out_dim)
+    terms: dict[ExponentVector, Scalar] = {}
     for exps, coeff in g.terms.items():
         if sum(exps) > order:
             continue  # the image lies in m^(order+1)
-        result = result + cache.monomial_image(exps) * coeff
-    return result
+        for e, c in cache.monomial_image(exps).terms.items():
+            p = c * coeff
+            acc = terms.get(e)
+            s = p if acc is None else acc + p
+            if s:
+                terms[e] = s
+            elif acc is not None:
+                del terms[e]
+    out = LaurentPoly.__new__(LaurentPoly)
+    object.__setattr__(out, "dim", cache.out_dim)
+    object.__setattr__(out, "terms", terms)
+    return out
 
 
 class SubstitutionCache:

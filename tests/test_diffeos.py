@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
-from conftest import random_nilpotent_field, random_unipotent_diffeo
+from conftest import random_nilpotent_field, random_scalar, random_unipotent_diffeo
 
 from germcalc.diffeos import (
     FormalDiffeo,
@@ -13,7 +15,8 @@ from germcalc.diffeos import (
 )
 from germcalc.fields import VectorField
 from germcalc.laurent import LaurentPoly
-from germcalc.scalars import Scalar
+from germcalc.matrices import mat_inverse
+from germcalc.scalars import I, Scalar
 from germcalc.families import moebius_component
 
 
@@ -223,3 +226,132 @@ def test_compose_requires_matching_order_and_dim():
     c = FormalDiffeo.identity(2, 3)
     with pytest.raises(ValueError):
         a.compose(c)
+
+
+# -- oracles for the group operations ------------------------------------------
+
+
+def reference_invert(phi: FormalDiffeo) -> FormalDiffeo:
+    """The inverse jet solved degree by degree: k - 1 full-order compositions.
+
+    With psi correct through degree d-1, the error r = phi o psi - id starts
+    at degree d and the linear part A of phi acts on the degree-d correction,
+    so psi -= A^{-1} r_d fixes degree d without disturbing lower degrees.
+    """
+    n, k = phi.dim, phi.order
+    a_inv = mat_inverse(phi.linear_part())
+    psi = FormalDiffeo.linear(a_inv, k)
+    ident = FormalDiffeo.identity(n, k)
+    for d in range(2, k + 1):
+        err = [c - i for c, i in zip(phi.compose(psi).components, ident.components)]
+        correction = [e.degree_part(d) for e in err]
+        if all(c.is_zero() for c in correction):
+            continue
+        new_comps = []
+        for i in range(n):
+            delta = LaurentPoly.zero(n)
+            for j in range(n):
+                if a_inv[i][j]:
+                    delta = delta + correction[j] * a_inv[i][j]
+            new_comps.append(psi.components[i] - delta)
+        psi = FormalDiffeo(new_comps, k)
+    return psi
+
+
+LINEAR_POOL = [0, 0, 1, -1, 2, I, Scalar(1, -1), Fraction(1, 2)]
+
+# non-unipotent linear parts pinned by hand: scalings by 2 and i, a
+# non-diagonal, non-triangular 2x2, and a 3x3 cyclic map with Gaussian entries
+PINNED_LINEAR = {
+    1: [[[2]], [[I]]],
+    2: [[[1, 2], [I, 1]], [[2, 1], [0, I]]],
+    3: [[[0, 1, 0], [0, 0, 2], [I, 0, 0]]],
+}
+
+
+def random_diffeo(rng, dim, order, linear=None) -> FormalDiffeo:
+    """A random jet with the given (or a random invertible) linear part and a
+    few higher-order terms of degree 2..order."""
+    while linear is None:
+        m = [[Scalar.of(rng.choice(LINEAR_POOL)) for _ in range(dim)] for _ in range(dim)]
+        try:
+            mat_inverse(m)
+        except ValueError:
+            continue
+        linear = m
+    comps = []
+    for i in range(dim):
+        terms = {}
+        for j in range(dim):
+            e = [0] * dim
+            e[j] = 1
+            terms[tuple(e)] = Scalar.of(linear[i][j])
+        for _ in range(3):
+            d = rng.randint(2, max(2, order))
+            e = [0] * dim
+            for _ in range(d):
+                e[rng.randrange(dim)] += 1
+            terms[tuple(e)] = terms.get(tuple(e), Scalar(0)) + random_scalar(rng)
+        comps.append(LaurentPoly(dim, terms))
+    return FormalDiffeo(comps, order)
+
+
+def assert_valid(r: FormalDiffeo):
+    """A result of a group operation passes the public constructor's checks."""
+    assert FormalDiffeo(r.components, r.order) == r
+
+
+@pytest.mark.parametrize(
+    "dim,orders", [(1, range(1, 13)), (2, range(1, 10)), (3, range(1, 7))]
+)
+def test_invert_matches_degree_by_degree_reference(rng, dim, orders):
+    for order in orders:
+        cases = [random_diffeo(rng, dim, order) for _ in range(2)]
+        cases += [random_diffeo(rng, dim, order, m) for m in PINNED_LINEAR[dim]]
+        for phi in cases:
+            inv = phi.invert()
+            assert inv == reference_invert(phi)
+            assert_valid(inv)
+            assert phi.compose(inv) == FormalDiffeo.identity(dim, order)
+
+
+@pytest.mark.parametrize("dim,order", [(1, 9), (2, 6), (3, 4)])
+def test_commutator_is_four_fold_product(rng, dim, order):
+    cases = [random_diffeo(rng, dim, order) for _ in range(3)]
+    cases += [random_diffeo(rng, dim, order, m) for m in PINNED_LINEAR[dim]]
+    for a, b in zip(cases, cases[1:]):
+        c = a.commutator(b)
+        expected = a.compose(b).compose(reference_invert(a)).compose(reference_invert(b))
+        assert c == expected
+        assert_valid(c)
+        assert_valid(a.compose(b))
+
+
+def test_series_reversion_against_sympy(rng):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.domains import QQ_I
+    from sympy.polys.rings import ring
+    from sympy.polys.ring_series import rs_series_reversion
+
+    def to_sympy(s: Scalar):
+        return QQ_I.from_sympy(
+            sympy.Rational(s.re.numerator, s.re.denominator)
+            + sympy.I * sympy.Rational(s.im.numerator, s.im.denominator)
+        )
+
+    def from_sympy(c) -> Scalar:
+        re, im = QQ_I.to_sympy(c).as_real_imag()
+        return Scalar(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
+
+    R, x, y = ring("x, y", QQ_I)
+    for order in range(1, 11):
+        for lin in ([[2]], [[I]], [[Scalar(1, -1)]], [[Fraction(-1, 2)]]):
+            phi = random_diffeo(rng, 1, order, lin)
+            p = R.zero
+            for (e,), c in phi.components[0].terms.items():
+                p += to_sympy(c) * x ** e
+            rev = rs_series_reversion(p, x, order + 1, y)
+            expected = LaurentPoly(
+                1, {(mon[1],): from_sympy(c) for mon, c in rev.terms()}
+            )
+            assert phi.invert().components == (expected,)
