@@ -3,7 +3,7 @@ formal vector fields, with verification drivers for the maximal-length
 solvable and nilpotent example families."""
 
 from .scalars import Scalar
-from .laurent import LaurentPoly, ring_arith, substitute
+from .laurent import LaurentPoly, substitute
 from .fields import (
     BudgetExceededError,
     VectorField,

@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .diffeos import exp_field, log_diffeo
 from .fields import BudgetExceededError
@@ -57,18 +56,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_PARSE_ERROR = 2
 EXIT_PRECONDITION = 3
 EXIT_BUDGET = 4
-
-
-@dataclass
-class CliConfig:
-    dim: int
-    order: int
-    mode: str
-    fmt: str
-    seed: int
-    degree_budget: int
-    heavy_solvable_n3: bool
-    timings: bool
 
 
 def _add_common_options(parser: argparse.ArgumentParser, suppress: bool):
@@ -215,98 +202,94 @@ def _series_payload(levels) -> list[int]:
 
 
 def _run(args) -> int:
-    cfg = CliConfig(
-        args.dim, args.order, args.mode, args.fmt, args.seed,
-        args.degree_budget, args.heavy_solvable_n3, args.timings,
-    )
-    if cfg.dim < 1 or cfg.order < 1:
+    if args.dim < 1 or args.order < 1:
         raise ValueError("dimension and order must be >= 1")
     cmd = args.command
 
     if cmd == "exp":
-        X = parse_field(args.field, cfg.dim)
+        X = parse_field(args.field, args.dim)
         t = _parse_scalar(args.time_scalar)
-        phi = exp_field(X, t, cfg.order)
-        _emit({"result": format_diffeo(phi)}, cfg.fmt)
+        phi = exp_field(X, t, args.order)
+        _emit({"result": format_diffeo(phi)}, args.fmt)
         return EXIT_OK
     if cmd == "log":
-        phi = parse_diffeo(args.diffeo, cfg.dim, cfg.order)
+        phi = parse_diffeo(args.diffeo, args.dim, args.order)
         X = log_diffeo(phi)
-        _emit({"result": format_field(X)}, cfg.fmt)
+        _emit({"result": format_field(X)}, args.fmt)
         return EXIT_OK
     if cmd == "bracket":
-        a = parse_field(args.field_a, cfg.dim)
-        b = parse_field(args.field_b, cfg.dim)
-        _emit({"result": format_field(a.bracket(b))}, cfg.fmt)
+        a = parse_field(args.field_a, args.dim)
+        b = parse_field(args.field_b, args.dim)
+        _emit({"result": format_field(a.bracket(b))}, args.fmt)
         return EXIT_OK
     if cmd == "compose":
-        a = parse_diffeo(args.diffeo_a, cfg.dim, cfg.order)
-        b = parse_diffeo(args.diffeo_b, cfg.dim, cfg.order)
-        _emit({"result": format_diffeo(a.compose(b))}, cfg.fmt)
+        a = parse_diffeo(args.diffeo_a, args.dim, args.order)
+        b = parse_diffeo(args.diffeo_b, args.dim, args.order)
+        _emit({"result": format_diffeo(a.compose(b))}, args.fmt)
         return EXIT_OK
     if cmd == "invert":
-        phi = parse_diffeo(args.diffeo, cfg.dim, cfg.order)
-        _emit({"result": format_diffeo(phi.invert())}, cfg.fmt)
+        phi = parse_diffeo(args.diffeo, args.dim, args.order)
+        _emit({"result": format_diffeo(phi.invert())}, args.fmt)
         return EXIT_OK
     if cmd == "commutator":
-        a = parse_diffeo(args.diffeo_a, cfg.dim, cfg.order)
-        b = parse_diffeo(args.diffeo_b, cfg.dim, cfg.order)
-        _emit({"result": format_diffeo(a.commutator(b))}, cfg.fmt)
+        a = parse_diffeo(args.diffeo_a, args.dim, args.order)
+        b = parse_diffeo(args.diffeo_b, args.dim, args.order)
+        _emit({"result": format_diffeo(a.commutator(b))}, args.fmt)
         return EXIT_OK
     if cmd == "jet-matrix":
         if args.diffeo:
-            m = to_jet_matrix(parse_diffeo(args.diffeo, cfg.dim, cfg.order))
+            m = to_jet_matrix(parse_diffeo(args.diffeo, args.dim, args.order))
         else:
-            m = field_to_jet_matrix(parse_field(args.field, cfg.dim), cfg.order)
-        _emit({"result": m.export_text().splitlines()}, cfg.fmt)
+            m = field_to_jet_matrix(parse_field(args.field, args.dim), args.order)
+        _emit({"result": m.export_text().splitlines()}, args.fmt)
         return EXIT_OK
     if cmd == "jordan-chevalley":
         if args.matrix:
             m = _parse_matrix(args.matrix)
         else:
-            m = to_jet_matrix(parse_diffeo(args.diffeo, cfg.dim, cfg.order)).matrix
+            m = to_jet_matrix(parse_diffeo(args.diffeo, args.dim, args.order)).matrix
         s, u = jordan_chevalley(m)
 
         def rows(mat):
             return ["  ".join(format_scalar(x) for x in row) for row in mat]
 
-        _emit({"semisimple": rows(s), "unipotent": rows(u)}, cfg.fmt)
+        _emit({"semisimple": rows(s), "unipotent": rows(u)}, args.fmt)
         return EXIT_OK
     if cmd in ("derived-series", "central-series", "kappa", "soluble-length", "nilpotency-class"):
         span = _span_from_args(args)
         if cmd == "derived-series":
-            _emit({"dimensions": _series_payload(derived_series(span))}, cfg.fmt)
+            _emit({"dimensions": _series_payload(derived_series(span))}, args.fmt)
         elif cmd == "central-series":
-            _emit({"dimensions": _series_payload(central_series(span))}, cfg.fmt)
+            _emit({"dimensions": _series_payload(central_series(span))}, args.fmt)
         elif cmd == "kappa":
-            _emit({"kappa": list(kappa_sequence(span).values)}, cfg.fmt)
+            _emit({"kappa": list(kappa_sequence(span).values)}, args.fmt)
         elif cmd == "soluble-length":
             value = soluble_length(span)
-            _emit({"soluble-length": str(value) if value is NON_TERMINATING else value}, cfg.fmt)
+            _emit({"soluble-length": str(value) if value is NON_TERMINATING else value}, args.fmt)
         else:
             value = nilpotency_class(span)
-            _emit({"nilpotency-class": str(value) if value is NON_TERMINATING else value}, cfg.fmt)
+            _emit({"nilpotency-class": str(value) if value is NON_TERMINATING else value}, args.fmt)
         return EXIT_OK
     if cmd == "verify":
-        reports = _run_verify(args, cfg)
-        if cfg.fmt == "json":
-            print(reports_to_json(reports, include_elapsed=cfg.timings))
+        reports = _run_verify(args)
+        if args.fmt == "json":
+            print(reports_to_json(reports, include_elapsed=args.timings))
         else:
             print(reports_to_text(reports))
         return EXIT_OK if all(r.ok for r in reports) else EXIT_VERIFY_FAILED
     raise ValueError(f"unhandled command {cmd!r}")
 
 
-def _run_verify(args, cfg: CliConfig):
+def _run_verify(args):
     target = args.target
     if target == "all":
-        return run_all_verifications(cfg.seed, cfg.heavy_solvable_n3)
+        return run_all_verifications(args.seed, args.heavy_solvable_n3)
     if target == "intro":
         k = args.k_param
-        return [verify_intro_nilpotency(k, k + 3, seed=cfg.seed)]
+        return [verify_intro_nilpotency(k, k + 3, seed=args.seed)]
     if target == "solvable":
         n = args.n if args.n is not None else 2
-        if n >= 3 and not cfg.heavy_solvable_n3:
+        if n >= 3 and not args.heavy_solvable_n3:
             raise ValueError(
                 "three-variable solvable verification requires --heavy-solvable-n3"
             )

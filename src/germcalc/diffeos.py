@@ -113,11 +113,6 @@ class FormalDiffeo:
     def is_tangent_to_identity(self) -> bool:
         return is_zero_matrix(mat_sub(self.linear_part(), mat_identity(self.dim)))
 
-    def with_order(self, order: int) -> "FormalDiffeo":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated diffeomorphism to higher order")
-        return FormalDiffeo(self.components, order)
-
     # -- group operations ------------------------------------------------------
 
     def _check_compatible(self, other: "FormalDiffeo"):

@@ -14,6 +14,7 @@ materialized at a jet order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,16 +29,22 @@ from .scalars import Scalar
 
 
 def geometric_inverse_power(dim: int, var: int, t: Scalar, power: int, order: int) -> LaurentPoly:
-    """(1 + t*x_var)^(-power) as a truncated series."""
-    base = LaurentPoly.one(dim)
-    step = LaurentPoly.monomial(dim, {var: 1}, -t)  # expansion of 1/(1+t x) = sum (-t x)^j
-    geom = LaurentPoly.one(dim)
-    for _ in range(order):
-        geom = geom.mul_truncated(step, order) + base
-    out = LaurentPoly.one(dim)
-    for _ in range(power):
-        out = out.mul_truncated(geom, order)
-    return out
+    """(1 + t*x_var)^(-power) as a series truncated at order: the
+    coefficient of x_var^j is C(power + j - 1, j) * (-t)^j.  Power 0 gives 1;
+    a negative power raises ValueError."""
+    if power < 0:
+        raise ValueError(f"power must be >= 0, got {power}")
+    if power == 0:
+        return LaurentPoly.one(dim)
+    step = -Scalar.of(t)
+    coeff = Scalar(1)  # (-t)^j
+    terms = {}
+    for j in range(order + 1):
+        exps = [0] * dim
+        exps[var - 1] = j
+        terms[tuple(exps)] = coeff * math.comb(power + j - 1, j)
+        coeff = coeff * step
+    return LaurentPoly(dim, terms)
 
 
 def moebius_component(dim: int, var: int, lam: Scalar, mu: Scalar, order: int) -> LaurentPoly:
@@ -241,12 +248,6 @@ def _check_tail_support(p: LaurentPoly, j: int, dim: int, min_degree: int):
             )
         if sum(exps) < min_degree:
             raise ValueError(f"component {j}: series must lie in m^{min_degree}")
-
-
-def build_triangular_generators(
-    specs: Sequence[TriangularGeneratorSpec], dim: int, order: int
-) -> list[FormalDiffeo]:
-    return [build_triangular_generator(s, dim, order) for s in specs]
 
 
 # -- the nilpotent family ----------------------------------------------------------

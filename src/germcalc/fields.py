@@ -170,11 +170,6 @@ def is_first_integral(g: LaurentPoly, fields: Iterable[VectorField]) -> bool:
     return all(X.apply(g).is_zero() for X in fields)
 
 
-def is_nilpotent_field(X: VectorField) -> bool:
-    """Exact nilpotency test on the linear part (module-level form)."""
-    return X.is_nilpotent()
-
-
 def default_a_budget(dim: int) -> int:
     """Step budget for nilpotency_degree_a: the example family's maximum
     3*2^(dim-2) - 2 plus slack."""

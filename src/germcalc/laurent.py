@@ -117,12 +117,6 @@ class LaurentPoly:
     def constant_term(self) -> Scalar:
         return self.terms.get((0,) * self.dim, Scalar(0))
 
-    def total_degree(self) -> int | None:
-        """Max total degree over terms; None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(sum(exps) for exps in self.terms)
-
     def min_total_degree(self) -> int | None:
         if not self.terms:
             return None
@@ -306,17 +300,6 @@ class LaurentPoly:
         from .parsing import format_poly
 
         return format_poly(self)
-
-
-def ring_arith(a: LaurentPoly, b: LaurentPoly, op: str) -> LaurentPoly:
-    """Dispatch add/sub/mul by name (the wire-level entry point)."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown ring operation {op!r}")
 
 
 def substitute(

@@ -505,21 +505,22 @@ class TransitionMatrix:
         return len(self.entries)
 
 
-def decompose_over_split(Z: VectorField, split: BasisSplit) -> tuple[list[RationalFunction], list[RationalFunction]]:
-    """Coefficients (b_1..b_q, a_1..a_m) with Z = sum b_j Y_j + sum a_k X_k
-    over the fraction field.  Raises ValueError when Z is not in the span."""
-    fields = list(split.ys) + list(split.xs)
-    dim = Z.dim
-    matrix = [
-        [RationalFunction(F.coeffs[i]) for F in fields]
-        for i in range(dim)
-    ]
-    rhs = [RationalFunction(Z.coeffs[i]) for i in range(dim)]
-    solution = solve_rational(matrix, rhs)
-    if solution is None:
+def decompose_over_split(
+    fields: Sequence[VectorField], split: BasisSplit
+) -> list[tuple[list[RationalFunction], list[RationalFunction]]]:
+    """For each Z in ``fields``, the coefficients (b_1..b_q, a_1..a_m) with
+    Z = sum b_j Y_j + sum a_k X_k over the fraction field.  The split's
+    matrix is eliminated once for all the fields.  Raises ValueError when
+    any field is not in the span."""
+    basis = list(split.ys) + list(split.xs)
+    dim = basis[0].dim
+    matrix = [[RationalFunction(F.coeffs[i]) for F in basis] for i in range(dim)]
+    columns = [[RationalFunction(Z.coeffs[i]) for i in range(dim)] for Z in fields]
+    solutions = solve_rational(matrix, columns)
+    if solutions is None:
         raise ValueError("field does not lie in the span of the split basis")
     q = len(split.ys)
-    return solution[:q], solution[q:]
+    return [(s[:q], s[q:]) for s in solutions]
 
 
 def transition_matrix(Z: VectorField, split: BasisSplit) -> TransitionMatrix:
@@ -529,7 +530,7 @@ def transition_matrix(Z: VectorField, split: BasisSplit) -> TransitionMatrix:
     of the deeper algebra and in every shipped instance they simplify
     exactly.  A genuinely non-Laurent entry raises, loudly.
     """
-    _, a_coeffs = decompose_over_split(Z, split)
+    [(_, a_coeffs)] = decompose_over_split([Z], split)
     rows = []
     for Xj in split.xs:
         row = []

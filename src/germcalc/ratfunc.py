@@ -184,16 +184,18 @@ def apply_field_rational(X, h: RationalFunction) -> RationalFunction:
     )
 
 
-def solve_rational(matrix, rhs) -> list[RationalFunction] | None:
-    """Solve A x = b over the fraction field by Gaussian elimination.
+def solve_rational(matrix, rhs_columns) -> list[list[RationalFunction]] | None:
+    """Solve A x = b for every b in ``rhs_columns`` over the fraction field.
 
-    ``matrix`` is a list of rows of RationalFunction, ``rhs`` the right-hand
-    column.  Returns None when the system is inconsistent; raises on an
-    underdetermined consistent system (callers always supply independent
-    columns).
+    ``matrix`` is a list of rows of RationalFunction and each right-hand
+    column a list with one entry per row.  One Gauss-Jordan pass runs over
+    the rows augmented by all the columns, so A is eliminated once however
+    many columns there are.  Returns one solution per column, or None when
+    any column is inconsistent; raises on an underdetermined consistent
+    system (callers always supply independent columns).
     """
-    rows = [list(r) + [b] for r, b in zip(matrix, rhs)]
     n_cols = len(matrix[0]) if matrix else 0
+    rows = [list(r) + [b[i] for b in rhs_columns] for i, r in enumerate(matrix)]
     pivots: list[tuple[int, int]] = []
     r = 0
     for c in range(n_cols):
@@ -214,11 +216,14 @@ def solve_rational(matrix, rhs) -> list[RationalFunction] | None:
         pivots.append((r, c))
         r += 1
     for i in range(r, len(rows)):
-        if not rows[i][-1].is_zero():
+        if not all(x.is_zero() for x in rows[i][n_cols:]):
             return None
     if len(pivots) < n_cols:
         raise ValueError("underdetermined system: columns are not independent")
-    solution = [RationalFunction.of(0, rhs[0].dim) for _ in range(n_cols)]
-    for row_idx, col in pivots:
-        solution[col] = rows[row_idx][-1]
-    return solution
+    solutions = []
+    for j, b in enumerate(rhs_columns, start=n_cols):
+        solution = [RationalFunction.of(0, b[0].dim) for _ in range(n_cols)]
+        for row_idx, col in pivots:
+            solution[col] = rows[row_idx][j]
+        solutions.append(solution)
+    return solutions

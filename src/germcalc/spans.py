@@ -75,8 +75,3 @@ class SparseEchelon:
                 self.rows[key] = vec_sub_scaled(row, v, row[pivot])
         self.rows[pivot] = v
         return True
-
-    def copy(self) -> "SparseEchelon":
-        out = SparseEchelon(self.sort_key)
-        out.rows = {k: dict(v) for k, v in self.rows.items()}
-        return out

@@ -235,7 +235,9 @@ def test_criterion_8_structural_suites():
 
 def test_criterion_9_theorem_bounds():
     """Every constructed example respects the applicable global bound."""
-    r = verify_length_bounds()
+    reports = [verify_solvable_family(1, 6), verify_solvable_family(2, 12)]
+    reports += [verify_nilpotent_example(n) for n in (2, 3, 4)]
+    r = verify_length_bounds(reports)
     assert r.status == "pass", r.witness
     _ok("9 (global length bounds)")
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 from germcalc.cli import (
     EXIT_BUDGET,
@@ -158,8 +159,11 @@ def test_verify_intro_cli(capsys):
 def test_verify_all_end_to_end(capsys):
     import json as _json
 
-    code, out, _ = run(capsys, "verify", "all", "--format", "json")
+    code, out, _ = run(capsys, "verify", "all", "--format", "json", "--seed", "0")
     assert code == EXIT_OK
+    # the default report must stay byte-identical to the stored reference
+    reference = Path(__file__).resolve().parents[1] / "perfbench/reference/verify-all/seed-0.json"
+    assert out == reference.read_text()
     payload = _json.loads(out)
     ids = [c["claim_id"] for c in payload["claims"]]
     assert ids == sorted(ids)

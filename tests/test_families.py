@@ -14,6 +14,7 @@ from germcalc.families import (
     chain_exponent,
     expected_a_value,
     expected_nilpotency_class,
+    geometric_inverse_power,
     intro_member,
     moebius_component,
     nilpotent_seed_functions,
@@ -38,6 +39,37 @@ def test_intro_family_geometric_expansion():
     first = x1 * (LaurentPoly.one(2) - x2 * 2 + x2 ** 2 * 3 - x2 ** 3 * 4)
     second = x2 - x2 ** 2 + x2 ** 3 - x2 ** 4
     assert phi == FormalDiffeo([first.truncate(4), second], 4)
+
+
+def reference_geometric_inverse_power(dim, var, t, power, order):
+    """(1 + t*x_var)^(-power) built as products: the truncated geometric
+    series 1/(1 + t*x) = sum (-t*x)^j, raised to the power-th power."""
+    base = LaurentPoly.one(dim)
+    step = LaurentPoly.monomial(dim, {var: 1}, -t)
+    geom = LaurentPoly.one(dim)
+    for _ in range(order):
+        geom = geom.mul_truncated(step, order) + base
+    out = LaurentPoly.one(dim)
+    for _ in range(power):
+        out = out.mul_truncated(geom, order)
+    return out
+
+
+def test_geometric_inverse_power_matches_products():
+    ts = [Scalar(0), Scalar(1), Scalar(-1), Scalar.rational(1, 2), Scalar(0, 1), Scalar(1, -1)]
+    for dim, var in ((1, 1), (2, 1), (2, 2)):
+        for t in ts:
+            for power in range(1, 7):
+                for order in range(11):
+                    assert geometric_inverse_power(dim, var, t, power, order) == (
+                        reference_geometric_inverse_power(dim, var, t, power, order)
+                    ), (dim, var, t, power, order)
+
+
+def test_geometric_inverse_power_zero_and_negative_power():
+    assert geometric_inverse_power(2, 2, Scalar(3), 0, 5) == LaurentPoly.one(2)
+    with pytest.raises(ValueError):
+        geometric_inverse_power(1, 1, Scalar(1), -1, 5)
 
 
 def test_intro_member_validation():

@@ -146,11 +146,3 @@ def test_apply_literal_last_field_value():
         (LaurentPoly.monomial(3, {3: 2}), 3),
     )
     assert X.apply(LaurentPoly.monomial(3, {3: -1})) == LaurentPoly.constant(3, -1)
-
-
-def test_is_nilpotent_field_alias():
-    from germcalc.fields import is_nilpotent_field
-
-    x = LaurentPoly.variable(1, 1)
-    assert is_nilpotent_field(VectorField([x ** 2]))
-    assert not is_nilpotent_field(VectorField([x]))

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from germcalc.laurent import LaurentPoly, SubstitutionCache, ring_arith, substitute
+from germcalc.laurent import LaurentPoly, SubstitutionCache, substitute
 from germcalc.scalars import Scalar
 
 
@@ -36,15 +36,6 @@ def test_no_zero_terms_stored():
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
         var(1, 1) + var(2, 1)
-
-
-def test_ring_arith_dispatch():
-    x = var(1, 1)
-    assert ring_arith(x, x, "add") == x * 2
-    assert ring_arith(x, x, "sub").is_zero()
-    assert ring_arith(x, x, "mul") == x ** 2
-    with pytest.raises(ValueError):
-        ring_arith(x, x, "div")
 
 
 def test_truncate_degree_filter():

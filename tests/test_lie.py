@@ -334,10 +334,22 @@ def test_decompose_over_split_coefficients():
     Z = VectorField([xs[0].coeffs[0] * 3 + xs[1].coeffs[0],
                      xs[1].coeffs[1],
                      LaurentPoly.zero(3)])
-    _, coeffs = decompose_over_split(Z, split)
+    [(_, coeffs)] = decompose_over_split([Z], split)
     assert coeffs[0] == RationalFunction(LaurentPoly.constant(3, 3))
     assert coeffs[1] == RationalFunction(LaurentPoly.one(3))
     assert coeffs[2].is_zero()
+
+
+def test_decompose_over_split_rejects_one_stranger():
+    _, xs, _ = build_nilpotent_example(3)
+    split = BasisSplit((), (xs[0], xs[1]))
+    combo = VectorField([a * 2 - b for a, b in zip(xs[0].coeffs, xs[1].coeffs)])
+    inside = [xs[0], xs[1], combo]
+    decomposed = decompose_over_split(inside, split)
+    assert [a for _, a in decomposed] == [[1, 0], [0, 1], [2, -1]]
+    assert all(b == [] for b, _ in decomposed)
+    with pytest.raises(ValueError):
+        decompose_over_split([xs[0], xs[1], xs[2], combo], split)
 
 
 def test_span_export_round_trip():

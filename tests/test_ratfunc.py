@@ -1,4 +1,8 @@
+import random
+
 import pytest
+
+from conftest import random_poly
 
 from germcalc.laurent import LaurentPoly
 from germcalc.ratfunc import (
@@ -70,7 +74,7 @@ def test_solve_rational_cramer():
         [RationalFunction(LaurentPoly.zero(2)), RationalFunction(y)],
     ]
     rhs = [RationalFunction(x * x), RationalFunction(y)]
-    a, b = solve_rational(matrix, rhs)
+    [[a, b]] = solve_rational(matrix, [rhs])
     assert a == RationalFunction(x)
     assert b == RationalFunction(one)
 
@@ -80,4 +84,47 @@ def test_solve_rational_inconsistent():
     zero = RationalFunction(LaurentPoly.zero(2))
     matrix = [[RationalFunction(x)], [zero]]
     rhs = [RationalFunction(x), RationalFunction(LaurentPoly.one(2))]
-    assert solve_rational(matrix, rhs) is None
+    assert solve_rational(matrix, [rhs]) is None
+
+
+def random_nonzero_poly(rng, dim, max_terms):
+    p = LaurentPoly.zero(dim)
+    while p.is_zero():
+        p = random_poly(rng, dim, max_terms=max_terms, max_degree=2, min_exp=-1)
+    return p
+
+
+def random_entry(rng, size):
+    """A random element of K_2: a quotient of small Laurent polynomials for
+    2x2 systems, a Laurent monomial for 3x3 ones (without a gcd, eliminating
+    a 3x3 matrix of general quotients swells past test budgets)."""
+    if size == 3:
+        return RationalFunction(random_nonzero_poly(rng, 2, 1))
+    return RationalFunction(random_nonzero_poly(rng, 2, 2), random_nonzero_poly(rng, 2, 2))
+
+
+def mat_vec(matrix, x):
+    zero = RationalFunction.of(0, x[0].dim)
+    return [sum((a * b for a, b in zip(row, x)), zero) for row in matrix]
+
+
+def test_solve_rational_columns_match_single_solves():
+    # every seeded draw below is nonsingular
+    for size in (2, 3):
+        for seed in range(4):
+            rng = random.Random(100 * size + seed)
+            matrix = [[random_entry(rng, size) for _ in range(size)] for _ in range(size)]
+            columns = [[random_entry(rng, size) for _ in range(size)] for _ in range(3)]
+            singles = [solve_rational(matrix, [b])[0] for b in columns]
+            assert solve_rational(matrix, columns) == singles
+
+
+def test_solve_rational_one_inconsistent_column_gives_none():
+    rng = random.Random(7)
+    matrix = [[random_entry(rng, 3) for _ in range(2)] for _ in range(3)]
+    xs = [[random_entry(rng, 3) for _ in range(2)] for _ in range(2)]
+    b1, b2 = (mat_vec(matrix, x) for x in xs)
+    stray = [b + random_entry(rng, 3) for b in b1]
+    assert solve_rational(matrix, [stray]) is None
+    assert solve_rational(matrix, [b1, stray, b2]) is None
+    assert solve_rational(matrix, [b1, b2]) == xs

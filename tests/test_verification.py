@@ -98,7 +98,42 @@ def test_witness_failure_when_all_trivial():
 
 
 def test_length_bounds():
-    assert verify_length_bounds().status == "pass"
+    reports = [verify_solvable_family(1, 6), verify_solvable_family(2, 12)]
+    reports += [verify_nilpotent_example(n) for n in (2, 3, 4)]
+    assert verify_length_bounds(reports).status == "pass"
+
+
+def _chain_report(n, length):
+    params = {"n": n, "jet_order": 9}
+    if length is not None:
+        params["soluble_length"] = length
+    return VerificationReport(f"solvable-chain-n{n}", params, "pass")
+
+
+def _nilpotent_report(n, length):
+    return VerificationReport(f"nilpotent-family-n{n}", {"n": n, "soluble_length": length}, "pass")
+
+
+def test_length_bounds_fail_on_reported_lengths():
+    r = verify_length_bounds([_chain_report(1, 2), _chain_report(2, 5)])
+    assert r.status == "fail"
+    assert r.witness == "chain algebra n=2 exceeds the solvable bound"
+    # a chain report without a length (series did not terminate) fails too
+    assert verify_length_bounds([_chain_report(1, None)]).status == "fail"
+    r = verify_length_bounds([_nilpotent_report(2, 4)])
+    assert r.witness == "nilpotent family n=2: length 4 > 2; nilpotent family n=2: length 4 > 3"
+    r = verify_length_bounds([_nilpotent_report(3, "non-terminating")])
+    assert r.witness == "nilpotent family n=3 not solvable"
+
+
+def test_length_bounds_heavy_iff_n3_chain_reported():
+    chains = [_chain_report(n, 2 * n) for n in (1, 2)]
+    r = verify_length_bounds(chains)
+    assert r.status == "pass" and r.parameters == {"heavy": False}
+    r = verify_length_bounds(chains + [_chain_report(3, 6)])
+    assert r.status == "pass" and r.parameters == {"heavy": True}
+    r = verify_length_bounds(chains + [_chain_report(3, 7)])
+    assert r.status == "fail" and r.parameters == {"heavy": True}
 
 
 def test_report_serialization_deterministic():
