@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .fields import VectorField
-from .laurent import LaurentPoly, SubstitutionCache, substitute, validate_order
+from .laurent import LaurentPoly, SubstitutionCache, linear_coefficients, substitute, validate_order
 from .matrices import (
     identity as mat_identity,
     is_nilpotent_matrix,
@@ -92,16 +92,8 @@ class FormalDiffeo:
     # -- structure -----------------------------------------------------------
 
     def linear_part(self):
-        n = self.dim
-        rows = []
-        for comp in self.components:
-            row = []
-            for j in range(n):
-                e = [0] * n
-                e[j] = 1
-                row.append(comp.coefficient(tuple(e)))
-            rows.append(row)
-        return rows
+        """The Jacobian at 0: A[i][j] = coefficient of x_(j+1) in component i+1."""
+        return linear_coefficients(self.components)
 
     def is_identity(self) -> bool:
         return self == FormalDiffeo.identity(self.dim, self.order)

@@ -68,8 +68,6 @@ def build_intro_family(
     Each entry of ``members`` is (P, t) with P a polynomial in the second
     variable, P in (y^2), deg P <= k_param.
     """
-    if k_param < 2:
-        raise ValueError("the family parameter must be >= 2")
     validate_order(order)
     out = []
     for P, t in members:
@@ -78,6 +76,8 @@ def build_intro_family(
 
 
 def intro_member(k_param: int, P: LaurentPoly, t: Scalar, order: int) -> FormalDiffeo:
+    if k_param < 2:
+        raise ValueError(f"the family parameter must be >= 2, got {k_param}")
     if P.dim != 2:
         raise ValueError("P must live in two variables (as a polynomial in y)")
     if not P.is_polynomial():

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .laurent import ExponentVector, LaurentPoly, grlex_key
+from .laurent import ExponentVector, LaurentPoly, grlex_key, linear_coefficients
 from .scalars import Scalar
 
 
@@ -71,17 +71,7 @@ class VectorField:
         """The first-jet matrix A with A[i][j] = coefficient of x_(j+1) in a_(i+1)."""
         if not self.is_formal():
             raise ValueError("linear part is only defined for formal fields")
-        n = self.dim
-        unit = [0] * n
-        rows = []
-        for c in self.coeffs:
-            row = []
-            for j in range(n):
-                e = list(unit)
-                e[j] = 1
-                row.append(c.coefficient(tuple(e)))
-            rows.append(row)
-        return rows
+        return linear_coefficients(self.coeffs)
 
     def is_nilpotent(self) -> bool:
         """Exact test: the linear part A satisfies A^dim == 0."""
@@ -161,10 +151,6 @@ class VectorField:
         return (grlex_key(exps), i)
 
 
-def poly_sparse_key(exps: ExponentVector):
-    return grlex_key(exps)
-
-
 def is_first_integral(g: LaurentPoly, fields: Iterable[VectorField]) -> bool:
     """True iff every field kills g."""
     return all(X.apply(g).is_zero() for X in fields)
@@ -205,7 +191,7 @@ def nilpotency_degree_a(
     current = [v]
     depth = 0
     while True:
-        ech = SparseEchelon(poly_sparse_key)
+        ech = SparseEchelon(grlex_key)
         images: list[LaurentPoly] = []
         for w in current:
             for X in gens:

@@ -96,6 +96,19 @@ def poly_to_coords(g: LaurentPoly, basis, index: dict | None = None) -> list[Sca
     return coords
 
 
+def _action_matrix(dim: int, order: int, image) -> JetMatrix:
+    """The jet matrix whose column j holds the coordinates of
+    image(basis monomial j)."""
+    basis = jet_basis(dim, order)
+    index = {e: i for i, e in enumerate(basis)}
+    cols = [
+        poly_to_coords(image(LaurentPoly(dim, {exps: Scalar(1)})), basis, index)
+        for exps in basis
+    ]
+    matrix = [list(row) for row in zip(*cols)]
+    return JetMatrix(dim, order, matrix, basis)
+
+
 def to_jet_matrix(phi) -> JetMatrix:
     """Matrix of the action g -> g o phi on m/m^(order+1).
 
@@ -103,17 +116,10 @@ def to_jet_matrix(phi) -> JetMatrix:
     convention the action is contravariant: the matrix of phi o psi equals
     matrix(psi) . matrix(phi).
     """
-    basis = jet_basis(phi.dim, phi.order)
-    index = {e: i for i, e in enumerate(basis)}
-    size = len(basis)
-    cols: list[list[Scalar]] = []
     cache = SubstitutionCache(phi.components, phi.order)
-    for exps in basis:
-        g = LaurentPoly(phi.dim, {exps: Scalar(1)})
-        image = substitute(g, phi.components, phi.order, _cache=cache)
-        cols.append(poly_to_coords(image, basis, index))
-    matrix = [[cols[j][i] for j in range(size)] for i in range(size)]
-    return JetMatrix(phi.dim, phi.order, matrix, basis)
+    return _action_matrix(
+        phi.dim, phi.order, lambda g: substitute(g, phi.components, phi.order, _cache=cache)
+    )
 
 
 def field_to_jet_matrix(X, order: int) -> JetMatrix:
@@ -125,14 +131,4 @@ def field_to_jet_matrix(X, order: int) -> JetMatrix:
     """
     if not X.is_formal():
         raise ValueError("jet action is defined for formal fields only")
-    validate_order(order)
-    basis = jet_basis(X.dim, order)
-    index = {e: i for i, e in enumerate(basis)}
-    size = len(basis)
-    cols = []
-    for exps in basis:
-        g = LaurentPoly(X.dim, {exps: Scalar(1)})
-        image = X.apply(g).truncate(order)
-        cols.append(poly_to_coords(image, basis, index))
-    matrix = [[cols[j][i] for j in range(size)] for i in range(size)]
-    return JetMatrix(X.dim, order, matrix, basis)
+    return _action_matrix(X.dim, order, lambda g: X.apply(g).truncate(order))

@@ -16,7 +16,7 @@ All operations are pure; no value is mutated after construction.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .scalars import Scalar
 
@@ -59,6 +59,19 @@ class LaurentPoly:
                     clean[tuple(exps)] = coeff
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "terms", clean)
+
+    @staticmethod
+    def _trusted(dim: int, terms: dict[ExponentVector, Scalar]) -> "LaurentPoly":
+        """Wrap a terms dict that is valid by construction, skipping the checks.
+
+        For results of the arithmetic only: every key must be an exponent
+        tuple of length dim and every value a nonzero Scalar.  The dict is
+        taken over, not copied.
+        """
+        out = LaurentPoly.__new__(LaurentPoly)
+        object.__setattr__(out, "dim", dim)
+        object.__setattr__(out, "terms", terms)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -156,18 +169,12 @@ class LaurentPoly:
                 terms[exps] = s
             elif acc is not None:
                 del terms[exps]
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(out, "dim", self.dim)
-        object.__setattr__(out, "terms", terms)
-        return out
+        return LaurentPoly._trusted(self.dim, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(out, "dim", self.dim)
-        object.__setattr__(out, "terms", {e: -c for e, c in self.terms.items()})
-        return out
+        return LaurentPoly._trusted(self.dim, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -182,10 +189,7 @@ class LaurentPoly:
             c = Scalar.of(other)
             if not c:
                 return LaurentPoly.zero(self.dim)
-            out = LaurentPoly.__new__(LaurentPoly)
-            object.__setattr__(out, "dim", self.dim)
-            object.__setattr__(out, "terms", {e: v * c for e, v in self.terms.items()})
-            return out
+            return LaurentPoly._trusted(self.dim, {e: v * c for e, v in self.terms.items()})
         self._check_dim(other)
         return self.mul_truncated(other, None)
 
@@ -211,10 +215,7 @@ class LaurentPoly:
                     terms[exps] = s
                 elif acc is not None:
                     del terms[exps]
-        out = LaurentPoly.__new__(LaurentPoly)
-        object.__setattr__(out, "dim", self.dim)
-        object.__setattr__(out, "terms", terms)
-        return out
+        return LaurentPoly._trusted(self.dim, terms)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -302,6 +303,14 @@ class LaurentPoly:
         return format_poly(self)
 
 
+def linear_coefficients(polys: Sequence[LaurentPoly]) -> list[list[Scalar]]:
+    """The matrix A with A[i][j] = coefficient of x_(j+1) in polys[i]: the
+    linear part of a field's coefficients or of a map's components."""
+    dim = polys[0].dim
+    units = [tuple(int(i == j) for i in range(dim)) for j in range(dim)]
+    return [[p.coefficient(e) for e in units] for p in polys]
+
+
 def substitute(
     g: LaurentPoly,
     phi: list[LaurentPoly] | tuple[LaurentPoly, ...],
@@ -335,10 +344,7 @@ def substitute(
                 terms[e] = s
             elif acc is not None:
                 del terms[e]
-    out = LaurentPoly.__new__(LaurentPoly)
-    object.__setattr__(out, "dim", cache.out_dim)
-    object.__setattr__(out, "terms", terms)
-    return out
+    return LaurentPoly._trusted(cache.out_dim, terms)
 
 
 class SubstitutionCache:

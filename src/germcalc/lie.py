@@ -118,6 +118,13 @@ def span_reduce(
 
     Jet mode tests independence of the truncated coefficient vectors.
     """
+    return _reduce_with_echelon(fields, mode, order, degree_budget)[0]
+
+
+def _reduce_with_echelon(
+    fields: Iterable[VectorField], mode: str, order: int | None, degree_budget: int
+) -> tuple[LieAlgebraSpan, SparseEchelon]:
+    """``span_reduce`` together with the echelon of the span it returns."""
     fields = list(fields)
     dims = {X.dim for X in fields}
     if len(dims) > 1:
@@ -132,7 +139,7 @@ def span_reduce(
         Xp = span._prepare(X)
         if ech.insert(Xp.sparse()):
             kept.append(Xp)
-    return LieAlgebraSpan(dim, mode, tuple(kept), order, degree_budget)
+    return LieAlgebraSpan(dim, mode, tuple(kept), order, degree_budget), ech
 
 
 def _bracket_in_mode(span: LieAlgebraSpan, X: VectorField, Y: VectorField) -> VectorField:
@@ -160,8 +167,7 @@ def bracket_closure(
     so termination is unconditional; in exact mode the degree budget guards
     against non-finite-dimensional inputs.
     """
-    span = span_reduce(gens, mode, order, degree_budget)
-    ech = span.echelon()
+    span, ech = _reduce_with_echelon(gens, mode, order, degree_budget)
     basis = list(span.basis)
     frontier = list(basis)
     while frontier:
@@ -260,6 +266,23 @@ def _bracket_span(ideal: LieAlgebraSpan, outer: list | None = None) -> LieAlgebr
     return LieAlgebraSpan(ideal.dim, ideal.mode, tuple(kept), ideal.order, ideal.degree_budget)
 
 
+def _series(
+    g: LieAlgebraSpan, outer: list | None, max_steps: int, name: str
+) -> list[LieAlgebraSpan]:
+    """g, [outer, g], ... (with ``outer`` as in ``_bracket_span``) until a
+    zero term or two consecutive terms of equal dimension."""
+    levels = [g]
+    while not levels[-1].is_zero():
+        nxt = _bracket_span(levels[-1], outer)
+        stable = nxt.dimension == levels[-1].dimension
+        levels.append(nxt)
+        if stable:
+            return levels
+        if len(levels) > max_steps:
+            raise BudgetExceededError(f"{name} series exceeded the step budget")
+    return levels
+
+
 def derived_series(g: LieAlgebraSpan, max_steps: int = 64) -> list[LieAlgebraSpan]:
     """g = g^(0), g^(1), ...  Stops at the zero span, or with two equal
     consecutive spans when the series stabilizes nonzero (the caller reads
@@ -269,56 +292,32 @@ def derived_series(g: LieAlgebraSpan, max_steps: int = 64) -> list[LieAlgebraSpa
     example the result of ``bracket_closure``; the series of a span that is
     not closed is not the series of the algebra it generates.
     """
-    levels = [g]
-    while not levels[-1].is_zero():
-        nxt = _bracket_span(levels[-1])
-        stable = nxt.dimension == levels[-1].dimension
-        levels.append(nxt)
-        if stable:
-            return levels
-        if len(levels) > max_steps:
-            raise BudgetExceededError("derived series exceeded the step budget")
-    return levels
+    return _series(g, None, max_steps, "derived")
 
 
 def central_series(g: LieAlgebraSpan, max_steps: int = 256) -> list[LieAlgebraSpan]:
     """g = C^0, C^1 = [g, C^0], ...  Same precondition (g a Lie algebra) and
     termination contract as derived_series."""
-    outer = _graded(g.basis)
-    levels = [g]
-    while not levels[-1].is_zero():
-        nxt = _bracket_span(levels[-1], outer)
-        stable = nxt.dimension == levels[-1].dimension
-        levels.append(nxt)
-        if stable:
-            return levels
-        if len(levels) > max_steps:
-            raise BudgetExceededError("central series exceeded the step budget")
-    return levels
+    return _series(g, _graded(g.basis), max_steps, "central")
 
 
-def series_terminates(levels: Sequence[LieAlgebraSpan]) -> bool:
-    return levels[-1].is_zero()
+def _series_length(levels: Sequence[LieAlgebraSpan]):
+    """Index of the first zero term of a series, or the non-terminating
+    marker when the series stabilized nonzero."""
+    return len(levels) - 1 if levels[-1].is_zero() else NON_TERMINATING
 
 
 def soluble_length(g: LieAlgebraSpan, levels: Sequence[LieAlgebraSpan] | None = None):
     """Index of the first zero term of the derived series, or the
     non-terminating marker.  g must be a Lie algebra; ``levels`` is its
     derived series when the caller has already built it."""
-    if levels is None:
-        levels = derived_series(g)
-    if not series_terminates(levels):
-        return NON_TERMINATING
-    return len(levels) - 1
+    return _series_length(derived_series(g) if levels is None else levels)
 
 
 def nilpotency_class(g: LieAlgebraSpan):
     """First j with C^j g = 0, or the non-terminating marker.  g must be a
     Lie algebra."""
-    levels = central_series(g)
-    if not series_terminates(levels):
-        return NON_TERMINATING
-    return len(levels) - 1
+    return _series_length(central_series(g))
 
 
 def good_monomials(gens: Sequence[VectorField], max_depth: int) -> list[VectorField]:
@@ -463,7 +462,7 @@ def kappa_sequence(
     that series when the caller has already built it."""
     if levels is None:
         levels = derived_series(g)
-    if not series_terminates(levels):
+    if not levels[-1].is_zero():
         raise BudgetExceededError(
             "derived series does not terminate at this jet order; kappa undefined"
         )

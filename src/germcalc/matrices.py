@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .scalars import Scalar
+from .spans import SparseEchelon
 
 Matrix = list[list[Scalar]]
 
@@ -97,25 +98,22 @@ def is_unipotent_matrix(a: Matrix) -> bool:
 
 
 def mat_inverse(a: Matrix) -> Matrix:
-    """Gauss-Jordan inverse; raises ValueError on singular input."""
+    """Inverse by row reduction of [a | I]; raises ValueError on singular input.
+
+    Row i of the augmented matrix is inserted into a ``SparseEchelon`` keyed
+    by column index (a's columns 0..n-1, then I's).  a is invertible exactly
+    when every column of a becomes a pivot, and then the reduced row with
+    pivot j is e_j followed by row j of the inverse.
+    """
     n = mat_dim(a)
-    work = [list(row) + list(irow) for row, irow in zip(a, identity(n))]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if work[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = Scalar(1) / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return [row[n:] for row in work]
+    ech = SparseEchelon(lambda col: col)
+    for i, row in enumerate(a):
+        augmented = {j: x for j, x in enumerate(row) if x}
+        augmented[n + i] = Scalar(1)
+        ech.insert(augmented)
+    if any(j not in ech.rows for j in range(n)):
+        raise ValueError("matrix is singular")
+    return [[ech.rows[i].get(n + j, Scalar(0)) for j in range(n)] for i in range(n)]
 
 
 def matrix_exp_nilpotent(a: Matrix) -> Matrix:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from .laurent import ExponentVector, LaurentPoly, grlex_key
 from .scalars import Scalar
+from .spans import SparseEchelon
 
 
 def monomial_split(p: LaurentPoly) -> tuple[ExponentVector, LaurentPoly]:
@@ -125,6 +126,9 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
+    def __bool__(self):
+        return not self.num.is_zero()
+
     def is_laurent(self) -> bool:
         return self.den == LaurentPoly.one(self.dim)
 
@@ -162,6 +166,9 @@ class RationalFunction:
             raise ZeroDivisionError("division by the zero rational function")
         return RationalFunction(self.num * other.den, self.den * other.num)
 
+    def __rtruediv__(self, other):
+        return RationalFunction.of(other, self.dim) / self
+
     def __eq__(self, other):
         if isinstance(other, (LaurentPoly, int, Scalar)):
             other = RationalFunction.of(other, self.dim)
@@ -188,42 +195,24 @@ def solve_rational(matrix, rhs_columns) -> list[list[RationalFunction]] | None:
     """Solve A x = b for every b in ``rhs_columns`` over the fraction field.
 
     ``matrix`` is a list of rows of RationalFunction and each right-hand
-    column a list with one entry per row.  One Gauss-Jordan pass runs over
-    the rows augmented by all the columns, so A is eliminated once however
-    many columns there are.  Returns one solution per column, or None when
-    any column is inconsistent; raises on an underdetermined consistent
-    system (callers always supply independent columns).
+    column a list with one entry per row.  The rows augmented by all the
+    columns go into one ``SparseEchelon``, keyed by column index (A's columns
+    first), so A is eliminated once however many columns there are.  Returns
+    one solution per column, or None when any column is inconsistent; raises
+    on an underdetermined consistent system (callers always supply
+    independent columns).
     """
     n_cols = len(matrix[0]) if matrix else 0
-    rows = [list(r) + [b[i] for b in rhs_columns] for i, r in enumerate(matrix)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(n_cols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if not rows[i][c].is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = RationalFunction.of(1, rows[r][c].dim) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append((r, c))
-        r += 1
-    for i in range(r, len(rows)):
-        if not all(x.is_zero() for x in rows[i][n_cols:]):
-            return None
-    if len(pivots) < n_cols:
+    ech = SparseEchelon(lambda col: col)
+    for i, row in enumerate(matrix):
+        augmented = {c: x for c, x in enumerate(row) if x}
+        augmented.update((n_cols + j, b[i]) for j, b in enumerate(rhs_columns) if b[i])
+        ech.insert(augmented)
+    if any(pivot >= n_cols for pivot in ech.rows):
+        return None  # a reduced row reads 0 = b_j with b_j != 0
+    if ech.dim < n_cols:
         raise ValueError("underdetermined system: columns are not independent")
-    solutions = []
-    for j, b in enumerate(rhs_columns, start=n_cols):
-        solution = [RationalFunction.of(0, b[0].dim) for _ in range(n_cols)]
-        for row_idx, col in pivots:
-            solution[col] = rows[row_idx][j]
-        solutions.append(solution)
-    return solutions
+    return [
+        [ech.rows[c].get(j) or RationalFunction.of(0, b[0].dim) for c in range(n_cols)]
+        for j, b in enumerate(rhs_columns, start=n_cols)
+    ]

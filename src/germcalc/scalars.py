@@ -45,9 +45,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return not self.re and not self.im
 
-    def is_real(self) -> bool:
-        return not self.im
-
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):

@@ -1,20 +1,22 @@
-"""Incremental exact row reduction for sparse vectors over the scalar field.
+"""Incremental exact row reduction for sparse vectors over an exact field.
 
-Vectors are dicts mapping hashable keys to nonzero scalars.  Keys carry a
-total order (supplied as a sort key function) so pivot choice is
-deterministic; we always pivot on the smallest key present.
+Vectors are dicts mapping hashable keys to nonzero field elements: Gaussian
+rationals (``Scalar``) for spans of fields and matrix inverses, rational
+functions (``RationalFunction``) for solves over the fraction field.  Any
+exact field works whose elements support ``+ - * /``, ``1 / x`` and
+truthiness (zero is false).  Keys carry a total order (supplied as a sort key
+function) so pivot choice is deterministic; we always pivot on the smallest
+key present.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Hashable
+from typing import Any, Callable, Hashable
 
-from .scalars import Scalar
-
-SparseVector = dict[Hashable, Scalar]
+SparseVector = dict[Hashable, Any]
 
 
-def vec_sub_scaled(v: SparseVector, w: SparseVector, factor: Scalar) -> SparseVector:
+def vec_sub_scaled(v: SparseVector, w: SparseVector, factor) -> SparseVector:
     """v - factor * w as a fresh dict."""
     out = dict(v)
     for key, coeff in w.items():
@@ -35,7 +37,10 @@ class SparseEchelon:
     remainder survives, normalizes it (pivot coefficient 1), back-substitutes
     it into the existing rows and stores it.  The basis therefore stays in
     reduced row-echelon form, which makes membership tests exact dictionary
-    lookups plus one reduction pass.
+    lookups plus one reduction pass.  This is the package's only Gauss-Jordan
+    elimination: inserting the rows of an augmented matrix keyed by column
+    index and reading the reduced rows is how ``mat_inverse`` and
+    ``solve_rational`` solve their systems.
     """
 
     def __init__(self, sort_key: Callable[[Hashable], object]):
@@ -68,7 +73,7 @@ class SparseEchelon:
         if not v:
             return False
         pivot = min(v, key=self.sort_key)
-        inv = Scalar(1) / v[pivot]
+        inv = 1 / v[pivot]
         v = {k: c * inv for k, c in v.items()}
         for key, row in self.rows.items():
             if pivot in row:

@@ -26,7 +26,6 @@ from .lie import (
     derived_series,
     kappa_sequence,
     nilpotency_class,
-    series_terminates,
     soluble_length,
 )
 from .families import (
@@ -137,6 +136,8 @@ def verify_intro_nilpotency(
     degrees j+2 .. k_param; some depth-(k_param-2) commutator is nontrivial;
     every depth-(k_param-1) commutator is the identity jet.
     """
+    if k_param < 2:
+        raise ValueError(f"the family parameter k_param must be >= 2, got {k_param}")
     if jet_order < k_param + 2:
         raise ValueError("jet order must be at least k_param + 2")
     claim = _Claim(
@@ -187,9 +188,10 @@ def verify_intro_nilpotency(
 def _solvable_lengths(n: int, order: int):
     g0 = build_chain_algebra(n, 0, order)
     levels = derived_series(g0)
-    if not series_terminates(levels):
+    length = soluble_length(g0, levels)
+    if length is NON_TERMINATING:
         return None, None, levels
-    return len(levels) - 1, kappa_sequence(g0, levels), levels
+    return length, kappa_sequence(g0, levels), levels
 
 
 def verify_solvable_family(n: int, jet_order: int | None = None) -> VerificationReport:
@@ -212,23 +214,22 @@ def verify_solvable_family(n: int, jet_order: int | None = None) -> Verification
         return claim.report()
     claim.check(length == 2 * n, f"soluble length {length} != {2 * n}")
     claim.check(kappa.strict_two_step_drop(), f"kappa {kappa.values} lacks the strict two-step drop")
-    # containment in the chain spaces
-    for j, level in enumerate(levels):
-        if j > 2 * n:
-            break
-        Gj = build_chain_algebra(n, j, jet_order)
+    # containment in the chain spaces, each built once (levels[0] is G_0)
+    top = min(2 * n, len(levels) - 1)
+    chain_spaces = [levels[0]] + [build_chain_algebra(n, j, jet_order) for j in range(1, top + 1)]
+    for j, (Gj, level) in enumerate(zip(chain_spaces, levels)):
         claim.check(
             Gj.contains_span(level) if Gj.basis else level.is_zero(),
             f"derived term {j} leaves the chain space {j}",
         )
     # monomial-scaled copies downstairs
     xn = LaurentPoly.monomial(n, {n: 1})
-    for j in range(2, min(2 * n, len(levels) - 1) + 1):
+    for j in range(2, len(chain_spaces)):
         c = chain_exponent(j)
         if c >= jet_order:
             continue
         mono = xn ** c
-        Gj = build_chain_algebra(n, j, jet_order)
+        Gj = chain_spaces[j]
         derived = levels[j].echelon()
         checked = 0
         for X in Gj.basis:

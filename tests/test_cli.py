@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from germcalc.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -115,6 +117,15 @@ def test_exit_codes(capsys):
     assert code == EXIT_BUDGET
 
 
+@pytest.mark.parametrize("k_param", ["1", "0"])
+def test_verify_intro_rejects_small_k_param(capsys, k_param):
+    # the planar family needs k_param >= 2
+    code, out, err = run(capsys, "verify", "intro", "--k-param", k_param)
+    assert code == EXIT_PRECONDITION
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and "k_param" in err
+
+
 def test_verify_solvable_n3_requires_opt_in(capsys):
     code, _, err = run(capsys, "verify", "solvable", "--n", "3")
     assert code == EXIT_PRECONDITION and "heavy" in err
@@ -169,3 +180,8 @@ def test_verify_all_end_to_end(capsys):
     assert ids == sorted(ids)
     assert all(c["status"] == "pass" for c in payload["claims"])
     assert len(payload["claims"]) == 11
+    # with seed 18 no sampled depth-3 commutator of the k = 5 planar family is
+    # nontrivial: that claim is unstable and the run exits 1, as stored
+    code, out, _ = run(capsys, "verify", "all", "--format", "json", "--seed", "18")
+    assert code == EXIT_VERIFY_FAILED
+    assert out == reference.with_name("seed-18.json").read_text()

@@ -81,6 +81,14 @@ def test_intro_member_validation():
         intro_member(3, LaurentPoly.monomial(2, {1: 2}), Scalar(0), 5)  # uses x1
 
 
+@pytest.mark.parametrize("k_param", [1, 0, -1])
+def test_intro_member_rejects_small_family_parameter(k_param):
+    with pytest.raises(ValueError):
+        intro_member(k_param, LaurentPoly.zero(2), Scalar(1), 5)
+    with pytest.raises(ValueError):
+        build_intro_family(k_param, [(LaurentPoly.zero(2), Scalar(1))], 5)
+
+
 def test_intro_family_closed_under_composition():
     a = intro_member(3, LaurentPoly.monomial(2, {2: 2}), Scalar(1), 6)
     b = intro_member(3, LaurentPoly.monomial(2, {2: 3}), Scalar(-2), 6)

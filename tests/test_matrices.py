@@ -130,3 +130,36 @@ def test_jordan_chevalley_random_properties():
         s2, u2 = jordan_chevalley(a)
         assert mat_eq(s, s2) and mat_eq(u, u2)
         done += 1
+
+
+def random_gaussian_matrix(rng, n, singular):
+    """A seeded n x n matrix of Gaussian rationals; when ``singular``, its
+    last row is a random combination of the others (the zero row for n = 1)."""
+    def entry():
+        return Scalar(Fraction(rng.randint(-3, 3), rng.choice([1, 2])), rng.choice([0, 0, 1, -1]))
+
+    rows = [[entry() for _ in range(n)] for _ in range(n - 1 if singular else n)]
+    if singular:
+        weights = [entry() for _ in rows]
+        rows.append([sum((w * r[j] for w, r in zip(weights, rows)), Scalar(0)) for j in range(n)])
+    return rows
+
+
+def test_inverse_random_gaussian_matrices():
+    # charpoly is computed by Faddeev-LeVerrier, without elimination, so its
+    # constant term (the determinant up to sign) is an independent witness
+    rng = random.Random(2024)
+    raised = inverted = 0
+    for n in range(1, 5):
+        for trial in range(12):
+            a = random_gaussian_matrix(rng, n, singular=trial % 3 == 0)
+            if not charpoly(a)[0]:
+                with pytest.raises(ValueError):
+                    mat_inverse(a)
+                raised += 1
+                continue
+            inv = mat_inverse(a)
+            assert mat_eq(mat_mul(a, inv), identity(n))
+            assert mat_eq(mat_mul(inv, a), identity(n))
+            inverted += 1
+    assert raised >= 16 and inverted >= 24

@@ -128,3 +128,32 @@ def test_solve_rational_one_inconsistent_column_gives_none():
     assert solve_rational(matrix, [stray]) is None
     assert solve_rational(matrix, [b1, stray, b2]) is None
     assert solve_rational(matrix, [b1, b2]) == xs
+
+
+def test_rational_truthiness_and_reciprocal():
+    # what SparseEchelon needs of a field element: zero is false, 1 / x works
+    x = var(2, 1)
+    assert not RationalFunction(LaurentPoly.zero(2))
+    assert RationalFunction(x - x * x)
+    assert 1 / RationalFunction(x, x + LaurentPoly.one(2)) == RationalFunction(
+        x + LaurentPoly.one(2), x
+    )
+    with pytest.raises(ZeroDivisionError):
+        1 / RationalFunction(LaurentPoly.zero(2))
+
+
+def test_solve_rational_underdetermined_raises():
+    # consistent (a = 1, b = 0 solves both) but the two columns are equal
+    x, y = var(2, 1), var(2, 2)
+    matrix = [[RationalFunction(x), RationalFunction(x)], [RationalFunction(y), RationalFunction(y)]]
+    with pytest.raises(ValueError):
+        solve_rational(matrix, [[RationalFunction(x), RationalFunction(y)]])
+    with pytest.raises(ValueError):
+        solve_rational([[RationalFunction(x), RationalFunction(y)]], [[RationalFunction(x)]])
+
+
+def test_solve_rational_without_columns():
+    x, y = var(2, 1), var(2, 2)
+    zero = RationalFunction(LaurentPoly.zero(2))
+    matrix = [[RationalFunction(x), zero], [zero, RationalFunction(y)]]
+    assert solve_rational(matrix, []) == []

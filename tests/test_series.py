@@ -143,6 +143,22 @@ def test_series_never_recloses(monkeypatch):
     central_series(g)
 
 
+def test_kappa_sequence_calls_derived_series_through_the_module(monkeypatch):
+    # the chain-n3-jet benchmark workload records the series this way
+    inner = lie.derived_series
+    calls = []
+
+    def recording(g, *args, **kwargs):
+        levels = inner(g, *args, **kwargs)
+        calls.append([level.dimension for level in levels])
+        return levels
+
+    monkeypatch.setattr(lie, "derived_series", recording)
+    kappa = lie.kappa_sequence(build_chain_algebra(2, 0, 8))
+    assert len(calls) == 1
+    assert len(calls[0]) == len(kappa.values) and calls[0][-1] == 0
+
+
 def test_jet_mode_rejects_non_formal_fields():
     with pytest.raises(ValueError):
         span_reduce([mono_field(1, {}, 1)], "jet", 4)
