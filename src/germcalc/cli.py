@@ -33,7 +33,6 @@ from .parsing import (
     ParseError,
     format_diffeo,
     format_field,
-    format_poly,
     format_scalar,
     parse_diffeo,
     parse_field,

@@ -16,10 +16,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from .fields import VectorField
-from .laurent import LaurentPoly, SubstitutionCache, linear_coefficients, substitute, validate_order
+from .laurent import (
+    LaurentPoly,
+    SubstitutionCache,
+    linear_coefficients,
+    linear_combination,
+    substitute,
+    validate_order,
+)
 from .matrices import (
     identity as mat_identity,
     is_nilpotent_matrix,
@@ -233,19 +241,19 @@ def exp_field(X: VectorField, t, order: int) -> FormalDiffeo:
     cap = math.comb(X.dim + order, X.dim)  # jet dimension + 1
     for i in range(1, X.dim + 1):
         term = LaurentPoly.variable(X.dim, i)
-        acc = term
+        series = [(1, term)]
         tpow = Scalar(1)
         fact = 1
         for j in range(1, cap + 1):
-            term = X.apply(term).truncate(order)
+            term = X.apply(term, order)
             if term.is_zero():
                 break
             tpow = tpow * t
             fact *= j
-            acc = acc + term * (tpow / Scalar.rational(fact))
+            series.append((tpow / Scalar.rational(fact), term))
         else:
             raise ArithmeticError("exponential sum failed to terminate")
-        comps.append(acc)
+        comps.append(linear_combination(X.dim, series))
     return FormalDiffeo(comps, order)
 
 
@@ -269,16 +277,15 @@ def log_diffeo(phi: FormalDiffeo) -> VectorField:
     coeffs = []
     for i in range(1, n + 1):
         w = LaurentPoly.variable(n, i)
-        acc = LaurentPoly.zero(n)
+        series = []
         for j in range(1, cap + 1):
             w = substitute(w, phi.components, k, _cache=cache) - w
             if w.is_zero():
                 break
-            sign = Scalar(1) if j % 2 == 1 else Scalar(-1)
-            acc = acc + w * (sign / Scalar.rational(j))
+            series.append((Fraction(1 if j % 2 == 1 else -1, j), w))
         else:
             raise ArithmeticError("logarithm sum failed to terminate")
-        coeffs.append(acc)
+        coeffs.append(linear_combination(n, series))
     return VectorField(coeffs)
 
 

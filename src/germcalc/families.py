@@ -15,7 +15,7 @@ materialized at a jet order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .diffeos import FormalDiffeo
@@ -184,14 +184,18 @@ def chain_summands(dim: int, index: int) -> list[tuple[str, int]]:
 
 
 def build_chain_algebra(dim: int, index: int, order: int) -> LieAlgebraSpan:
-    """Jet-mode span generated by all monomial generators of the chain space."""
+    """Jet-mode span generated by all monomial generators of the chain space.
+
+    Every chain space is a Lie algebra in jet mode, so the span is marked
+    closed.
+    """
     validate_order(order)
     gens: list[VectorField] = []
     for kind, j in chain_summands(dim, index):
         gens.extend(chain_space_generators(dim, kind, j, order))
     if not gens:
-        return LieAlgebraSpan(dim, "jet", (), order)
-    return span_reduce(gens, "jet", order)
+        return LieAlgebraSpan(dim, "jet", (), order, closed=True)
+    return replace(span_reduce(gens, "jet", order), closed=True)
 
 
 def chain_exponent(j: int) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .laurent import ExponentVector, LaurentPoly, grlex_key, linear_coefficients
+from .laurent import LaurentPoly, linear_coefficients, sum_of_products, validate_order
 from .scalars import Scalar
 
 
@@ -87,28 +87,27 @@ class VectorField:
 
     # -- derivation action ----------------------------------------------------
 
-    def apply(self, g: LaurentPoly) -> LaurentPoly:
-        """The derivation applied to a function: sum_i a_i dg/dx_i."""
+    def apply(self, g: LaurentPoly, order: int | None = None) -> LaurentPoly:
+        """The derivation applied to a function: sum_i a_i dg/dx_i.
+
+        With ``order``, the result truncated at that total degree, formed
+        without the products of higher degree; as for ``truncate``, no
+        exponent of g or of the coefficients may then be negative.
+        """
         if g.dim != self.dim:
             raise ValueError(f"dimension mismatch: field {self.dim}, function {g.dim}")
-        out = LaurentPoly.zero(self.dim)
+        if order is not None:
+            validate_order(order)
+            if not all(p.is_polynomial() for p in (g, *self.coeffs)):
+                raise ValueError("truncation is undefined for terms with negative exponents")
+        pairs = []
         for i, a in enumerate(self.coeffs, start=1):
             if a.is_zero():
                 continue
             dg = g.partial_derivative(i)
-            if dg.is_zero():
-                continue
-            out = out + a * dg
-        return out
-
-    def iterate_apply(self, g: LaurentPoly, j: int) -> LaurentPoly:
-        """Apply the derivation j times; j = 0 returns g."""
-        if j < 0:
-            raise ValueError("iteration count must be >= 0")
-        out = g
-        for _ in range(j):
-            out = self.apply(out)
-        return out
+            if not dg.is_zero():
+                pairs.append((a, dg))
+        return sum_of_products(self.dim, pairs, order)
 
     def bracket(self, other: "VectorField") -> "VectorField":
         """Lie bracket [X, Y]: coefficient i is X(Y_i) - Y(X_i)."""
@@ -138,22 +137,29 @@ class VectorField:
 
     # -- sparse-vector view (for span computations) ---------------------------
 
-    def sparse(self) -> dict[tuple[int, ExponentVector], Scalar]:
-        out: dict[tuple[int, ExponentVector], Scalar] = {}
+    def sparse(self) -> dict[tuple[int, int], Scalar]:
+        """{(component index, packed exponent key): coefficient}."""
+        out: dict[tuple[int, int], Scalar] = {}
         for i, c in enumerate(self.coeffs):
-            for exps, coeff in c.terms.items():
-                out[(i, exps)] = coeff
+            for key, coeff in c.packed_terms().items():
+                out[(i, key)] = coeff
         return out
 
     @staticmethod
     def sparse_key(key) -> tuple:
-        i, exps = key
-        return (grlex_key(exps), i)
+        """Graded-lex order of the monomial, then the component: packed keys
+        ascend as ``grlex_key`` does."""
+        i, packed = key
+        return (packed, i)
 
 
 def is_first_integral(g: LaurentPoly, fields: Iterable[VectorField]) -> bool:
     """True iff every field kills g."""
     return all(X.apply(g).is_zero() for X in fields)
+
+
+def _packed_key(key: int) -> int:
+    return key
 
 
 def default_a_budget(dim: int) -> int:
@@ -191,12 +197,12 @@ def nilpotency_degree_a(
     current = [v]
     depth = 0
     while True:
-        ech = SparseEchelon(grlex_key)
+        ech = SparseEchelon(_packed_key)
         images: list[LaurentPoly] = []
         for w in current:
             for X in gens:
                 im = X.apply(w)
-                if not im.is_zero() and ech.insert(im.terms):
+                if not im.is_zero() and ech.insert(im.packed_terms()):
                     images.append(im)
         if not images:
             return depth

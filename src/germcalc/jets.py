@@ -131,4 +131,4 @@ def field_to_jet_matrix(X, order: int) -> JetMatrix:
     """
     if not X.is_formal():
         raise ValueError("jet action is defined for formal fields only")
-    return _action_matrix(X.dim, order, lambda g: X.apply(g).truncate(order))
+    return _action_matrix(X.dim, order, lambda g: X.apply(g, order))

@@ -18,13 +18,12 @@ a basis split of a rank drop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .fields import BudgetExceededError, VectorField
 from .laurent import LaurentPoly, grlex_key
-from .ratfunc import RationalFunction, apply_field_rational, leading_term, solve_rational
-from .scalars import Scalar
+from .ratfunc import RationalFunction, apply_field_rational, solve_rational
 from .spans import SparseEchelon
 
 
@@ -58,6 +57,9 @@ class LieAlgebraSpan:
 
     The basis is always linearly independent: constructors run span
     reduction.  In jet mode every coefficient is truncated at the jet order.
+    ``closed`` marks a span known to be closed under the bracket of its mode
+    (``bracket_closure`` results, series terms, the chain family); it does
+    not take part in equality.
     """
 
     dim: int
@@ -65,6 +67,7 @@ class LieAlgebraSpan:
     basis: tuple[VectorField, ...]
     order: int | None = None
     degree_budget: int = DEFAULT_DEGREE_BUDGET
+    closed: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in ("exact", "jet"):
@@ -179,7 +182,27 @@ def bracket_closure(
                     new_frontier.append(Z)
         basis.extend(new_frontier)
         frontier = new_frontier
-    return LieAlgebraSpan(span.dim, mode, tuple(basis), order, degree_budget)
+    return LieAlgebraSpan(span.dim, mode, tuple(basis), order, degree_budget, closed=True)
+
+
+def _require_algebra(g: LieAlgebraSpan) -> None:
+    """Raise ValueError unless g is closed under the bracket of its mode.
+
+    A span marked closed passes at once; any other span is checked bracket
+    by bracket, since the series of a span that is not closed is not the
+    series of the algebra it generates.
+    """
+    if g.closed:
+        return
+    ech = g.echelon()
+    for i, X in enumerate(g.basis):
+        for Y in g.basis[i + 1:]:
+            Z = _bracket_in_mode(g, X, Y)
+            if not Z.is_zero() and not ech.contains(Z.sparse()):
+                raise ValueError(
+                    "the span is not closed under the bracket; "
+                    "pass its bracket_closure to the series functions"
+                )
 
 
 # -- derived and central series ----------------------------------------------
@@ -263,7 +286,10 @@ def _bracket_span(ideal: LieAlgebraSpan, outer: list | None = None) -> LieAlgebr
                 kept.append(Z)
                 if graded:
                     room[w] -= 1
-    return LieAlgebraSpan(ideal.dim, ideal.mode, tuple(kept), ideal.order, ideal.degree_budget)
+    # [g, I] is an ideal of g, hence a subalgebra
+    return LieAlgebraSpan(
+        ideal.dim, ideal.mode, tuple(kept), ideal.order, ideal.degree_budget, closed=True
+    )
 
 
 def _series(
@@ -290,14 +316,17 @@ def derived_series(g: LieAlgebraSpan, max_steps: int = 64) -> list[LieAlgebraSpa
 
     g must be a Lie algebra (closed under the bracket of its mode), for
     example the result of ``bracket_closure``; the series of a span that is
-    not closed is not the series of the algebra it generates.
+    not closed is not the series of the algebra it generates, so such a
+    span raises ValueError.
     """
+    _require_algebra(g)
     return _series(g, None, max_steps, "derived")
 
 
 def central_series(g: LieAlgebraSpan, max_steps: int = 256) -> list[LieAlgebraSpan]:
     """g = C^0, C^1 = [g, C^0], ...  Same precondition (g a Lie algebra) and
     termination contract as derived_series."""
+    _require_algebra(g)
     return _series(g, _graded(g.basis), max_steps, "central")
 
 
@@ -311,7 +340,11 @@ def soluble_length(g: LieAlgebraSpan, levels: Sequence[LieAlgebraSpan] | None = 
     """Index of the first zero term of the derived series, or the
     non-terminating marker.  g must be a Lie algebra; ``levels`` is its
     derived series when the caller has already built it."""
-    return _series_length(derived_series(g) if levels is None else levels)
+    if levels is None:
+        levels = derived_series(g)
+    else:
+        _require_algebra(g)
+    return _series_length(levels)
 
 
 def nilpotency_class(g: LieAlgebraSpan):
@@ -357,18 +390,15 @@ def _clear_row(row: list[LaurentPoly]) -> list[LaurentPoly]:
     dim = row[0].dim
     shift = [0] * dim
     for p in row:
-        for exps in p.terms:
-            for i, e in enumerate(exps):
-                if e < 0:
-                    shift[i] = max(shift[i], -e)
+        for i, e in enumerate(p.min_exponents()):
+            shift[i] = max(shift[i], -e)
     if not any(shift):
         return row
-    m = LaurentPoly(dim, {tuple(shift): Scalar(1)})
-    return [p * m for p in row]
+    return [p.times_monomial(tuple(shift)) for p in row]
 
 
 def _grlex_leading_key(p: LaurentPoly):
-    return grlex_key(leading_term(p)[0])
+    return grlex_key(p.leading_term()[0])
 
 
 def generic_rank(fields_or_span) -> int:
@@ -462,6 +492,8 @@ def kappa_sequence(
     that series when the caller has already built it."""
     if levels is None:
         levels = derived_series(g)
+    else:
+        _require_algebra(g)
     if not levels[-1].is_zero():
         raise BudgetExceededError(
             "derived series does not terminate at this jet order; kappa undefined"

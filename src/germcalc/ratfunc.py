@@ -10,7 +10,7 @@ exact regardless of normalization).
 
 from __future__ import annotations
 
-from .laurent import ExponentVector, LaurentPoly, grlex_key
+from .laurent import ExponentVector, LaurentPoly
 from .scalars import Scalar
 from .spans import SparseEchelon
 
@@ -18,22 +18,10 @@ from .spans import SparseEchelon
 def monomial_split(p: LaurentPoly) -> tuple[ExponentVector, LaurentPoly]:
     """Factor p = x^shift * q where q is a polynomial whose per-variable
     minimum exponent is 0.  Zero splits as (0, 0)."""
-    if p.is_zero():
-        return (0,) * p.dim, p
-    mins = [min(e[i] for e in p.terms) for i in range(p.dim)]
-    shift = tuple(mins)
-    if all(m == 0 for m in mins):
+    shift = p.min_exponents()
+    if not any(shift):
         return shift, p
-    q = LaurentPoly(
-        p.dim, {tuple(a - b for a, b in zip(e, shift)): c for e, c in p.terms.items()}
-    )
-    return shift, q
-
-
-def leading_term(p: LaurentPoly) -> tuple[ExponentVector, Scalar]:
-    """Graded-lex leading term of a nonzero polynomial."""
-    exps = max(p.terms, key=grlex_key)
-    return exps, p.terms[exps]
+    return shift, p.times_monomial(tuple(-m for m in shift))
 
 
 def poly_divide_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly | None:
@@ -47,18 +35,18 @@ def poly_divide_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly | None:
         raise ZeroDivisionError("division by the zero polynomial")
     if a.is_zero():
         return a
-    lb, cb = leading_term(b)
-    q = LaurentPoly.zero(a.dim)
+    lb, cb = b.leading_term()
+    quotient = {}  # the leading monomials strictly decrease, so each is new
     r = a
     while not r.is_zero():
-        lr, cr = leading_term(r)
+        lr, cr = r.leading_term()
         exps = tuple(x - y for x, y in zip(lr, lb))
         if any(e < 0 for e in exps):
             return None
-        t = LaurentPoly(a.dim, {exps: cr / cb})
-        q = q + t
-        r = r - t * b
-    return q
+        c = cr / cb
+        quotient[exps] = c
+        r = r - b.times_monomial(exps, c)
+    return LaurentPoly(a.dim, quotient)
 
 
 def laurent_divide_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly | None:
@@ -74,7 +62,7 @@ def laurent_divide_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly | None:
     if q is None:
         return None
     shift = tuple(x - y for x, y in zip(shift_a, shift_b))
-    return q * LaurentPoly(a.dim, {shift: Scalar(1)})
+    return q.times_monomial(shift)
 
 
 class RationalFunction:
@@ -105,9 +93,8 @@ class RationalFunction:
             return q, LaurentPoly.one(num.dim)
         # pull the denominator's monomial content and leading coefficient out
         shift, pden = monomial_split(den)
-        _, lead = leading_term(pden)
-        inv_monomial = LaurentPoly(den.dim, {tuple(-s for s in shift): Scalar(1) / lead})
-        return num * inv_monomial, pden * (Scalar(1) / lead)
+        inv_lead = Scalar(1) / pden.leading_term()[1]
+        return num.times_monomial(tuple(-s for s in shift), inv_lead), pden * inv_lead
 
     @staticmethod
     def of(value, dim: int | None = None) -> "RationalFunction":

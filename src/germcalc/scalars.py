@@ -14,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 Rational = Fraction
+_ZERO = Fraction(0)
 
 
 class Scalar:
@@ -22,8 +23,11 @@ class Scalar:
     __slots__ = ("re", "im")
 
     def __init__(self, re: Rational | int = 0, im: Rational | int = 0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        # a Fraction is immutable, so one that is passed in is kept, not copied
+        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
+        object.__setattr__(
+            self, "im", im if type(im) is Fraction else Fraction(im) if im else _ZERO
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")

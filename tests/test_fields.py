@@ -67,18 +67,25 @@ def test_bracket_commuting_family_pair():
     assert X2.bracket(X3).is_zero()
 
 
+def apply_times(X, g, j):
+    """X applied j times to g; j = 0 gives g."""
+    for _ in range(j):
+        g = X.apply(g)
+    return g
+
+
 def test_iterate_apply():
     x = LaurentPoly.variable(1, 1)
     X = VectorField([x ** 2])
-    assert X.iterate_apply(x, 0) == x
-    assert X.iterate_apply(x, 3) == x ** 4 * 6
+    assert apply_times(X, x, 0) == x
+    assert apply_times(X, x, 3) == x ** 4 * 6
 
 
 def test_iterate_apply_family_value():
     # two applications of the middle field to the deeper integral give 2
     n = 3
     us, xs, _ = build_nilpotent_example(n)
-    assert xs[1].iterate_apply(us[0], 2) == LaurentPoly.constant(n, 2)
+    assert apply_times(xs[1], us[0], 2) == LaurentPoly.constant(n, 2)
 
 
 def test_is_nilpotent_field():
@@ -146,3 +153,15 @@ def test_apply_literal_last_field_value():
         (LaurentPoly.monomial(3, {3: 2}), 3),
     )
     assert X.apply(LaurentPoly.monomial(3, {3: -1})) == LaurentPoly.constant(3, -1)
+
+
+def test_truncated_apply_matches_apply_then_truncate(rng):
+    from conftest import random_field, random_poly
+
+    for _ in range(30):
+        X = random_field(rng, 3, max_degree=4)
+        g = random_poly(rng, 3, max_terms=4, max_degree=4)
+        for order in (1, 3, 6):
+            assert X.apply(g, order) == X.apply(g).truncate(order)
+    with pytest.raises(ValueError):
+        X.apply(LaurentPoly.monomial(3, {1: -1}), 3)

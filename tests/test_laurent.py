@@ -1,8 +1,18 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from germcalc.laurent import LaurentPoly, SubstitutionCache, substitute
+from germcalc.cli import EXIT_PRECONDITION, main
+from germcalc.laurent import (
+    EXPONENT_MAX,
+    EXPONENT_MIN,
+    LaurentPoly,
+    SubstitutionCache,
+    grlex_key,
+    substitute,
+)
 from germcalc.scalars import Scalar
 
 
@@ -133,3 +143,219 @@ def test_scalar_coefficient_arithmetic():
     p = x * Scalar(0, 1)  # i*x
     assert p * p == x ** 2 * Scalar(-1)
     assert p * Fraction(1, 2) + p * Fraction(1, 2) == p
+
+
+# -- reference loops ---------------------------------------------------------
+#
+# Term-by-term loops over {exponent tuple: Scalar} dicts, kept as oracles:
+# the packed kernel must agree with them exactly.
+
+
+def _accumulate(terms, exps, value):
+    acc = terms.get(exps)
+    s = value if acc is None else acc + value
+    if s:
+        terms[exps] = s
+    elif acc is not None:
+        del terms[exps]
+
+
+def reference_mul_truncated(a, b, order):
+    terms = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            exps = tuple(x + y for x, y in zip(ea, eb))
+            if order is not None and sum(exps) > order:
+                continue
+            _accumulate(terms, exps, ca * cb)
+    return terms
+
+
+def reference_partial_derivative(p, index):
+    i = index - 1
+    terms = {}
+    for exps, coeff in p.items():
+        e = exps[i]
+        if e:
+            _accumulate(terms, exps[:i] + (e - 1,) + exps[i + 1:], coeff * e)
+    return terms
+
+
+def reference_substitute(g, phi, out_dim, order):
+    phi = [{e: c for e, c in comp.items() if sum(e) <= order} for comp in phi]
+    terms = {}
+    for exps, coeff in g.items():
+        if sum(exps) > order:
+            continue
+        image = {(0,) * out_dim: Scalar(1)}
+        for i, a in enumerate(exps):
+            for _ in range(a):
+                image = reference_mul_truncated(image, phi[i], order)
+        for e, c in image.items():
+            _accumulate(terms, e, c * coeff)
+    return terms
+
+
+# -- strategies ------------------------------------------------------------
+
+rationals = st.builds(
+    Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 4, 6, 9])
+)
+gaussians = st.builds(Scalar, rationals, st.one_of(st.just(0), rationals))
+orders = st.one_of(st.none(), st.integers(1, 8))
+
+
+def term_dicts(dim, lo, hi, min_degree=None, max_size=5):
+    exps = st.tuples(*[st.integers(lo, hi)] * dim)
+    if min_degree is not None:
+        exps = exps.filter(lambda e: sum(e) >= min_degree)
+    return st.dictionaries(exps, gaussians, max_size=max_size).map(
+        lambda d: {e: c for e, c in d.items() if c}
+    )
+
+
+@st.composite
+def laurent_pairs(draw):
+    dim = draw(st.integers(1, 4))
+    return (
+        dim,
+        draw(term_dicts(dim, -3, 4)),
+        draw(term_dicts(dim, -3, 4)),
+    )
+
+
+@st.composite
+def substitutions(draw):
+    dim = draw(st.integers(1, 4))
+    out_dim = draw(st.integers(1, 4))
+    g = draw(term_dicts(dim, 0, 4))
+    phi = [draw(term_dicts(out_dim, 0, 3, min_degree=1, max_size=3)) for _ in range(dim)]
+    return dim, out_dim, g, phi, draw(st.integers(1, 8))
+
+
+def assert_normal(p):
+    """The stored form: no zero numerator pair, gcd(den, numerators) = 1."""
+    assert p._d > 0
+    assert all(r or i for r, i in p._t.values())
+    assert gcd(p._d, *(x for pair in p._t.values() for x in pair)) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(laurent_pairs(), orders)
+def test_mul_truncated_matches_reference(case, order):
+    dim, a, b = case
+    pa, pb = LaurentPoly(dim, a), LaurentPoly(dim, b)
+    product = pa.mul_truncated(pb, order)
+    assert product.terms == reference_mul_truncated(a, b, order)
+    assert_normal(product)
+
+
+@settings(max_examples=100, deadline=None)
+@given(laurent_pairs())
+def test_partial_derivative_matches_reference(case):
+    dim, a, _ = case
+    p = LaurentPoly(dim, a)
+    for index in range(1, dim + 1):
+        d = p.partial_derivative(index)
+        assert d.terms == reference_partial_derivative(a, index)
+        assert_normal(d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(substitutions())
+def test_substitute_matches_reference(case):
+    dim, out_dim, g, phi, order = case
+    polys = [LaurentPoly(out_dim, comp) for comp in phi]
+    result = substitute(LaurentPoly(dim, g), polys, order)
+    assert result.dim == out_dim
+    assert result.terms == reference_substitute(g, phi, out_dim, order)
+    assert_normal(result)
+
+
+@settings(max_examples=100, deadline=None)
+@given(laurent_pairs())
+def test_normal_form_is_unique(case):
+    dim, a, b = case
+    p, q = LaurentPoly(dim, a), LaurentPoly(dim, b)
+    assert p.terms == a
+    for same in (p + q - q, (p * 3) * Fraction(1, 3), (p * Scalar(0, 2)) * Scalar(0, Fraction(-1, 2))):
+        assert same == p
+        assert hash(same) == hash(p)
+        assert same.terms == a
+        assert_normal(same)
+
+
+def test_terms_is_a_cached_read_only_view():
+    p = LaurentPoly(2, {(0, 2): 3, (1, 0): Fraction(1, 2), (1, 1): 1, (2, 0): Scalar(0, 1)})
+    assert p.terms is p.terms
+    with pytest.raises(TypeError):
+        p.terms[(1, 1)] = Scalar(1)
+    assert list(p.terms) == [(1, 0), (2, 0), (1, 1), (0, 2)]
+    assert list(p.terms) == sorted(p.terms, key=grlex_key)
+
+
+# -- exponent range ----------------------------------------------------------
+
+
+def test_exponent_range_dim_1():
+    top = LaurentPoly.monomial(1, {1: EXPONENT_MAX})
+    bottom = LaurentPoly.monomial(1, {1: EXPONENT_MIN})
+    assert top.coefficient((EXPONENT_MAX,)) == 1
+    assert (top * bottom).terms == {(-1,): Scalar(1)}
+    for e in (EXPONENT_MAX + 1, EXPONENT_MIN - 1):
+        with pytest.raises(ValueError):
+            LaurentPoly.monomial(1, {1: e})
+    x = LaurentPoly.variable(1, 1)
+    with pytest.raises(ValueError):
+        top * x
+    with pytest.raises(ValueError):
+        bottom * x.monomial_inverse()
+    with pytest.raises(ValueError):
+        bottom.partial_derivative(1)
+    with pytest.raises(ValueError):
+        x ** (EXPONENT_MAX + 1)
+    assert (top - top.times_monomial((0,))).is_zero()
+    with pytest.raises(ValueError):
+        top.times_monomial((1,))
+
+
+def test_exponent_range_dim_4():
+    def mono(*exps):
+        return LaurentPoly(4, {exps: Scalar(1)})
+
+    # every exponent at the edge of its field, total degree in range
+    edge = mono(EXPONENT_MAX, EXPONENT_MIN, EXPONENT_MAX, EXPONENT_MIN)
+    assert edge.terms == {(EXPONENT_MAX, EXPONENT_MIN, EXPONENT_MAX, EXPONENT_MIN): 1}
+    # the total degree has its own range
+    with pytest.raises(ValueError):
+        mono(EXPONENT_MAX, 1, 0, 0)
+    with pytest.raises(ValueError):
+        mono(0, 0, EXPONENT_MIN, -1)
+    # products that leave the range in one field, with the total in range
+    with pytest.raises(ValueError):
+        mono(EXPONENT_MAX, -1, 0, 0) * mono(1, 0, 0, 0)
+    with pytest.raises(ValueError):
+        mono(1, 0, 0, EXPONENT_MIN) * mono(0, 0, 0, -1)
+    with pytest.raises(ValueError):
+        mono(0, 0, 1, EXPONENT_MIN).partial_derivative(4)
+    # and products whose total degree leaves it
+    with pytest.raises(ValueError):
+        mono(EXPONENT_MAX, 0, 0, 0) * mono(0, 0, 0, 1)
+    with pytest.raises(ValueError):
+        mono(0, EXPONENT_MIN, 0, 0) * mono(0, 0, -1, 0)
+    assert (mono(EXPONENT_MAX - 1, 0, 0, 0) * mono(0, 0, 0, 1)).terms == {
+        (EXPONENT_MAX - 1, 0, 0, 1): 1
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bracket", "--dim", "1", f"x1^{EXPONENT_MAX} d1", "x1^2 d1"],
+        ["bracket", "--dim", "1", f"x1^{EXPONENT_MAX + 1} d1", "x1^2 d1"],
+        ["bracket", "--dim", "4", f"x1^{EXPONENT_MAX - 5}*x4^5 d1", "x4^2 d4"],
+    ],
+)
+def test_cli_exits_3_outside_the_exponent_range(argv, capsys):
+    assert main(argv) == EXIT_PRECONDITION
+    assert "outside the supported range" in capsys.readouterr().err

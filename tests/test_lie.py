@@ -415,3 +415,31 @@ def test_intro_family_lie_counterpart_class():
 def test_span_reduce_rejects_mixed_dimensions():
     with pytest.raises(ValueError):
         span_reduce([mono_field(2, {2: 2}, 1), mono_field(3, {2: 2}, 1)])
+
+
+def test_series_reject_an_unclosed_span():
+    # x1^2 d1 and x1^3 d1 generate x1^j d1 for j = 2..10, of soluble length
+    # 3; their span alone is not closed and would give 1
+    gens = [mono_field(1, {1: 2}, 1), mono_field(1, {1: 3}, 1)]
+    span = span_reduce(gens, "jet", 10)
+    for series in (derived_series, central_series, soluble_length, nilpotency_class, kappa_sequence):
+        with pytest.raises(ValueError, match="not closed"):
+            series(span)
+    assert soluble_length(bracket_closure(gens, "jet", 10)) == 3
+
+
+def test_closed_spans_are_marked():
+    _, _, zs = build_nilpotent_example(2)
+    g = bracket_closure(zs, "exact")
+    assert g.closed
+    assert all(level.closed for level in derived_series(g) + central_series(g))
+    assert not span_reduce(zs, "exact").closed
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_chain_algebras_are_closed(n):
+    for index in range(2 * n + 1):
+        g = build_chain_algebra(n, index, 5)
+        assert g.closed
+        if g.basis:
+            assert bracket_closure(list(g.basis), "jet", 5).dimension == g.dimension
