@@ -27,17 +27,14 @@ from .lie import (
     BasisSplit,
     KappaSequence,
     LieAlgebraSpan,
-    TransitionMatrix,
     bracket_closure,
     central_series,
     derived_series,
     generic_rank,
-    good_monomials,
     kappa_sequence,
     nilpotency_class,
     soluble_length,
     span_reduce,
-    transition_matrix,
 )
 
 __version__ = "0.1.0"

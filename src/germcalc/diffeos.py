@@ -72,9 +72,9 @@ class FormalDiffeo:
     def _trusted(dim: int, order: int, components) -> "FormalDiffeo":
         """Wrap components that are valid by construction, skipping the checks.
 
-        For results of the group operations only: the components must already
-        be dim polynomials with zero constant term, truncated at order, whose
-        linear part is invertible.
+        For results of the group operations and of ``exp_field`` only: the
+        components must already be dim polynomials with zero constant term,
+        truncated at order, whose linear part is invertible.
         """
         out = FormalDiffeo.__new__(FormalDiffeo)
         object.__setattr__(out, "dim", dim)
@@ -254,7 +254,9 @@ def exp_field(X: VectorField, t, order: int) -> FormalDiffeo:
         else:
             raise ArithmeticError("exponential sum failed to terminate")
         comps.append(linear_combination(X.dim, series))
-    return FormalDiffeo(comps, order)
+    # every X^j(x_i) is a polynomial in m truncated at order, and the linear
+    # part exp(A) of a nilpotent A is unipotent, hence invertible
+    return FormalDiffeo._trusted(X.dim, order, comps)
 
 
 def log_diffeo(phi: FormalDiffeo) -> VectorField:

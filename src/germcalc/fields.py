@@ -109,13 +109,37 @@ class VectorField:
                 pairs.append((a, dg))
         return sum_of_products(self.dim, pairs, order)
 
-    def bracket(self, other: "VectorField") -> "VectorField":
-        """Lie bracket [X, Y]: coefficient i is X(Y_i) - Y(X_i)."""
+    def bracket(self, other: "VectorField", order: int | None = None) -> "VectorField":
+        """Lie bracket [X, Y]: coefficient i is X(Y_i) - Y(X_i), that is
+        sum_j X_j dY_i/dx_j - Y_j dX_i/dx_j, formed as one sum of products.
+
+        With ``order``, the bracket truncated at that total degree, formed
+        without the products of higher degree; as for ``apply``, no exponent
+        of either field may then be negative.
+        """
         if self.dim != other.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return VectorField(
-            [self.apply(b) - other.apply(a) for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        if order is not None:
+            validate_order(order)
+            if not all(p.is_polynomial() for p in (*self.coeffs, *other.coeffs)):
+                raise ValueError("truncation is undefined for terms with negative exponents")
+        xs = [(a, j) for j, a in enumerate(self.coeffs, start=1) if a]
+        ys = [(-b, j) for j, b in enumerate(other.coeffs, start=1) if b]
+        coeffs = []
+        for a, b in zip(self.coeffs, other.coeffs):
+            pairs = []
+            if b:
+                for c, j in xs:
+                    db = b.partial_derivative(j)
+                    if db:
+                        pairs.append((c, db))
+            if a:
+                for c, j in ys:
+                    da = a.partial_derivative(j)
+                    if da:
+                        pairs.append((c, da))
+            coeffs.append(sum_of_products(self.dim, pairs, order))
+        return VectorField(coeffs)
 
     # -- comparison ----------------------------------------------------------
 

@@ -12,8 +12,8 @@ Two computation modes:
 
 On top of span reduction and bracket closure this module computes derived and
 descending central series, soluble length and nilpotency class, the generic
-rank over the fraction field (kappa), and the transition matrices attached to
-a basis split of a rank drop.
+rank over the fraction field (kappa), and the decomposition of fields over a
+function-field basis.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .fields import BudgetExceededError, VectorField
-from .laurent import LaurentPoly, grlex_key
-from .ratfunc import RationalFunction, apply_field_rational, solve_rational
+from .laurent import LaurentPoly, evaluate, field_weight_key, grlex_key
+from .ratfunc import RationalFunction, solve_rational
 from .spans import SparseEchelon
 
 
@@ -146,9 +146,9 @@ def _reduce_with_echelon(
 
 
 def _bracket_in_mode(span: LieAlgebraSpan, X: VectorField, Y: VectorField) -> VectorField:
-    Z = X.bracket(Y)
     if span.mode == "jet":
-        return Z.truncate(span.order)
+        return X.bracket(Y, span.order)
+    Z = X.bracket(Y)
     if Z.abs_degree() > span.degree_budget:
         raise BudgetExceededError(
             f"bracket degree {Z.abs_degree()} exceeds budget {span.degree_budget}"
@@ -223,25 +223,19 @@ def _require_algebra(g: LieAlgebraSpan) -> None:
 #   the weight-w space of the previous term; once the new term holds as many
 #   independent fields of weight w as that space (possibly none), every
 #   further bracket of weight w is redundant.
+#
+# Weights are integer keys (``laurent.field_weight_key``) that add as the
+# weights do, so the weight test of a pair is one addition and one lookup.
 
 
-def _field_weight(X: VectorField) -> tuple[int, ...] | None:
-    """The weight a - e_i shared by every term x^a d_i of X, or None when the
-    terms disagree."""
-    weight = None
-    for i, c in enumerate(X.coeffs):
-        for exps in c.terms:
-            w = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
-            if weight is None:
-                weight = w
-            elif w != weight:
-                return None
-    return weight
+def _lowest_degree(X: VectorField) -> int:
+    return min((c.min_total_degree() for c in X.coeffs if c), default=0)
 
 
-def _graded(basis: Sequence[VectorField]) -> list[tuple[VectorField, tuple | None, int]]:
-    """Each basis field with its weight and its lowest coefficient degree,
-    in ascending order of that degree.
+def _graded(basis: Sequence[VectorField]) -> list[tuple[VectorField, int | None, int]]:
+    """Each basis field with its weight key (None when X is not
+    weight-homogeneous) and its lowest coefficient degree, in ascending
+    order of that degree.
 
     The order lets the truncation test end a row of pairs early, and it
     brackets the fields of low degree first: they act on the most others
@@ -249,10 +243,7 @@ def _graded(basis: Sequence[VectorField]) -> list[tuple[VectorField, tuple | Non
     the later, mostly commuting pairs are skipped.
     """
     return sorted(
-        (
-            (X, _field_weight(X), min((c.min_total_degree() for c in X.coeffs if c.terms), default=0))
-            for X in basis
-        ),
+        ((X, field_weight_key(X.coeffs), _lowest_degree(X)) for X in basis),
         key=lambda entry: entry[2],
     )
 
@@ -267,7 +258,7 @@ def _bracket_span(ideal: LieAlgebraSpan, outer: list | None = None) -> LieAlgebr
     jet = ideal.mode == "jet"
     limit = ideal.order + 1 if jet else None
     graded = all(w is not None for _, w, _ in left) and all(w is not None for _, w, _ in right)
-    room: dict[tuple, int] = {}  # weight -> independent fields still missing
+    room: dict[int, int] = {}  # weight key -> independent fields still missing
     if graded:
         for _, w, _ in right:
             room[w] = room.get(w, 0) + 1
@@ -278,7 +269,7 @@ def _bracket_span(ideal: LieAlgebraSpan, outer: list | None = None) -> LieAlgebr
             if jet and dx + dy > limit:
                 break  # right is sorted by degree
             if graded:
-                w = tuple(a + b for a, b in zip(wx, wy))
+                w = wx + wy
                 if not room.get(w):
                     continue
             Z = _bracket_in_mode(ideal, X, Y)
@@ -353,34 +344,6 @@ def nilpotency_class(g: LieAlgebraSpan):
     return _series_length(central_series(g))
 
 
-def good_monomials(gens: Sequence[VectorField], max_depth: int) -> list[VectorField]:
-    """All nonzero good monomials of degree <= max_depth.
-
-    Degree-1 monomials are the generators; Y_(k1,...,kj) brackets the j-th
-    generator onto the previous monomial, and the monomial is good when its
-    first index is minimal.  Good monomials span the generated algebra, which
-    makes this an independent oracle for the bracket-closure route.
-    """
-    if max_depth < 1:
-        raise ValueError("max_depth must be >= 1")
-    n = len(gens)
-    out: list[VectorField] = []
-    # level holds (first_index, field) for all nonzero monomials of the
-    # current degree whose first index is still minimal so far
-    level = [(k, gens[k]) for k in range(n) if not gens[k].is_zero()]
-    out.extend(Y for _, Y in level)
-    for _ in range(2, max_depth + 1):
-        nxt = []
-        for first, Y in level:
-            for k in range(first, n):
-                Z = gens[k].bracket(Y)
-                if not Z.is_zero():
-                    nxt.append((first, Z))
-        out.extend(Y for _, Y in nxt)
-        level = nxt
-    return out
-
-
 # -- generic rank over the fraction field ------------------------------------
 
 
@@ -401,29 +364,51 @@ def _grlex_leading_key(p: LaurentPoly):
     return grlex_key(p.leading_term()[0])
 
 
-def generic_rank(fields_or_span) -> int:
-    """Rank over the rational-function field of the coefficient matrix.
+def _evaluation_point(dim: int) -> tuple[int, ...]:
+    """The first dim primes: a fixed point with nonzero coordinates."""
+    primes: list[int] = []
+    candidate = 2
+    while len(primes) < dim:
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+        candidate += 1
+    return tuple(primes)
 
-    Rows are the fields' coefficient tuples; negative exponents are cleared
-    row by row with monomial factors.  Fraction-free Bareiss elimination with
-    exact polynomial division keeps every intermediate entry a polynomial.
+
+def _rank_at_point(rows: list[list[LaurentPoly]], cap: int) -> int:
+    """The rank of the rows evaluated at ``_evaluation_point``, counted up to
+    cap: a lower bound for their generic rank, since a minor that is nonzero
+    at a point is nonzero."""
+    point = _evaluation_point(rows[0][0].dim)
+    ech = SparseEchelon(lambda col: col)
+    rank = 0
+    for row in rows:
+        vector = {}
+        for j, p in enumerate(row):
+            if p:
+                value = evaluate(p, point)
+                if value:
+                    vector[j] = value
+        if vector and ech.insert(vector):
+            rank += 1
+            if rank == cap:
+                break
+    return rank
+
+
+def _bareiss_rank(rows: list[list[LaurentPoly]]) -> int:
+    """Generic rank of nonzero coefficient rows by fraction-free Bareiss
+    elimination.
+
+    Negative exponents are cleared row by row with monomial factors; exact
+    polynomial division then keeps every intermediate entry a polynomial.
     Pivot rows are chosen by smallest graded-lex leading monomial of the
     pivot entry (then row order) for determinism.
     """
-    if isinstance(fields_or_span, LieAlgebraSpan):
-        fields = list(fields_or_span.basis)
-        dim = fields_or_span.dim
-    else:
-        fields = list(fields_or_span)
-        if not fields:
-            raise ValueError("generic rank of an empty family is undefined")
-        dim = fields[0].dim
-    rows = [_clear_row(list(X.coeffs)) for X in fields if not X.is_zero()]
-    if not rows:
-        return 0
-
     from .ratfunc import poly_divide_exact
 
+    rows = [_clear_row(row) for row in rows]
+    dim = rows[0][0].dim
     rank = 0
     prev_pivot = LaurentPoly.one(dim)
     col = 0
@@ -457,6 +442,32 @@ def generic_rank(fields_or_span) -> int:
         rank += 1
         col += 1
     return rank
+
+
+def generic_rank(fields_or_span) -> int:
+    """Rank over the rational-function field of the coefficient matrix,
+    whose rows are the fields' coefficient tuples.
+
+    The rank is certified by two bounds when they meet: it is at most
+    min(#rows, #nonzero columns), and at least the rank of the matrix
+    evaluated exactly at a fixed point with nonzero coordinates (2, 3, 5,
+    ...).  When the bounds differ, fraction-free Bareiss elimination over
+    the polynomial ring decides.
+    """
+    if isinstance(fields_or_span, LieAlgebraSpan):
+        fields = list(fields_or_span.basis)
+    else:
+        fields = list(fields_or_span)
+        if not fields:
+            raise ValueError("generic rank of an empty family is undefined")
+    rows = [list(X.coeffs) for X in fields if not X.is_zero()]
+    if not rows:
+        return 0
+    columns = sum(1 for j in range(len(rows[0])) if any(row[j] for row in rows))
+    upper = min(len(rows), columns)
+    if _rank_at_point(rows, upper) == upper:
+        return upper
+    return _bareiss_rank(rows)
 
 
 @dataclass(frozen=True)
@@ -504,7 +515,7 @@ def kappa_sequence(
     )
 
 
-# -- transition matrices -------------------------------------------------------
+# -- decomposition over a function-field basis --------------------------------
 
 
 @dataclass(frozen=True)
@@ -523,19 +534,6 @@ class BasisSplit:
             raise ValueError("split fields have mixed dimensions")
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """Matrix with entry (j, k) = X_j(a_k), where the a's are the
-    X-coefficients of the decomposed field."""
-
-    entries: tuple[tuple[LaurentPoly, ...], ...]
-    split: BasisSplit
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-
 def decompose_over_split(
     fields: Sequence[VectorField], split: BasisSplit
 ) -> list[tuple[list[RationalFunction], list[RationalFunction]]]:
@@ -552,78 +550,3 @@ def decompose_over_split(
         raise ValueError("field does not lie in the span of the split basis")
     q = len(split.ys)
     return [(s[:q], s[q:]) for s in solutions]
-
-
-def transition_matrix(Z: VectorField, split: BasisSplit) -> TransitionMatrix:
-    """The matrix (X_j(a_k)) of the decomposition of Z over the split.
-
-    Entries are returned as Laurent polynomials: they are first integrals
-    of the deeper algebra and in every shipped instance they simplify
-    exactly.  A genuinely non-Laurent entry raises, loudly.
-    """
-    [(_, a_coeffs)] = decompose_over_split([Z], split)
-    rows = []
-    for Xj in split.xs:
-        row = []
-        for ak in a_coeffs:
-            row.append(apply_field_rational(Xj, ak).as_laurent())
-        rows.append(tuple(row))
-    return TransitionMatrix(tuple(rows), split)
-
-
-def span_export_text(g: LieAlgebraSpan) -> str:
-    """Textual span export: a mode/order header plus one field per line in
-    the grammar the parser accepts."""
-    from .parsing import format_field
-
-    header = f"mode {g.mode}" + (f" order {g.order}" if g.mode == "jet" else "")
-    lines = [f"dim {g.dim}", header]
-    lines.extend(f"field {format_field(X)}" for X in g.basis)
-    return "\n".join(lines)
-
-
-def span_from_text(text: str) -> LieAlgebraSpan:
-    from .parsing import parse_field
-
-    dim = None
-    mode = "exact"
-    order = None
-    fields: list[VectorField] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, rest = line.partition(" ")
-        if key == "dim":
-            dim = int(rest)
-        elif key == "mode":
-            parts = rest.split()
-            mode = parts[0]
-            if len(parts) == 3 and parts[1] == "order":
-                order = int(parts[2])
-        elif key == "field":
-            if dim is None:
-                raise ValueError("span text must declare dim before fields")
-            fields.append(parse_field(rest, dim))
-        else:
-            raise ValueError(f"unknown span line {line!r}")
-    if dim is None:
-        raise ValueError("span text missing dim")
-    if not fields:
-        return LieAlgebraSpan(dim, mode, (), order)
-    return span_reduce(fields, mode, order)
-
-
-def transition_commutator(a: TransitionMatrix, b: TransitionMatrix) -> tuple[tuple[LaurentPoly, ...], ...]:
-    """[M_a, M_b] = M_a M_b - M_b M_a entrywise over the Laurent ring."""
-    m = a.size
-    out = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            s = LaurentPoly.zero(a.entries[0][0].dim)
-            for k in range(m):
-                s = s + a.entries[i][k] * b.entries[k][j] - b.entries[i][k] * a.entries[k][j]
-            row.append(s)
-        out.append(tuple(row))
-    return tuple(out)

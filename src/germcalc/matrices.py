@@ -87,9 +87,19 @@ def trace(a: Matrix) -> Scalar:
     return sum((a[i][i] for i in range(len(a))), Scalar(0))
 
 
+def _strictly_triangular(a: Matrix, n: int) -> bool:
+    """True iff every entry on or below the diagonal, or every entry on or
+    above it, is zero."""
+    return not any(a[i][j] for i in range(n) for j in range(i + 1)) or not any(
+        a[i][j] for i in range(n) for j in range(i, n)
+    )
+
+
 def is_nilpotent_matrix(a: Matrix) -> bool:
+    """Exact test: a^n == 0, decided without powers for a strictly
+    triangular a."""
     n = mat_dim(a)
-    return is_zero_matrix(mat_pow(a, n))
+    return _strictly_triangular(a, n) or is_zero_matrix(mat_pow(a, n))
 
 
 def is_unipotent_matrix(a: Matrix) -> bool:

@@ -1,7 +1,7 @@
 """Rational functions over the Laurent ring: the fraction field K_n at desk scale.
 
 Used where coefficients genuinely live in the function field: decomposing
-fields over a generic-rank basis and the transition-matrix machinery.  No
+fields over a generic-rank basis and applying fields to the coefficients.  No
 multivariate gcd is attempted; normalization strips monomial content and
 tries exact division, which is all the shipped instances need and keeps the
 arithmetic honest (equality is decided by cross multiplication, which is

@@ -92,6 +92,35 @@ def random_unipotent_diffeo(rng, dim, order) -> FormalDiffeo:
     return FormalDiffeo(comps, order)
 
 
+def good_monomials(gens, max_depth: int) -> list[VectorField]:
+    """All nonzero good monomials of degree <= max_depth.
+
+    Degree-1 monomials are the generators; Y_(k1,...,kj) brackets the j-th
+    generator onto the previous monomial, and the monomial is good when its
+    first index is minimal.  Good monomials span the generated algebra, which
+    makes this an independent oracle for the bracket-closure route: it forms
+    every bracket in full and keeps no echelon.
+    """
+    if max_depth < 1:
+        raise ValueError("max_depth must be >= 1")
+    n = len(gens)
+    out: list[VectorField] = []
+    # level holds (first_index, field) for all nonzero monomials of the
+    # current degree whose first index is still minimal so far
+    level = [(k, gens[k]) for k in range(n) if not gens[k].is_zero()]
+    out.extend(Y for _, Y in level)
+    for _ in range(2, max_depth + 1):
+        nxt = []
+        for first, Y in level:
+            for k in range(first, n):
+                Z = gens[k].bracket(Y)
+                if not Z.is_zero():
+                    nxt.append((first, Z))
+        out.extend(Y for _, Y in nxt)
+        level = nxt
+    return out
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)

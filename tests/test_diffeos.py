@@ -92,6 +92,21 @@ def test_exp_field_example():
     assert phi == FormalDiffeo([x + x ** 2 + x ** 3 + x ** 4], 4)
 
 
+def test_exp_field_is_a_valid_diffeo():
+    # the inputs of acceptance criterion 7: exp_field skips the constructor's
+    # checks, which must accept its result unchanged
+    import random
+
+    rng = random.Random(12345)
+    for _ in range(200):
+        n = rng.choice([1, 2, 3])
+        k = rng.randint(2, 6)
+        X = random_nilpotent_field(rng, n, min(k, 4))
+        phi = exp_field(X, 1, k)
+        assert phi == FormalDiffeo(list(phi.components), k)
+        assert phi.is_unipotent()
+
+
 def test_exp_zero_field():
     assert exp_field(VectorField.zero(2), 1, 3) == FormalDiffeo.identity(2, 3)
 

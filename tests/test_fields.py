@@ -165,3 +165,27 @@ def test_truncated_apply_matches_apply_then_truncate(rng):
             assert X.apply(g, order) == X.apply(g).truncate(order)
     with pytest.raises(ValueError):
         X.apply(LaurentPoly.monomial(3, {1: -1}), 3)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_truncated_bracket_matches_bracket_then_truncate(rng, dim):
+    from conftest import random_field
+
+    for _ in range(20):
+        X = random_field(rng, dim, max_degree=4)
+        Y = random_field(rng, dim, max_degree=4)
+        full = X.bracket(Y)
+        for order in (1, 2, 4, 7):
+            assert X.bracket(Y, order) == full.truncate(order)
+    assert X.bracket(X, 3).is_zero()
+
+
+def test_truncated_bracket_rejects_negative_exponents():
+    X = VectorField([LaurentPoly.monomial(2, {1: 2}), LaurentPoly.zero(2)])
+    Y = VectorField([LaurentPoly.zero(2), LaurentPoly.monomial(2, {1: 1, 2: -1})])
+    assert not X.bracket(Y).is_zero()
+    for a, b in ((X, Y), (Y, X)):
+        with pytest.raises(ValueError):
+            a.bracket(b, 3)
+    with pytest.raises(ValueError):
+        X.bracket(X, 0)

@@ -10,6 +10,8 @@ from germcalc.laurent import (
     EXPONENT_MIN,
     LaurentPoly,
     SubstitutionCache,
+    evaluate,
+    field_weight_key,
     grlex_key,
     substitute,
 )
@@ -359,3 +361,69 @@ def test_exponent_range_dim_4():
 def test_cli_exits_3_outside_the_exponent_range(argv, capsys):
     assert main(argv) == EXIT_PRECONDITION
     assert "outside the supported range" in capsys.readouterr().err
+
+
+def _evaluate_by_terms(p, point):
+    total = Scalar(0)
+    for exps, c in p.terms.items():
+        value = Fraction(1)
+        for x, e in zip(point, exps):
+            value *= Fraction(x) ** e
+        total = total + c * Scalar(value)
+    return total
+
+
+def test_evaluate_against_term_sum(rng):
+    from conftest import random_poly
+
+    for dim, point in ((1, (2,)), (2, (2, 3)), (3, (2, -3, 5)), (3, (-1, 1, 7))):
+        for _ in range(20):
+            p = random_poly(rng, dim, max_terms=5, max_degree=4, min_exp=-3)
+            assert evaluate(p, point) == _evaluate_by_terms(p, point)
+    assert evaluate(LaurentPoly.zero(2), (2, 3)) == Scalar(0)
+    x1 = LaurentPoly.monomial(2, {1: 1})
+    assert evaluate(x1 - 2, (2, 3)) == Scalar(0)
+    with pytest.raises(ValueError):
+        evaluate(x1, (0, 3))
+    with pytest.raises(ValueError):
+        evaluate(x1, (2,))
+
+
+def _weight(coeffs):
+    """The weight a - e_i of every term x^a d_i, as a set of tuples."""
+    return {
+        tuple(e - (j == i) for j, e in enumerate(exps))
+        for i, c in enumerate(coeffs)
+        for exps in c.terms
+    }
+
+
+def test_field_weight_key_adds_as_weights_do():
+    dim = 3
+    fields = [
+        [LaurentPoly.monomial(dim, {1: 2}), LaurentPoly.zero(dim), LaurentPoly.zero(dim)],
+        [LaurentPoly.zero(dim), LaurentPoly.monomial(dim, {1: 1, 2: 1}, 3), LaurentPoly.zero(dim)],
+        [LaurentPoly.zero(dim), LaurentPoly.zero(dim), LaurentPoly.monomial(dim, {2: 4})],
+        [LaurentPoly.monomial(dim, {1: 1, 3: 2}), LaurentPoly.monomial(dim, {2: 1, 3: 2}), LaurentPoly.zero(dim)],
+        [LaurentPoly.monomial(dim, {1: -3, 2: 5}), LaurentPoly.zero(dim), LaurentPoly.zero(dim)],
+        [LaurentPoly.zero(dim), LaurentPoly.monomial(dim, {3: 1}), LaurentPoly.zero(dim)],
+    ]
+    weights = {}
+    for coeffs in fields:
+        (w,) = _weight(coeffs)
+        weights[w] = field_weight_key(coeffs)
+    assert len(set(weights.values())) == len(weights)
+    for u, ku in weights.items():
+        for v, kv in weights.items():
+            total = tuple(a + b for a, b in zip(u, v))
+            for w, kw in weights.items():
+                assert (ku + kv == kw) == (total == w)
+    x = LaurentPoly.variable(dim, 1)
+    zero = LaurentPoly.zero(dim)
+    assert field_weight_key([zero, zero, zero]) is None
+    assert field_weight_key([x + x * x, zero, zero]) is None
+    assert field_weight_key([x, LaurentPoly.variable(dim, 3), zero]) is None
+    # x_1^EXPONENT_MIN d_1 has a weight outside the key range
+    low = LaurentPoly.monomial(dim, {1: EXPONENT_MIN})
+    assert field_weight_key([low, zero, zero]) is None
+    assert field_weight_key([LaurentPoly.monomial(dim, {2: EXPONENT_MIN + 1}), zero, zero]) is not None

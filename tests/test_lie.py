@@ -2,25 +2,24 @@ import random
 
 import pytest
 
-from conftest import random_field
+from conftest import good_monomials, random_field, random_poly
 
+from germcalc import lie
 from germcalc.fields import BudgetExceededError, VectorField
 from germcalc.laurent import LaurentPoly
 from germcalc.lie import (
     NON_TERMINATING,
     BasisSplit,
+    _bareiss_rank,
     bracket_closure,
     central_series,
     decompose_over_split,
     derived_series,
     generic_rank,
-    good_monomials,
     kappa_sequence,
     nilpotency_class,
     soluble_length,
     span_reduce,
-    transition_commutator,
-    transition_matrix,
 )
 from germcalc.ratfunc import RationalFunction
 from germcalc.scalars import Scalar
@@ -236,6 +235,88 @@ def _rank_by_fraction_field(fields):
     return rank
 
 
+def _bareiss_only(fields):
+    """Generic rank by the elimination alone, without the certificate."""
+    rows = [list(X.coeffs) for X in fields if not X.is_zero()]
+    return _bareiss_rank(rows) if rows else 0
+
+
+def _field(dim, *coeffs):
+    return VectorField([LaurentPoly(dim, c) for c in coeffs])
+
+
+def _counting_fallback(monkeypatch):
+    calls = []
+
+    def counting(rows):
+        calls.append(len(rows))
+        return _bareiss_rank(rows)
+
+    monkeypatch.setattr(lie, "_bareiss_rank", counting)
+    return calls
+
+
+def test_generic_rank_falls_back_on_rank_deficient_full_columns(monkeypatch):
+    # (x, y) and (x^2, xy) are proportional over the function field, but
+    # both columns are nonzero, so the bounds 1 <= rank <= 2 do not meet
+    calls = _counting_fallback(monkeypatch)
+    fields = [_field(2, {(1, 0): 1}, {(0, 1): 1}), _field(2, {(2, 0): 1}, {(1, 1): 1})]
+    assert generic_rank(fields) == 1 == _bareiss_only(fields)
+    assert calls == [2]
+
+
+def test_generic_rank_row_vanishing_at_the_evaluation_point(monkeypatch):
+    # x1 - 2 is zero at x1 = 2, so only the elimination can see rank 1
+    calls = _counting_fallback(monkeypatch)
+    fields = [_field(2, {(1, 0): 1, (0, 0): -2}, {})]
+    assert generic_rank(fields) == 1 == _bareiss_only(fields)
+    assert calls == [1]
+
+
+def test_generic_rank_certificate_skips_the_elimination(monkeypatch):
+    calls = _counting_fallback(monkeypatch)
+    assert generic_rank(build_chain_algebra(2, 0, 6)) == 2
+    assert calls == []
+
+
+def test_generic_rank_laurent_entries_against_elimination():
+    fields = [
+        _field(2, {(-1, 0): 1}, {(1, -2): 1}),
+        _field(2, {(-2, 1): 2}, {(0, -1): 1, (3, 0): -1}),
+        _field(2, {(-3, 1): 2}, {(-1, -1): 1, (2, 0): -1}),
+    ]
+    for family in (fields[:1], fields[:2], fields, [fields[0], fields[2]]):
+        assert generic_rank(family) == _bareiss_only(family)
+    # the third row is 1/x1 times the second
+    assert generic_rank(fields) == 2
+
+
+def test_generic_rank_random_families_against_elimination(monkeypatch):
+    # r random fields plus combinations of them with polynomial and Laurent
+    # multipliers: rank at most r over the function field, usually below the
+    # row and column counts, so both the certificate and the fallback decide
+    calls = _counting_fallback(monkeypatch)
+    rng = random.Random(4242)
+    ranks = set()
+    for _ in range(30):
+        dim = rng.randint(1, 3)
+        formal = rng.random() < 0.5
+        base = [random_field(rng, dim, 3, formal=formal) for _ in range(rng.randint(1, dim))]
+        fields = list(base)
+        for _ in range(rng.randint(0, 3)):
+            multipliers = [random_poly(rng, dim, 2, 2, min_exp=-1) for _ in base]
+            fields.append(VectorField([
+                sum((m * X.coeffs[i] for m, X in zip(multipliers, base)), LaurentPoly.zero(dim))
+                for i in range(dim)
+            ]))
+        rng.shuffle(fields)
+        rank = generic_rank(fields)
+        assert rank == _bareiss_only(fields)
+        assert rank <= len(base)
+        ranks.add((rank, dim))
+    assert len(calls) >= 5 and len(ranks) >= 5
+
+
 def test_kappa_sequence_one_variable():
     g = span_reduce([mono_field(1, {1: 2}, 1)], "exact")
     ks = kappa_sequence(g)
@@ -253,79 +334,6 @@ def test_kappa_strict_drop_property():
     ks = kappa_sequence(g)
     assert ks.values == (2, 2, 1, 1, 0)
     assert ks.strict_two_step_drop()
-
-
-def test_transition_matrix_constant_coefficients():
-    # decomposition with constant coefficients gives the zero matrix
-    _, _, zs = build_nilpotent_example(2)
-    split = BasisSplit((), tuple(zs))
-    m = transition_matrix(zs[0], split)
-    assert all(e.is_zero() for row in m.entries for e in row)
-    m2 = transition_matrix(
-        VectorField([zs[0].coeffs[0] + zs[1].coeffs[0] * 2,
-                     zs[0].coeffs[1] + zs[1].coeffs[1] * 2]),
-        split,
-    )
-    assert all(e.is_zero() for row in m2.entries for e in row)
-
-
-def test_transition_matrix_not_in_span():
-    x = LaurentPoly.variable(2, 1)
-    split = BasisSplit((), (mono_field(2, {2: 2}, 1),))
-    stranger = mono_field(2, {1: 1}, 2)
-    with pytest.raises(ValueError):
-        transition_matrix(stranger, split)
-
-
-def _h0_exact_elements():
-    """Exact polynomial members of the two-variable triangular algebra and
-    exact bracket representatives of its first two derived terms."""
-    U2 = mono_field(2, {2: 2}, 2)       # x2^2 d2
-    V2 = mono_field(2, {2: 1}, 2)       # x2 d2
-    U1a = mono_field(2, {2: 2}, 1)      # x2^2 d1
-    U1b = mono_field(2, {2: 3}, 1)
-    V1 = mono_field(2, {1: 1, 2: 1}, 1)  # x1 x2 d1
-    g0 = [U2, V2, U1a, U1b, V1]
-    # exact first-derived representatives
-    d1 = [U2.bracket(V2), U2.bracket(U1a), U2.bracket(V1), V2.bracket(U1a)]
-    # exact second-derived representatives
-    d2 = [a.bracket(b) for a in d1 for b in d1]
-    d2 = [Z for Z in d2 if not Z.is_zero()]
-    return g0, d1, d2
-
-
-def test_transition_matrix_bracket_homomorphism():
-    # with kappa = (2, 2, 1, 1, 0) the plateau at p=1 gives a split with one
-    # deep field and one transversal; the matrix map must send brackets to
-    # matrix commutators (trivially zero at size one, but the entries are
-    # nontrivial derivation values)
-    g0, d1, d2 = _h0_exact_elements()
-    Y1 = next(Z for Z in d2 if not Z.is_zero())
-    X1 = next(Z for Z in d1 if not Z.coeffs[1].is_zero())
-    split = BasisSplit((Y1,), (X1,))
-    rng = random.Random(17)
-    pairs = 0
-    while pairs < 20:
-        Z = _random_combo(rng, g0)
-        W = _random_combo(rng, g0)
-        if Z.is_zero() or W.is_zero():
-            continue
-        mz = transition_matrix(Z, split)
-        mw = transition_matrix(W, split)
-        mb = transition_matrix(Z.bracket(W), split)
-        assert mb.entries == transition_commutator(mz, mw)
-        pairs += 1
-
-
-def _random_combo(rng, fields):
-    total = VectorField.zero(2)
-    for X in fields:
-        c = rng.choice([0, 1, -1, 2])
-        if c:
-            total = VectorField(
-                [a + b * c for a, b in zip(total.coeffs, X.coeffs)]
-            )
-    return total
 
 
 def test_decompose_over_split_coefficients():
@@ -350,21 +358,6 @@ def test_decompose_over_split_rejects_one_stranger():
     assert all(b == [] for b, _ in decomposed)
     with pytest.raises(ValueError):
         decompose_over_split([xs[0], xs[1], xs[2], combo], split)
-
-
-def test_span_export_round_trip():
-    from germcalc.lie import span_export_text, span_from_text
-
-    g = build_chain_algebra(2, 2, 4)
-    text = span_export_text(g)
-    g2 = span_from_text(text)
-    assert g2.mode == "jet" and g2.order == 4
-    assert g2.dimension == g.dimension
-    assert g.contains_span(g2) and g2.contains_span(g)
-    _, _, zs = build_nilpotent_example(3)
-    h = span_reduce(zs, "exact")
-    h2 = span_from_text(span_export_text(h))
-    assert h2.dimension == h.dimension and h.contains_span(h2)
 
 
 def test_eigenfunction_vanishing_for_nilpotent_fields():

@@ -51,6 +51,18 @@ def test_exp_log_inverse_of_each_other():
     assert mat_eq(matrix_log_unipotent(e), n)
 
 
+def test_is_nilpotent_matrix():
+    assert is_nilpotent_matrix(M([[0, 1, 2], [0, 0, 3], [0, 0, 0]]))
+    assert is_nilpotent_matrix(M([[0, 0], [5, 0]]))
+    assert is_nilpotent_matrix(M([[0, 0], [0, 0]]))
+    # not triangular, decided by the power
+    assert is_nilpotent_matrix(M([[1, 1], [-1, -1]]))
+    assert not is_nilpotent_matrix(M([[0, 1], [1, 0]]))
+    assert not is_nilpotent_matrix(M([[0, 1], [0, 2]]))
+    assert not is_unipotent_matrix(M([[1, 1], [1, 1]]))
+    assert is_unipotent_matrix(M([[1, 7], [0, 1]]))
+
+
 def test_exp_rejects_non_nilpotent():
     with pytest.raises(ValueError):
         matrix_exp_nilpotent(M([[1, 0], [0, 1]]))

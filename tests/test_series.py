@@ -92,6 +92,24 @@ def test_chain_n3_dimensions_and_kappa():
     assert kappa_sequence(g, levels).values == (3, 3, 2, 2, 1, 0)
 
 
+def test_chain_n3_dimensions_and_kappa_order_12():
+    g = build_chain_algebra(3, 0, 12)
+    levels = derived_series(g)
+    assert [lv.dimension for lv in levels] == [189, 176, 149, 94, 21, 0]
+    assert kappa_sequence(g, levels).values == (3, 3, 2, 2, 1, 0)
+
+
+@pytest.mark.parametrize("n, k", [(2, 8), (3, 7)])
+def test_weight_skip_keeps_the_bases(monkeypatch, n, k):
+    # a skipped bracket is one the echelon would reject, so the series
+    # keeps the same basis fields, in the same order, without the weight test
+    g = build_chain_algebra(n, 0, k)
+    derived, central = derived_series(g), central_series(g)
+    monkeypatch.setattr(lie, "field_weight_key", lambda coeffs: None)
+    assert [lv.basis for lv in derived_series(g)] == [lv.basis for lv in derived]
+    assert [lv.basis for lv in central_series(g)] == [lv.basis for lv in central]
+
+
 def test_chain_central_series_matches_reference():
     g = build_chain_algebra(2, 0, 8)
     assert_same_series(central_series(g), reference_central_series(g))
