@@ -53,15 +53,6 @@ class JetMatrix:
     def size(self) -> int:
         return len(self.basis)
 
-    def column_poly(self, exps: ExponentVector) -> LaurentPoly:
-        """The image of a basis monomial, reassembled as a polynomial."""
-        j = self.basis.index(tuple(exps))
-        terms = {}
-        for i, row in enumerate(self.matrix):
-            if row[j]:
-                terms[self.basis[i]] = row[j]
-        return LaurentPoly(self.dim, terms)
-
     def __eq__(self, other):
         if not isinstance(other, JetMatrix):
             return NotImplemented

@@ -471,6 +471,17 @@ class LaurentPoly:
         if n < 0:
             inv = self.monomial_inverse()
             return inv ** (-n)
+        if n > 1 and self._t:
+            # the extreme degrees and exponents of p^n are n times those of p
+            # (the extreme parts cannot cancel), so an out-of-range power is
+            # rejected before any product is formed
+            layout = _LAYOUTS[self.dim]
+            extremes = [layout.degree(min(self._t)), layout.degree(max(self._t))]
+            for s in layout.shifts:
+                fields = [(k >> s) & _MASK for k in self._t]
+                extremes += (_BIAS - 1 - min(fields), _BIAS - 1 - max(fields))
+            if not all(EXPONENT_MIN <= n * e <= EXPONENT_MAX for e in extremes):
+                raise ValueError(f"an exponent or total degree is {_RANGE_ERROR}")
         result = LaurentPoly.one(self.dim)
         base = self
         while n:

@@ -142,24 +142,6 @@ def matrix_exp_nilpotent(a: Matrix) -> Matrix:
         result = mat_add(result, mat_scale(term, Scalar(1) / Scalar.rational(_factorial(j))))
 
 
-def matrix_log_unipotent(a: Matrix) -> Matrix:
-    """log(a) as the finite sum sum_j (-1)^(j+1) (a-I)^j / j for unipotent a."""
-    n = mat_dim(a)
-    nil = mat_sub(a, identity(n))
-    result = zeros(n)
-    term = identity(n)
-    j = 0
-    while True:
-        j += 1
-        term = mat_mul(term, nil)
-        if is_zero_matrix(term):
-            return result
-        if j > n:
-            raise ValueError("matrix_log_unipotent: input is not unipotent")
-        sign = Scalar(1) if j % 2 == 1 else Scalar(-1)
-        result = mat_add(result, mat_scale(term, sign / Scalar.rational(j)))
-
-
 def _factorial(j: int) -> int:
     out = 1
     for t in range(2, j + 1):

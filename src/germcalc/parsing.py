@@ -3,29 +3,36 @@ fields, diffeomorphism tuples and commutator words.
 
 Grammar (whitespace insignificant between tokens):
 
-    poly    := ['-'] pterm (('+'|'-') pterm)*
+    poly    := ['-'|'+'] pterm (('+'|'-') pterm)*
     pterm   := factor ('*' factor)*
     factor  := atom ['^' ['-'] INT]
     atom    := INT ['/' INT] | 'i' | VAR | '(' poly ')'
     field   := ['-'] fterm (('+'|'-') fterm)*
     fterm   := pterm DERIV
+    fields  := [field] (';' [field])*
     diffeo  := '(' poly (',' poly)* ')'
     word    := 'g' INT ['^-1'] | '[' word ',' word ']'
 
 with VAR = x1, x2, ... and DERIV = d1, d2, ...  '^' binds tighter than '*',
 which binds tighter than '+'/'-'.  Exponents may be negative; rational
 literals are INT or INT/INT; 'i' is the imaginary unit.  Dimension is always
-explicit: a variable index above the declared dimension is an error, never a
-reason to silently grow the ambient space.
+explicit: a variable index outside 1..dim is an error, never a reason to
+silently grow the ambient space.
+
+A recursive-descent parser reads the tokens once and computes the value as
+it goes: sums, products and powers of ``LaurentPoly`` values, then the
+``VectorField``, diffeomorphism components or word.  Each check runs where
+its token is read, so an error reports the first problem in reading order
+(an unknown character, found by the tokenizer, comes before all others),
+with its line and column in the whole text.
 
 Printers emit canonical graded-lex term order, so parse(print(v)) == v
-exactly for every value and printed ASTs reparse to equal ASTs.
+exactly for every value.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
 from .diffeos import FormalDiffeo, WordComm, WordLeaf
@@ -35,7 +42,7 @@ from .scalars import Scalar
 
 
 class ParseError(ValueError):
-    """Syntax or lowering error, carrying the offending position."""
+    """Syntax, dimension or power error, carrying the offending position."""
 
     def __init__(self, message: str, text: str, pos: int):
         line = text.count("\n", 0, pos) + 1
@@ -47,8 +54,8 @@ class ParseError(ValueError):
 
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<var>x(?P<varidx>\d+))"
-    r"|(?P<deriv>d(?P<deridx>\d+))"
+    r"\s*(?:(?P<var>x\d+)"
+    r"|(?P<deriv>d\d+)"
     r"|(?P<int>\d+)"
     r"|(?P<imag>i)"
     r"|(?P<gen>g\d+)"
@@ -56,14 +63,8 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    value: str
-    pos: int
-
-
-def tokenize(text: str) -> list[Token]:
+def tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The (kind, value, position) tokens of the text."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -73,339 +74,213 @@ def tokenize(text: str) -> list[Token]:
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             raise ParseError(f"unexpected character {text[pos]!r}", text, pos)
-        for kind in ("var", "deriv", "int", "imag", "gen", "op"):
-            val = m.group(kind)
-            if val is not None:
-                tokens.append(Token(kind, val, m.start(kind)))
-                break
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
     return tokens
 
 
-# -- AST ------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NumberLit:
-    value: Fraction
-    span: tuple[int, int] = dataclass_field(compare=False, default=(0, 0))
-
-
-@dataclass(frozen=True)
-class ImagLit:
-    span: tuple[int, int] = dataclass_field(compare=False, default=(0, 0))
-
-
-@dataclass(frozen=True)
-class VarRef:
-    index: int
-    span: tuple[int, int] = dataclass_field(compare=False, default=(0, 0))
-
-
-@dataclass(frozen=True)
-class PowExpr:
-    base: "Expr"
-    exponent: int
-    span: tuple[int, int] = dataclass_field(compare=False, default=(0, 0))
-
-
-@dataclass(frozen=True)
-class MulExpr:
-    factors: tuple["Expr", ...]
-    span: tuple[int, int] = dataclass_field(compare=False, default=(0, 0))
-
-
-@dataclass(frozen=True)
-class AddExpr:
-    # (sign, term) pairs; sign is +1 or -1
-    terms: tuple[tuple[int, "Expr"], ...]
-    span: tuple[int, int] = dataclass_field(compare=False, default=(0, 0))
-
-
-@dataclass(frozen=True)
-class FieldTerm:
-    sign: int
-    coeff: "Expr"
-    direction: int
-    span: tuple[int, int] = dataclass_field(compare=False, default=(0, 0))
-
-
-@dataclass(frozen=True)
-class FieldExpr:
-    terms: tuple[FieldTerm, ...]
-    span: tuple[int, int] = dataclass_field(compare=False, default=(0, 0))
-
-
-@dataclass(frozen=True)
-class DiffeoExpr:
-    components: tuple["Expr", ...]
-    span: tuple[int, int] = dataclass_field(compare=False, default=(0, 0))
-
-
-Expr = NumberLit | ImagLit | VarRef | PowExpr | MulExpr | AddExpr
-
-
 class _Parser:
+    """Recursive descent over the tokens, building values as it reads."""
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = tokenize(text)
         self.i = 0
 
-    def peek(self) -> Token | None:
+    def peek(self) -> tuple[str, str, int] | None:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
 
-    def next(self) -> Token:
+    def next(self) -> tuple[str, str, int]:
         tok = self.peek()
         if tok is None:
             raise ParseError("unexpected end of input", self.text, len(self.text))
         self.i += 1
         return tok
 
-    def expect_op(self, op: str) -> Token:
+    def expect_op(self, op: str) -> tuple[str, str, int]:
         tok = self.next()
-        if tok.kind != "op" or tok.value != op:
-            raise ParseError(f"expected {op!r}, found {tok.value!r}", self.text, tok.pos)
+        if tok[0] != "op" or tok[1] != op:
+            raise ParseError(f"expected {op!r}, found {tok[1]!r}", self.text, tok[2])
         return tok
 
     def at_op(self, *ops: str) -> bool:
         tok = self.peek()
-        return tok is not None and tok.kind == "op" and tok.value in ops
+        return tok is not None and tok[0] == "op" and tok[1] in ops
 
     def done(self):
         tok = self.peek()
         if tok is not None:
-            raise ParseError(f"trailing input {tok.value!r}", self.text, tok.pos)
+            raise ParseError(f"trailing input {tok[1]!r}", self.text, tok[2])
+
+    def index(self, what: str, value: str, dim: int, pos: int) -> int:
+        """The index of x<i> or d<i>, which must lie in 1..dim."""
+        index = int(value[1:])
+        letter = value[0]
+        if index > dim:
+            raise ParseError(f"{what} {letter}{index} exceeds the declared dimension {dim}",
+                             self.text, pos)
+        if index < 1:
+            raise ParseError(f"{what} {letter}{index} is not one of {letter}1..{letter}{dim}",
+                             self.text, pos)
+        return index
 
     # poly ----------------------------------------------------------------
 
-    def parse_poly(self) -> AddExpr:
-        start = self.peek().pos if self.peek() else 0
-        terms = []
-        sign = 1
-        if self.at_op("-"):
-            self.next()
-            sign = -1
-        elif self.at_op("+"):
-            self.next()
-        terms.append((sign, self.parse_pterm()))
+    def parse_poly(self, dim: int) -> LaurentPoly:
+        sign = self.next()[1] if self.at_op("+", "-") else "+"
+        out = self.parse_pterm(dim)
+        if sign == "-":
+            out = -out
         while self.at_op("+", "-"):
-            op = self.next()
-            terms.append((1 if op.value == "+" else -1, self.parse_pterm()))
-        end = self.tokens[self.i - 1].pos if self.i else start
-        return AddExpr(terms=tuple(terms), span=(start, end))
+            sign = self.next()[1]
+            term = self.parse_pterm(dim)
+            out = out + term if sign == "+" else out - term
+        return out
 
-    def parse_pterm(self) -> Expr:
-        factors = [self.parse_factor()]
+    def parse_pterm(self, dim: int) -> LaurentPoly:
+        out = self.parse_factor(dim)
         while self.at_op("*"):
             self.next()
-            factors.append(self.parse_factor())
-        if len(factors) == 1:
-            return factors[0]
-        return MulExpr(factors=tuple(factors), span=factors[0].span)
+            out = out * self.parse_factor(dim)
+        return out
 
-    def parse_factor(self) -> Expr:
-        base = self.parse_atom()
-        if self.at_op("^"):
+    def parse_factor(self, dim: int) -> LaurentPoly:
+        start = self.i
+        base = self.parse_atom(dim)
+        if not self.at_op("^"):
+            return base
+        self.next()
+        negative = self.at_op("-")
+        if negative:
             self.next()
-            negative = False
-            if self.at_op("-"):
-                self.next()
-                negative = True
-            tok = self.next()
-            if tok.kind != "int":
-                raise ParseError("expected an integer exponent", self.text, tok.pos)
-            e = int(tok.value)
-            return PowExpr(base=base, exponent=-e if negative else e, span=base.span)
-        return base
+        kind, value, pos = self.next()
+        if kind != "int":
+            raise ParseError("expected an integer exponent", self.text, pos)
+        e = -int(value) if negative else int(value)
+        if e < 0 and len(base.terms) != 1:
+            raise ParseError("negative powers are only defined for single-term values",
+                             self.text, self.tokens[start][2])
+        return base ** e
 
-    def parse_atom(self) -> Expr:
-        tok = self.next()
-        if tok.kind == "int":
-            value = Fraction(int(tok.value))
+    def parse_atom(self, dim: int) -> LaurentPoly:
+        kind, value, pos = self.next()
+        if kind == "int":
+            q = Fraction(int(value))
             if self.at_op("/"):
                 self.next()
-                den = self.next()
-                if den.kind != "int":
-                    raise ParseError("expected a denominator", self.text, den.pos)
-                if int(den.value) == 0:
-                    raise ParseError("zero denominator", self.text, den.pos)
-                value = Fraction(int(tok.value), int(den.value))
-            return NumberLit(value=value, span=(tok.pos, tok.pos))
-        if tok.kind == "imag":
-            return ImagLit(span=(tok.pos, tok.pos))
-        if tok.kind == "var":
-            return VarRef(index=int(tok.value[1:]), span=(tok.pos, tok.pos))
-        if tok.kind == "op" and tok.value == "(":
-            inner = self.parse_poly()
+                den_kind, den, den_pos = self.next()
+                if den_kind != "int":
+                    raise ParseError("expected a denominator", self.text, den_pos)
+                if int(den) == 0:
+                    raise ParseError("zero denominator", self.text, den_pos)
+                q /= int(den)
+            return LaurentPoly.constant(dim, q)
+        if kind == "imag":
+            return LaurentPoly.constant(dim, Scalar(0, 1))
+        if kind == "var":
+            return LaurentPoly.variable(dim, self.index("variable", value, dim, pos))
+        if kind == "op" and value == "(":
+            inner = self.parse_poly(dim)
             self.expect_op(")")
-            # canonical form: parens around a single unsigned term are
-            # transparent, so printed trees reparse to themselves
-            if len(inner.terms) == 1 and inner.terms[0][0] > 0:
-                return inner.terms[0][1]
             return inner
-        raise ParseError(f"unexpected token {tok.value!r}", self.text, tok.pos)
+        raise ParseError(f"unexpected token {value!r}", self.text, pos)
 
     # field ----------------------------------------------------------------
 
-    def parse_field(self) -> FieldExpr:
-        start = self.peek().pos if self.peek() else 0
-        terms = []
-        sign = 1
-        if self.at_op("-"):
-            self.next()
-            sign = -1
-        terms.append(self.parse_fterm(sign))
-        while self.at_op("+", "-"):
-            op = self.next()
-            terms.append(self.parse_fterm(1 if op.value == "+" else -1))
-        return FieldExpr(terms=tuple(terms), span=(start, terms[-1].span[1]))
+    def parse_field(self, dim: int) -> VectorField:
+        coeffs = [LaurentPoly.zero(dim) for _ in range(dim)]
+        sign = self.next()[1] if self.at_op("-") else "+"
+        while True:
+            start = self.i
+            coeff = self.parse_pterm(dim)
+            kind, value, pos = self.next()
+            if kind != "deriv":
+                raise ParseError("expected a direction d<i> after the coefficient", self.text, pos)
+            j = self.index("direction", value, dim, self.tokens[start][2]) - 1
+            coeffs[j] = coeffs[j] + coeff if sign == "+" else coeffs[j] - coeff
+            if not self.at_op("+", "-"):
+                return VectorField(coeffs)
+            sign = self.next()[1]
 
-    def parse_fterm(self, sign: int) -> FieldTerm:
-        coeff = self.parse_pterm()
-        tok = self.next()
-        if tok.kind != "deriv":
-            raise ParseError("expected a direction d<i> after the coefficient", self.text, tok.pos)
-        return FieldTerm(
-            sign=sign, coeff=coeff, direction=int(tok.value[1:]), span=(coeff.span[0], tok.pos)
-        )
+    def parse_fields(self, dim: int) -> list[VectorField]:
+        fields = []
+        while True:
+            if self.peek() is not None and not self.at_op(";"):
+                fields.append(self.parse_field(dim))
+            if not self.at_op(";"):
+                return fields
+            self.next()
 
     # diffeo ----------------------------------------------------------------
 
-    def parse_diffeo(self) -> DiffeoExpr:
-        start = self.expect_op("(").pos
-        comps = [self.parse_poly()]
+    def parse_diffeo(self, dim: int) -> list[LaurentPoly]:
+        """The components; the caller builds the diffeomorphism from them."""
+        start = self.expect_op("(")[2]
+        comps = [self.parse_poly(dim)]
         while self.at_op(","):
             self.next()
-            comps.append(self.parse_poly())
-        end = self.expect_op(")").pos
-        return DiffeoExpr(components=tuple(comps), span=(start, end))
+            comps.append(self.parse_poly(dim))
+        self.expect_op(")")
+        if len(comps) != dim:
+            raise ParseError(f"diffeomorphism has {len(comps)} components, expected {dim}",
+                             self.text, start)
+        return comps
 
     # commutator word ----------------------------------------------------------
 
     def parse_word(self):
-        tok = self.next()
-        if tok.kind == "gen":
-            index = int(tok.value[1:])
+        kind, value, pos = self.next()
+        if kind == "gen":
+            index = int(value[1:])
             inverse = False
             if self.at_op("^"):
                 self.next()
                 minus = self.next()
                 one = self.next()
-                if minus.kind != "op" or minus.value != "-" or one.kind != "int" or one.value != "1":
-                    raise ParseError("only ^-1 is meaningful on a generator", self.text, tok.pos)
+                if minus[:2] != ("op", "-") or one[:2] != ("int", "1"):
+                    raise ParseError("only ^-1 is meaningful on a generator", self.text, pos)
                 inverse = True
             return WordLeaf(index, inverse)
-        if tok.kind == "op" and tok.value == "[":
+        if kind == "op" and value == "[":
             left = self.parse_word()
             self.expect_op(",")
             right = self.parse_word()
             self.expect_op("]")
             return WordComm(left, right)
-        raise ParseError(f"unexpected token {tok.value!r} in word", self.text, tok.pos)
-
-
-# -- lowering ------------------------------------------------------------------
-
-
-def lower_poly(expr: Expr, dim: int, text: str = "") -> LaurentPoly:
-    if isinstance(expr, NumberLit):
-        return LaurentPoly.constant(dim, Scalar(expr.value))
-    if isinstance(expr, ImagLit):
-        return LaurentPoly.constant(dim, Scalar(0, 1))
-    if isinstance(expr, VarRef):
-        if not 1 <= expr.index <= dim:
-            raise ParseError(
-                f"variable x{expr.index} exceeds the declared dimension {dim}",
-                text, expr.span[0],
-            )
-        return LaurentPoly.variable(dim, expr.index)
-    if isinstance(expr, PowExpr):
-        base = lower_poly(expr.base, dim, text)
-        if expr.exponent < 0 and len(base.terms) != 1:
-            raise ParseError(
-                "negative powers are only defined for single-term values",
-                text, expr.span[0],
-            )
-        return base ** expr.exponent
-    if isinstance(expr, MulExpr):
-        out = LaurentPoly.one(dim)
-        for f in expr.factors:
-            out = out * lower_poly(f, dim, text)
-        return out
-    if isinstance(expr, AddExpr):
-        out = LaurentPoly.zero(dim)
-        for sign, term in expr.terms:
-            t = lower_poly(term, dim, text)
-            out = out + (t if sign > 0 else -t)
-        return out
-    raise TypeError(f"not a polynomial expression: {expr!r}")
-
-
-def lower_field(expr: FieldExpr, dim: int, text: str = "") -> VectorField:
-    coeffs = [LaurentPoly.zero(dim) for _ in range(dim)]
-    for term in expr.terms:
-        if not 1 <= term.direction <= dim:
-            raise ParseError(
-                f"direction d{term.direction} exceeds the declared dimension {dim}",
-                text, term.span[0],
-            )
-        p = lower_poly(term.coeff, dim, text)
-        if term.sign < 0:
-            p = -p
-        coeffs[term.direction - 1] = coeffs[term.direction - 1] + p
-    return VectorField(coeffs)
-
-
-def lower_diffeo(expr: DiffeoExpr, dim: int, order: int, text: str = "") -> FormalDiffeo:
-    if len(expr.components) != dim:
-        raise ParseError(
-            f"diffeomorphism has {len(expr.components)} components, expected {dim}",
-            text, expr.span[0],
-        )
-    comps = [lower_poly(c, dim, text) for c in expr.components]
-    return FormalDiffeo(comps, order)
+        raise ParseError(f"unexpected token {value!r} in word", self.text, pos)
 
 
 # -- public entry points ----------------------------------------------------------
 
 
-def parse_expression(text: str, kind: str):
-    """Parse to an AST; kind is 'poly', 'field' or 'diffeo'."""
+def _parse(text: str, read, *args):
+    """read(parser, *args) over the whole text."""
     p = _Parser(text)
-    if kind == "poly":
-        out = p.parse_poly()
-    elif kind == "field":
-        out = p.parse_field()
-    elif kind == "diffeo":
-        out = p.parse_diffeo()
-    else:
-        raise ValueError(f"unknown expression kind {kind!r}")
+    out = read(p, *args)
     p.done()
     return out
 
 
 def parse_poly(text: str, dim: int) -> LaurentPoly:
-    return lower_poly(parse_expression(text, "poly"), dim, text)
+    return _parse(text, _Parser.parse_poly, dim)
 
 
 def parse_field(text: str, dim: int) -> VectorField:
-    return lower_field(parse_expression(text, "field"), dim, text)
+    return _parse(text, _Parser.parse_field, dim)
 
 
 def parse_diffeo(text: str, dim: int, order: int) -> FormalDiffeo:
-    return lower_diffeo(parse_expression(text, "diffeo"), dim, order, text)
+    return FormalDiffeo(_parse(text, _Parser.parse_diffeo, dim), order)
 
 
 def parse_fields(text: str, dim: int) -> list[VectorField]:
-    """Semicolon-separated vector fields."""
-    return [parse_field(chunk, dim) for chunk in text.split(";") if chunk.strip()]
+    """Semicolon-separated vector fields; empty entries are skipped."""
+    return _parse(text, _Parser.parse_fields, dim)
 
 
 def parse_word(text: str):
-    p = _Parser(text)
-    out = p.parse_word()
-    p.done()
-    return out
+    return _parse(text, _Parser.parse_word)
 
 
 # -- printers ---------------------------------------------------------------------
@@ -496,56 +371,3 @@ def format_word(word) -> str:
 
 def format_monomial_header(basis) -> str:
     return " ".join(_format_term(exps, Scalar(1)) for exps in basis)
-
-
-# -- AST printing (round-trip support for randomly generated trees) ---------------
-
-
-def format_ast(expr) -> str:
-    if isinstance(expr, NumberLit):
-        return format_rational(expr.value)
-    if isinstance(expr, ImagLit):
-        return "i"
-    if isinstance(expr, VarRef):
-        return f"x{expr.index}"
-    if isinstance(expr, PowExpr):
-        base = format_ast(expr.base)
-        if not isinstance(expr.base, (ImagLit, VarRef)):
-            base = f"({base})"
-        return f"{base}^{expr.exponent}"
-    if isinstance(expr, MulExpr):
-        parts = []
-        for f in expr.factors:
-            s = format_ast(f)
-            if isinstance(f, AddExpr):
-                s = f"({s})"
-            parts.append(s)
-        return "*".join(parts)
-    if isinstance(expr, AddExpr):
-        out = ""
-        for k, (sign, term) in enumerate(expr.terms):
-            s = format_ast(term)
-            if isinstance(term, AddExpr):
-                s = f"({s})"
-            if k == 0:
-                out = s if sign > 0 else f"-{s}"
-            else:
-                out += f" + {s}" if sign > 0 else f" - {s}"
-        return out
-    if isinstance(expr, FieldTerm):
-        s = format_ast(expr.coeff)
-        if isinstance(expr.coeff, AddExpr):
-            s = f"({s})"
-        return f"{s} d{expr.direction}"
-    if isinstance(expr, FieldExpr):
-        out = ""
-        for k, term in enumerate(expr.terms):
-            s = format_ast(term)
-            if k == 0:
-                out = s if term.sign > 0 else f"-{s}"
-            else:
-                out += f" + {s}" if term.sign > 0 else f" - {s}"
-        return out
-    if isinstance(expr, DiffeoExpr):
-        return "(" + ", ".join(format_ast(c) for c in expr.components) + ")"
-    raise TypeError(f"cannot print {expr!r}")

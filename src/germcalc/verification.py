@@ -233,7 +233,7 @@ def verify_solvable_family(n: int, jet_order: int | None = None) -> Verification
         derived = levels[j].echelon()
         checked = 0
         for X in Gj.basis:
-            scaled = VectorField([mono * co for co in X.coeffs]).truncate(jet_order)
+            scaled = VectorField([co.mul_truncated(mono, jet_order) for co in X.coeffs])
             if scaled.is_zero():
                 continue
             checked += 1

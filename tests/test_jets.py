@@ -4,7 +4,7 @@ from conftest import random_field, random_nilpotent_field, random_unipotent_diff
 
 from germcalc.diffeos import FormalDiffeo, exp_field
 from germcalc.fields import VectorField
-from germcalc.jets import field_to_jet_matrix, jet_basis, to_jet_matrix
+from germcalc.jets import field_to_jet_matrix, jet_basis, poly_to_coords, to_jet_matrix
 from germcalc.laurent import LaurentPoly
 from germcalc.matrices import (
     identity,
@@ -32,9 +32,12 @@ def test_to_jet_matrix_example():
     x = LaurentPoly.variable(1, 1)
     phi = FormalDiffeo([x + x ** 2], 2)
     m = to_jet_matrix(phi)
-    # images: x -> x + x^2, x^2 -> x^2
-    assert m.column_poly((1,)) == x + x ** 2
-    assert m.column_poly((2,)) == x ** 2
+    # images: x -> x + x^2, x^2 -> x^2, as columns over the basis (x, x^2)
+    assert m.basis == ((1,), (2,))
+    assert [list(col) for col in zip(*m.matrix)] == [
+        poly_to_coords(x + x ** 2, m.basis),
+        poly_to_coords(x ** 2, m.basis),
+    ]
 
 
 def test_identity_jet_matrix():
@@ -52,8 +55,8 @@ def test_field_matrix_example():
     x = LaurentPoly.variable(1, 1)
     X = VectorField([x ** 2])
     m = field_to_jet_matrix(X, 2)
-    assert m.column_poly((1,)) == x ** 2
-    assert m.column_poly((2,)).is_zero()
+    # X(x) = x^2 and X(x^2) = 2x^3, which is cut at order 2
+    assert m.matrix == [[0, 0], [1, 0]]
     assert is_nilpotent_matrix(m.matrix)
 
 

@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from germcalc import laurent
 from germcalc.cli import EXIT_PRECONDITION, main
 from germcalc.laurent import (
     EXPONENT_MAX,
@@ -15,6 +16,7 @@ from germcalc.laurent import (
     grlex_key,
     substitute,
 )
+from germcalc.parsing import parse_poly
 from germcalc.scalars import Scalar
 
 
@@ -350,12 +352,57 @@ def test_exponent_range_dim_4():
     }
 
 
+def _forbid_products(monkeypatch):
+    def no_product(*args):
+        raise AssertionError("a product was formed")
+
+    monkeypatch.setattr(laurent, "sum_of_products", no_product)
+
+
+def test_pow_rejects_an_out_of_range_power_before_any_product(monkeypatch):
+    x1, x2 = var(2, 1), var(2, 2)
+    zero, two = LaurentPoly.zero(2), LaurentPoly.constant(2, 2)
+    _forbid_products(monkeypatch)
+    # the full computation would form products of about 8,000 x 8,000 terms
+    with pytest.raises(ValueError, match="outside the supported range"):
+        (x1 + x2) ** 20000
+    monkeypatch.undo()
+    assert zero ** 20000 == zero
+    assert (two ** 20000).constant_term() == 2 ** 20000
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        "x1^3000*x2^3000 + x2^-1",  # the top total degree leaves first
+        "x1^-3000*x2^-3000 + x1",  # the bottom total degree
+        "x1^5000*x2^-5000 + 1",  # one variable's top, another's bottom, degree 0
+        "x1^3000*x2^-1000 - x1^-4100*x2^4000",  # one variable's bottom
+    ],
+)
+def test_pow_range_check_agrees_with_the_products(p, monkeypatch):
+    base = parse_poly(p, 2)
+    product = base
+    for n in range(2, 6):
+        try:
+            product = product * base
+        except ValueError:
+            # the products leave the range at n; the power says so without one
+            _forbid_products(monkeypatch)
+            with pytest.raises(ValueError, match="outside the supported range"):
+                base ** n
+            return
+        assert base ** n == product
+    pytest.fail("no power left the range")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["bracket", "--dim", "1", f"x1^{EXPONENT_MAX} d1", "x1^2 d1"],
         ["bracket", "--dim", "1", f"x1^{EXPONENT_MAX + 1} d1", "x1^2 d1"],
         ["bracket", "--dim", "4", f"x1^{EXPONENT_MAX - 5}*x4^5 d1", "x4^2 d4"],
+        ["bracket", "--dim", "2", "(x1+x2)^20000 d1", "x1 d1"],
     ],
 )
 def test_cli_exits_3_outside_the_exponent_range(argv, capsys):

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -8,20 +7,12 @@ from conftest import random_field, random_poly, random_unipotent_diffeo
 from germcalc.diffeos import WordComm, WordLeaf
 from germcalc.laurent import LaurentPoly
 from germcalc.parsing import (
-    AddExpr,
-    ImagLit,
-    MulExpr,
-    NumberLit,
     ParseError,
-    PowExpr,
-    VarRef,
-    format_ast,
     format_diffeo,
     format_field,
     format_poly,
     format_word,
     parse_diffeo,
-    parse_expression,
     parse_field,
     parse_fields,
     parse_poly,
@@ -53,6 +44,9 @@ def test_parse_diffeo_identity():
 def test_parse_fields_semicolons():
     fields = parse_fields("x1 d1; x1^2 d1", 1)
     assert len(fields) == 2
+    # empty entries are skipped
+    assert parse_fields("x1 d1;; x1^2 d1", 1) == fields
+    assert parse_fields(" ; ", 1) == []
 
 
 def test_dimension_is_explicit():
@@ -108,50 +102,131 @@ def test_word_round_trip():
     assert parse_word(format_word(w)) == w
 
 
-def _random_ast(rng, depth=0):
-    choices = ["num", "imag", "var", "pow", "mul", "add"]
-    if depth >= 3:
-        choices = ["num", "imag", "var"]
-    kind = rng.choice(choices)
+# (text, value) pairs: the text is written and its value computed side by side
+
+
+def _random_atom(rng, depth):
+    kind = rng.choice(["num", "imag", "var", "paren"] if depth < 2 else ["num", "imag", "var"])
     if kind == "num":
-        return NumberLit(value=Fraction(rng.randint(0, 9), rng.randint(1, 5)))
+        num, den = rng.randint(0, 9), rng.randint(1, 4)
+        text = str(num) if den == 1 else f"{num}/{den}"
+        return text, LaurentPoly.constant(2, Fraction(num, den))
     if kind == "imag":
-        return ImagLit()
+        return "i", LaurentPoly.constant(2, Scalar(0, 1))
     if kind == "var":
-        return VarRef(index=rng.randint(1, 2))
-    if kind == "pow":
-        base = _random_ast(rng, 3)
-        exp = rng.randint(-3, 3)
-        if exp < 0 and not isinstance(base, VarRef):
-            exp = -exp
-        return PowExpr(base=base, exponent=exp)
-    if kind == "mul":
-        # parser output never nests a product directly inside a product
-        factors = []
-        for _ in range(rng.randint(2, 3)):
-            f = _random_ast(rng, depth + 1)
-            while isinstance(f, MulExpr):
-                f = _random_ast(rng, depth + 1)
-            factors.append(f)
-        return MulExpr(factors=tuple(factors))
-    # nested sums print inside parens; a single unsigned term there would be
-    # canonicalized away on reparse, so force two terms or a leading minus
-    terms = [
-        (rng.choice([1, -1]), _random_ast(rng, depth + 1))
-        for _ in range(rng.randint(1, 3))
-    ]
-    if depth > 0 and len(terms) == 1 and terms[0][0] == 1:
-        terms[0] = (-1, terms[0][1])
-    return AddExpr(terms=tuple(terms))
+        j = rng.randint(1, 2)
+        return f"x{j}", LaurentPoly.variable(2, j)
+    text, value = _random_poly_text(rng, depth + 1)
+    return f"({text})", value
 
 
-def test_ast_round_trips(rng):
-    for _ in range(60):
-        tree = _random_ast(rng)
-        if not isinstance(tree, AddExpr):
-            tree = AddExpr(terms=((1, tree),))
-        text = format_ast(tree)
-        assert parse_expression(text, "poly") == tree, text
+def _random_factor(rng, depth):
+    text, value = _random_atom(rng, depth)
+    if rng.random() < 0.4:
+        e = rng.randint(-3, 3)
+        if e < 0 and len(value.terms) != 1:
+            e = -e  # negative powers apply to monomials only
+        return f"{text}^{e}", value ** e
+    return text, value
+
+
+def _random_poly_text(rng, depth=0):
+    text, value = "", LaurentPoly.zero(2)
+    for k in range(rng.randint(1, 3)):
+        factors = [_random_factor(rng, depth) for _ in range(rng.randint(1, 3))]
+        term = LaurentPoly.one(2)
+        for _, f in factors:
+            term = term * f
+        sign = rng.choice(["+", "-"] if k else ["", "+", "-"])
+        space = rng.choice(["", " "])
+        text += space + sign + space + rng.choice(["*", " * "]).join(t for t, _ in factors)
+        value = value - term if sign == "-" else value + term
+    return text, value
+
+
+def test_parse_poly_computes_the_value_of_random_text(rng):
+    for _ in range(200):
+        text, value = _random_poly_text(rng)
+        assert parse_poly(text, 2) == value, text
+
+
+# Each malformed input and its exact error.  The rows marked "changed" read
+# otherwise when the parser built a syntax tree before any value: it reported
+# every syntax error before any dimension or power error, split the text of
+# parse_fields at ';' before tokenizing, placed a parenthesised value at its
+# first inner token and said "exceeds the declared dimension" for index 0.
+ERROR_TABLE = [
+    ("poly", "x1 + @", 2, "unexpected character '@' at line 1, column 6"),
+    ("poly", "x1 +", 2, "unexpected end of input at line 1, column 5"),
+    ("poly", "x1 x2", 2, "trailing input 'x2' at line 1, column 4"),
+    ("poly", "1/0", 1, "zero denominator at line 1, column 3"),
+    ("poly", "1/x1", 2, "expected a denominator at line 1, column 3"),
+    ("poly", "x1^x2", 2, "expected an integer exponent at line 1, column 4"),
+    ("poly", "x1^-x2", 2, "expected an integer exponent at line 1, column 5"),
+    ("poly", "x1^", 2, "unexpected end of input at line 1, column 4"),
+    ("poly", "(x1 + x2", 2, "unexpected end of input at line 1, column 9"),
+    ("poly", "(x1 + x2]", 2, "expected ')', found ']' at line 1, column 9"),
+    ("poly", ")", 2, "unexpected token ')' at line 1, column 1"),
+    ("poly", "x3", 2, "variable x3 exceeds the declared dimension 2 at line 1, column 1"),
+    ("poly", "x1 + 2*x3^2", 2, "variable x3 exceeds the declared dimension 2 at line 1, column 8"),
+    ("poly", "x0", 2, "variable x0 is not one of x1..x2 at line 1, column 1"),  # changed
+    ("poly", "0^-1", 2, "negative powers are only defined for single-term values at line 1, column 1"),
+    ("poly", "x1*x2^-1 + (x1 + x2)^-1", 2, "negative powers are only defined for single-term values at line 1, column 12"),  # changed
+    ("poly", "(x1+x2)^-1", 2, "negative powers are only defined for single-term values at line 1, column 1"),  # changed
+    ("poly", "x3 + )", 2, "variable x3 exceeds the declared dimension 2 at line 1, column 1"),  # changed
+    ("poly", "x1 +\n  x2 +\n  @", 2, "unexpected character '@' at line 3, column 3"),
+    ("poly", "x1\n+ x3", 2, "variable x3 exceeds the declared dimension 2 at line 2, column 3"),
+    ("field", "x1", 2, "unexpected end of input at line 1, column 3"),
+    ("field", "x1 + x2 d1", 2, "expected a direction d<i> after the coefficient at line 1, column 4"),
+    ("field", "x1 d1 + x2", 2, "unexpected end of input at line 1, column 11"),
+    ("field", "d1", 2, "unexpected token 'd1' at line 1, column 1"),
+    ("field", "x1 d1 x2 d2", 2, "trailing input 'x2' at line 1, column 7"),
+    ("field", "x1 d3", 2, "direction d3 exceeds the declared dimension 2 at line 1, column 1"),
+    ("field", "x1 d1 - x2^2 d3", 2, "direction d3 exceeds the declared dimension 2 at line 1, column 9"),
+    ("field", "x1 d0", 2, "direction d0 is not one of d1..d2 at line 1, column 1"),  # changed
+    ("field", "(x1 + x2) d3", 2, "direction d3 exceeds the declared dimension 2 at line 1, column 1"),  # changed
+    ("field", "x3 d3", 2, "variable x3 exceeds the declared dimension 2 at line 1, column 1"),  # changed
+    ("field", "x1 d1 +\n  x1*x2 d4", 2, "direction d4 exceeds the declared dimension 2 at line 2, column 3"),
+    ("diffeo", "(x1)", 2, "diffeomorphism has 1 components, expected 2 at line 1, column 1"),
+    ("diffeo", "(x1, x2, x1*x2)", 2, "diffeomorphism has 3 components, expected 2 at line 1, column 1"),
+    ("diffeo", "x1, x2", 2, "expected '(', found 'x1' at line 1, column 1"),
+    ("diffeo", "(x1, x2", 2, "unexpected end of input at line 1, column 8"),
+    ("diffeo", "(x1, x3)", 2, "variable x3 exceeds the declared dimension 2 at line 1, column 6"),
+    ("diffeo", "(x1, x2) x1", 2, "trailing input 'x1' at line 1, column 10"),
+    ("diffeo", "(x1, x2, x3)", 2, "variable x3 exceeds the declared dimension 2 at line 1, column 10"),  # changed
+    ("diffeo", "  (x1,\n x2, x2)", 2, "diffeomorphism has 3 components, expected 2 at line 1, column 3"),
+    ("word", "g1^2", None, "unexpected end of input at line 1, column 5"),
+    ("word", "g1^-2", None, "only ^-1 is meaningful on a generator at line 1, column 1"),
+    ("word", "[g1^2, g2]", None, "only ^-1 is meaningful on a generator at line 1, column 2"),
+    ("word", "[g1, g2^-2]", None, "only ^-1 is meaningful on a generator at line 1, column 6"),
+    ("word", "[g1 g2]", None, "expected ',', found 'g2' at line 1, column 5"),
+    ("word", "g1]", None, "trailing input ']' at line 1, column 3"),
+    ("word", "x1", None, "unexpected token 'x1' in word at line 1, column 1"),
+    ("word", "[g1,", None, "unexpected end of input at line 1, column 5"),
+    ("fields", "x1 d1; x1 + @ d1", 1, "unexpected character '@' at line 1, column 13"),  # changed
+    ("fields", "x1 d1; x2 d1", 1, "variable x2 exceeds the declared dimension 1 at line 1, column 8"),  # changed
+    ("fields", "x1 d1;\nx1 + @ d1", 1, "unexpected character '@' at line 2, column 6"),
+    ("fields", "x1 d1 x1 d1; x1 d1", 1, "trailing input 'x1' at line 1, column 7"),
+    ("fields", "x3 d1; @", 2, "unexpected character '@' at line 1, column 8"),  # changed
+]
+
+def _parse_as(kind, text, dim):
+    if kind == "poly":
+        return parse_poly(text, dim)
+    if kind == "field":
+        return parse_field(text, dim)
+    if kind == "fields":
+        return parse_fields(text, dim)
+    if kind == "diffeo":
+        return parse_diffeo(text, dim, 3)
+    return parse_word(text)
+
+
+@pytest.mark.parametrize("kind, text, dim, message", ERROR_TABLE)
+def test_parse_error_table(kind, text, dim, message):
+    with pytest.raises(ParseError) as err:
+        _parse_as(kind, text, dim)
+    assert str(err.value) == message
 
 
 def test_format_zero():
