@@ -37,9 +37,9 @@ from .parsing import (
     parse_diffeo,
     parse_field,
     parse_fields,
-    parse_poly,
+    parse_matrix,
+    parse_scalar,
 )
-from .scalars import Scalar
 from .verification import (
     reports_to_json,
     reports_to_text,
@@ -155,13 +155,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_scalar(text: str) -> Scalar:
-    p = parse_poly(text, 1)
-    if not p.is_constant():
-        raise ParseError("expected a scalar literal", text, 0)
-    return p.constant_term()
-
-
 def _emit(payload: dict, fmt: str):
     if fmt == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
@@ -176,12 +169,7 @@ def _emit(payload: dict, fmt: str):
 
 
 def _parse_matrix(text: str):
-    rows = []
-    for row_text in text.split(";"):
-        row = []
-        for entry in row_text.split(","):
-            row.append(_parse_scalar(entry.strip()))
-        rows.append(row)
+    rows = parse_matrix(text)
     if any(len(r) != len(rows) for r in rows):
         raise ValueError("matrix rows must form a square matrix")
     return rows
@@ -207,7 +195,7 @@ def _run(args) -> int:
 
     if cmd == "exp":
         X = parse_field(args.field, args.dim)
-        t = _parse_scalar(args.time_scalar)
+        t = parse_scalar(args.time_scalar)
         phi = exp_field(X, t, args.order)
         _emit({"result": format_diffeo(phi)}, args.fmt)
         return EXIT_OK

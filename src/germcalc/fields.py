@@ -9,6 +9,7 @@ maximal ideal) enforce that precondition themselves.
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Iterable, Sequence
 
 from .laurent import LaurentPoly, linear_coefficients, sum_of_products, validate_order
@@ -161,29 +162,30 @@ class VectorField:
 
     # -- sparse-vector view (for span computations) ---------------------------
 
-    def sparse(self) -> dict[tuple[int, int], Scalar]:
-        """{(component index, packed exponent key): coefficient}."""
-        out: dict[tuple[int, int], Scalar] = {}
-        for i, c in enumerate(self.coeffs):
-            for key, coeff in c.packed_terms().items():
-                out[(i, key)] = coeff
+    def sparse(self) -> dict[int, tuple[int, int]]:
+        """{packed exponent key * dim + component index: (re, im)}, the
+        Gaussian-integer numerators of the coefficients over the lcm of
+        their denominators: a nonzero multiple of the field, which spans
+        the same line.  Ascending keys order the terms by monomial (as
+        ``grlex_key`` does), then by component."""
+        parts = [c.numerators() for c in self.coeffs]
+        den = lcm(*(d for _, d in parts))
+        n = self.dim
+        out: dict[int, tuple[int, int]] = {}
+        for i, (terms, d) in enumerate(parts):
+            scale = den // d
+            if scale == 1:
+                for key, c in terms.items():
+                    out[key * n + i] = c
+            else:
+                for key, (re, im) in terms.items():
+                    out[key * n + i] = (re * scale, im * scale)
         return out
-
-    @staticmethod
-    def sparse_key(key) -> tuple:
-        """Graded-lex order of the monomial, then the component: packed keys
-        ascend as ``grlex_key`` does."""
-        i, packed = key
-        return (packed, i)
 
 
 def is_first_integral(g: LaurentPoly, fields: Iterable[VectorField]) -> bool:
     """True iff every field kills g."""
     return all(X.apply(g).is_zero() for X in fields)
-
-
-def _packed_key(key: int) -> int:
-    return key
 
 
 def default_a_budget(dim: int) -> int:
@@ -221,12 +223,13 @@ def nilpotency_degree_a(
     current = [v]
     depth = 0
     while True:
-        ech = SparseEchelon(_packed_key)
+        ech = SparseEchelon()
         images: list[LaurentPoly] = []
         for w in current:
             for X in gens:
                 im = X.apply(w)
-                if not im.is_zero() and ech.insert(im.packed_terms()):
+                # the numerators span the same line as im
+                if not im.is_zero() and ech.insert(im.numerators()[0]):
                     images.append(im)
         if not images:
             return depth

@@ -295,11 +295,12 @@ class LaurentPoly:
         _set_view(self, view)
         return view
 
-    def packed_terms(self) -> dict[int, Scalar]:
-        """{packed key: Scalar} in ascending key order, sharing the Scalars
-        of ``terms``.  Sparse linear algebra keys its vectors by it:
-        ascending keys sort as ``grlex_key`` does."""
-        return dict(zip(sorted(self._t), self.terms.values()))
+    def numerators(self) -> tuple[Mapping[int, tuple[int, int]], int]:
+        """The stored form: {packed key: (re, im)} and the denominator d,
+        the coefficient of key k being (re + i*im) / d.  The map is the
+        polynomial's own and must not be changed.  Sparse linear algebra
+        keys its vectors by it: ascending keys sort as ``grlex_key`` does."""
+        return self._t, self._d
 
     # -- constructors ------------------------------------------------------
 
@@ -635,6 +636,14 @@ def field_weight_key(coeffs: Sequence[LaurentPoly]) -> int | None:
 
 def evaluate(p: LaurentPoly, point: Sequence[int]) -> Scalar:
     """The exact value of p at a point with nonzero integer coordinates."""
+    re, im, den = evaluate_parts(p, point)
+    g = gcd(den, re, im)
+    return _scalar(re // g, im // g, den // g)
+
+
+def evaluate_parts(p: LaurentPoly, point: Sequence[int]) -> tuple[int, int, int]:
+    """``evaluate`` as integers (re, im, den) with den > 0, the value being
+    (re + i*im) / den, without dividing out their common factor."""
     layout = _LAYOUTS[p.dim]
     if len(point) != p.dim:
         raise ValueError(f"expected {p.dim} coordinates, got {len(point)}")
@@ -653,9 +662,8 @@ def evaluate(p: LaurentPoly, point: Sequence[int]) -> Scalar:
         re += r * v
         im += i * v
     if den < 0:
-        re, im, den = -re, -im, -den
-    g = gcd(den, re, im)
-    return _scalar(re // g, im // g, den // g)
+        return -re, -im, -den
+    return re, im, den
 
 
 def linear_combination(dim: int, pairs: Iterable[tuple[object, LaurentPoly]]) -> LaurentPoly:

@@ -19,10 +19,11 @@ function-field basis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 from typing import Iterable, Sequence
 
 from .fields import BudgetExceededError, VectorField
-from .laurent import LaurentPoly, evaluate, field_weight_key, grlex_key
+from .laurent import LaurentPoly, evaluate_parts, field_weight_key, grlex_key
 from .ratfunc import RationalFunction, solve_rational
 from .spans import SparseEchelon
 
@@ -59,7 +60,9 @@ class LieAlgebraSpan:
     reduction.  In jet mode every coefficient is truncated at the jet order.
     ``closed`` marks a span known to be closed under the bracket of its mode
     (``bracket_closure`` results, series terms, the chain family); it does
-    not take part in equality.
+    not take part in equality.  ``_echelon`` is the echelon of the basis,
+    kept by the constructors that built it and otherwise built on first
+    use; ``dataclasses.replace`` carries it over.
     """
 
     dim: int
@@ -68,6 +71,7 @@ class LieAlgebraSpan:
     order: int | None = None
     degree_budget: int = DEFAULT_DEGREE_BUDGET
     closed: bool = field(default=False, compare=False)
+    _echelon: SparseEchelon | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.mode not in ("exact", "jet"):
@@ -82,18 +86,27 @@ class LieAlgebraSpan:
     def is_zero(self) -> bool:
         return not self.basis
 
-    def echelon(self) -> SparseEchelon:
-        ech = SparseEchelon(VectorField.sparse_key)
-        for X in self.basis:
-            ech.insert(X.sparse())
+    def _own_echelon(self) -> SparseEchelon:
+        """The span's own echelon, built once; never inserted into."""
+        ech = self._echelon
+        if ech is None:
+            ech = SparseEchelon()
+            for X in self.basis:
+                ech.insert(X.sparse())
+            object.__setattr__(self, "_echelon", ech)
         return ech
+
+    def echelon(self) -> SparseEchelon:
+        """An echelon of the basis; inserting into it leaves the span's
+        own echelon unchanged."""
+        return self._own_echelon().copy()
 
     def contains_field(self, X: VectorField) -> bool:
         X = self._prepare(X)
-        return self.echelon().contains(X.sparse())
+        return self._own_echelon().contains(X.sparse())
 
     def contains_span(self, other: "LieAlgebraSpan") -> bool:
-        ech = self.echelon()
+        ech = self._own_echelon()
         return all(ech.contains(X.sparse()) for X in other.basis)
 
     def _prepare(self, X: VectorField) -> VectorField:
@@ -121,13 +134,6 @@ def span_reduce(
 
     Jet mode tests independence of the truncated coefficient vectors.
     """
-    return _reduce_with_echelon(fields, mode, order, degree_budget)[0]
-
-
-def _reduce_with_echelon(
-    fields: Iterable[VectorField], mode: str, order: int | None, degree_budget: int
-) -> tuple[LieAlgebraSpan, SparseEchelon]:
-    """``span_reduce`` together with the echelon of the span it returns."""
     fields = list(fields)
     dims = {X.dim for X in fields}
     if len(dims) > 1:
@@ -136,13 +142,13 @@ def _reduce_with_echelon(
         raise ValueError("cannot infer dimension from an empty field list")
     dim = dims.pop()
     span = LieAlgebraSpan(dim, mode, (), order, degree_budget)
-    ech = SparseEchelon(VectorField.sparse_key)
+    ech = SparseEchelon()
     kept = []
     for X in fields:
         Xp = span._prepare(X)
         if ech.insert(Xp.sparse()):
             kept.append(Xp)
-    return LieAlgebraSpan(dim, mode, tuple(kept), order, degree_budget), ech
+    return LieAlgebraSpan(dim, mode, tuple(kept), order, degree_budget, _echelon=ech)
 
 
 def _bracket_in_mode(span: LieAlgebraSpan, X: VectorField, Y: VectorField) -> VectorField:
@@ -170,7 +176,8 @@ def bracket_closure(
     so termination is unconditional; in exact mode the degree budget guards
     against non-finite-dimensional inputs.
     """
-    span, ech = _reduce_with_echelon(gens, mode, order, degree_budget)
+    span = span_reduce(gens, mode, order, degree_budget)
+    ech = span.echelon()
     basis = list(span.basis)
     frontier = list(basis)
     while frontier:
@@ -182,7 +189,9 @@ def bracket_closure(
                     new_frontier.append(Z)
         basis.extend(new_frontier)
         frontier = new_frontier
-    return LieAlgebraSpan(span.dim, mode, tuple(basis), order, degree_budget, closed=True)
+    return LieAlgebraSpan(
+        span.dim, mode, tuple(basis), order, degree_budget, closed=True, _echelon=ech
+    )
 
 
 def _require_algebra(g: LieAlgebraSpan) -> None:
@@ -194,7 +203,7 @@ def _require_algebra(g: LieAlgebraSpan) -> None:
     """
     if g.closed:
         return
-    ech = g.echelon()
+    ech = g._own_echelon()
     for i, X in enumerate(g.basis):
         for Y in g.basis[i + 1:]:
             Z = _bracket_in_mode(g, X, Y)
@@ -262,7 +271,7 @@ def _bracket_span(ideal: LieAlgebraSpan, outer: list | None = None) -> LieAlgebr
     if graded:
         for _, w, _ in right:
             room[w] = room.get(w, 0) + 1
-    ech = SparseEchelon(VectorField.sparse_key)
+    ech = SparseEchelon()
     kept = []
     for i, (X, wx, dx) in enumerate(left):
         for Y, wy, dy in (right[i + 1:] if outer is None else right):
@@ -279,7 +288,8 @@ def _bracket_span(ideal: LieAlgebraSpan, outer: list | None = None) -> LieAlgebr
                     room[w] -= 1
     # [g, I] is an ideal of g, hence a subalgebra
     return LieAlgebraSpan(
-        ideal.dim, ideal.mode, tuple(kept), ideal.order, ideal.degree_budget, closed=True
+        ideal.dim, ideal.mode, tuple(kept), ideal.order, ideal.degree_budget,
+        closed=True, _echelon=ech,
     )
 
 
@@ -378,17 +388,23 @@ def _evaluation_point(dim: int) -> tuple[int, ...]:
 def _rank_at_point(rows: list[list[LaurentPoly]], cap: int) -> int:
     """The rank of the rows evaluated at ``_evaluation_point``, counted up to
     cap: a lower bound for their generic rank, since a minor that is nonzero
-    at a point is nonzero."""
+    at a point is nonzero.  Each evaluated row is scaled to Gaussian
+    integers by the lcm of its denominators, which leaves the rank alone."""
     point = _evaluation_point(rows[0][0].dim)
-    ech = SparseEchelon(lambda col: col)
+    ech = SparseEchelon()
     rank = 0
     for row in rows:
-        vector = {}
+        values = {}
         for j, p in enumerate(row):
             if p:
-                value = evaluate(p, point)
-                if value:
-                    vector[j] = value
+                re, im, den = evaluate_parts(p, point)
+                if re or im:
+                    values[j] = (re, im, den)
+        common = lcm(*(den for _, _, den in values.values()))
+        vector = {
+            j: (re * (common // den), im * (common // den))
+            for j, (re, im, den) in values.items()
+        }
         if vector and ech.insert(vector):
             rank += 1
             if rank == cap:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .scalars import Scalar
-from .spans import SparseEchelon
+from .spans import FieldEchelon
 
 Matrix = list[list[Scalar]]
 
@@ -110,13 +110,13 @@ def is_unipotent_matrix(a: Matrix) -> bool:
 def mat_inverse(a: Matrix) -> Matrix:
     """Inverse by row reduction of [a | I]; raises ValueError on singular input.
 
-    Row i of the augmented matrix is inserted into a ``SparseEchelon`` keyed
+    Row i of the augmented matrix is inserted into a ``FieldEchelon`` keyed
     by column index (a's columns 0..n-1, then I's).  a is invertible exactly
     when every column of a becomes a pivot, and then the reduced row with
     pivot j is e_j followed by row j of the inverse.
     """
     n = mat_dim(a)
-    ech = SparseEchelon(lambda col: col)
+    ech = FieldEchelon()
     for i, row in enumerate(a):
         augmented = {j: x for j, x in enumerate(row) if x}
         augmented[n + i] = Scalar(1)

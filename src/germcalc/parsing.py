@@ -12,10 +12,12 @@ Grammar (whitespace insignificant between tokens):
     fields  := [field] (';' [field])*
     diffeo  := '(' poly (',' poly)* ')'
     word    := 'g' INT ['^-1'] | '[' word ',' word ']'
+    matrix  := row (';' row)*      row := poly (',' poly)*
 
 with VAR = x1, x2, ... and DERIV = d1, d2, ...  '^' binds tighter than '*',
 which binds tighter than '+'/'-'.  Exponents may be negative; rational
-literals are INT or INT/INT; 'i' is the imaginary unit.  Dimension is always
+literals are INT or INT/INT; 'i' is the imaginary unit; a scalar, such as a
+matrix entry, is a poly in one variable that is constant.  Dimension is always
 explicit: a variable index outside 1..dim is an error, never a reason to
 silently grow the ambient space.
 
@@ -236,10 +238,9 @@ class _Parser:
             inverse = False
             if self.at_op("^"):
                 self.next()
-                minus = self.next()
-                one = self.next()
-                if minus[:2] != ("op", "-") or one[:2] != ("int", "1"):
-                    raise ParseError("only ^-1 is meaningful on a generator", self.text, pos)
+                for expected in (("op", "-"), ("int", "1")):
+                    if self.next()[:2] != expected:
+                        raise ParseError("only ^-1 is meaningful on a generator", self.text, pos)
                 inverse = True
             return WordLeaf(index, inverse)
         if kind == "op" and value == "[":
@@ -249,6 +250,25 @@ class _Parser:
             self.expect_op("]")
             return WordComm(left, right)
         raise ParseError(f"unexpected token {value!r} in word", self.text, pos)
+
+    # scalars and matrices -----------------------------------------------------
+
+    def parse_scalar(self) -> Scalar:
+        start = self.i
+        p = self.parse_poly(1)
+        if not p.is_constant():
+            raise ParseError("expected a scalar literal", self.text, self.tokens[start][2])
+        return p.constant_term()
+
+    def parse_matrix(self) -> list[list[Scalar]]:
+        rows: list[list[Scalar]] = [[]]
+        while True:
+            rows[-1].append(self.parse_scalar())
+            if self.at_op(";"):
+                rows.append([])
+            elif not self.at_op(","):
+                return rows
+            self.next()
 
 
 # -- public entry points ----------------------------------------------------------
@@ -281,6 +301,16 @@ def parse_fields(text: str, dim: int) -> list[VectorField]:
 
 def parse_word(text: str):
     return _parse(text, _Parser.parse_word)
+
+
+def parse_scalar(text: str) -> Scalar:
+    """A constant, written as a polynomial in x1 that is constant."""
+    return _parse(text, _Parser.parse_scalar)
+
+
+def parse_matrix(text: str) -> list[list[Scalar]]:
+    """Rows of scalars, entries separated by ',' and rows by ';'."""
+    return _parse(text, _Parser.parse_matrix)
 
 
 # -- printers ---------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .laurent import ExponentVector, LaurentPoly
 from .scalars import Scalar
-from .spans import SparseEchelon
+from .spans import FieldEchelon
 
 
 def monomial_split(p: LaurentPoly) -> tuple[ExponentVector, LaurentPoly]:
@@ -183,14 +183,14 @@ def solve_rational(matrix, rhs_columns) -> list[list[RationalFunction]] | None:
 
     ``matrix`` is a list of rows of RationalFunction and each right-hand
     column a list with one entry per row.  The rows augmented by all the
-    columns go into one ``SparseEchelon``, keyed by column index (A's columns
+    columns go into one ``FieldEchelon``, keyed by column index (A's columns
     first), so A is eliminated once however many columns there are.  Returns
     one solution per column, or None when any column is inconsistent; raises
     on an underdetermined consistent system (callers always supply
     independent columns).
     """
     n_cols = len(matrix[0]) if matrix else 0
-    ech = SparseEchelon(lambda col: col)
+    ech = FieldEchelon()
     for i, row in enumerate(matrix):
         augmented = {c: x for c, x in enumerate(row) if x}
         augmented.update((n_cols + j, b[i]) for j, b in enumerate(rhs_columns) if b[i])

@@ -117,6 +117,12 @@ def test_exit_codes(capsys):
     assert code == EXIT_BUDGET
 
 
+def test_matrix_parse_error_reports_its_column_in_the_operand(capsys):
+    code, _, err = run(capsys, "jordan-chevalley", "--matrix", "1, 2; 3, @")
+    assert code == EXIT_PARSE_ERROR
+    assert "unexpected character '@' at line 1, column 10" in err
+
+
 @pytest.mark.parametrize("k_param", ["1", "0"])
 def test_verify_intro_rejects_small_k_param(capsys, k_param):
     # the planar family needs k_param >= 2

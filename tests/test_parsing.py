@@ -15,6 +15,7 @@ from germcalc.parsing import (
     parse_diffeo,
     parse_field,
     parse_fields,
+    parse_matrix,
     parse_poly,
     parse_word,
 )
@@ -155,6 +156,10 @@ def test_parse_poly_computes_the_value_of_random_text(rng):
 # every syntax error before any dimension or power error, split the text of
 # parse_fields at ';' before tokenizing, placed a parenthesised value at its
 # first inner token and said "exceeds the declared dimension" for index 0.
+# The g1^2 row is marked "changed" too: the word parser read both tokens after
+# a generator's '^' before checking either, so it reported the end of input.
+# The matrix rows are the --matrix operand of jordan-chevalley, whose columns
+# count from the start of the operand.
 ERROR_TABLE = [
     ("poly", "x1 + @", 2, "unexpected character '@' at line 1, column 6"),
     ("poly", "x1 +", 2, "unexpected end of input at line 1, column 5"),
@@ -195,7 +200,8 @@ ERROR_TABLE = [
     ("diffeo", "(x1, x2) x1", 2, "trailing input 'x1' at line 1, column 10"),
     ("diffeo", "(x1, x2, x3)", 2, "variable x3 exceeds the declared dimension 2 at line 1, column 10"),  # changed
     ("diffeo", "  (x1,\n x2, x2)", 2, "diffeomorphism has 3 components, expected 2 at line 1, column 3"),
-    ("word", "g1^2", None, "unexpected end of input at line 1, column 5"),
+    ("word", "g1^2", None, "only ^-1 is meaningful on a generator at line 1, column 1"),  # changed
+    ("word", "g1^-", None, "unexpected end of input at line 1, column 5"),
     ("word", "g1^-2", None, "only ^-1 is meaningful on a generator at line 1, column 1"),
     ("word", "[g1^2, g2]", None, "only ^-1 is meaningful on a generator at line 1, column 2"),
     ("word", "[g1, g2^-2]", None, "only ^-1 is meaningful on a generator at line 1, column 6"),
@@ -208,6 +214,10 @@ ERROR_TABLE = [
     ("fields", "x1 d1;\nx1 + @ d1", 1, "unexpected character '@' at line 2, column 6"),
     ("fields", "x1 d1 x1 d1; x1 d1", 1, "trailing input 'x1' at line 1, column 7"),
     ("fields", "x3 d1; @", 2, "unexpected character '@' at line 1, column 8"),  # changed
+    ("matrix", "1, 2; 3, @", None, "unexpected character '@' at line 1, column 10"),
+    ("matrix", "1, 2; 3, x1", None, "expected a scalar literal at line 1, column 10"),
+    ("matrix", "1, 2;\n 3, 2/0", None, "zero denominator at line 2, column 7"),
+    ("matrix", "1, 2; 3,", None, "unexpected end of input at line 1, column 9"),
 ]
 
 def _parse_as(kind, text, dim):
@@ -219,6 +229,8 @@ def _parse_as(kind, text, dim):
         return parse_fields(text, dim)
     if kind == "diffeo":
         return parse_diffeo(text, dim, 3)
+    if kind == "matrix":
+        return parse_matrix(text)
     return parse_word(text)
 
 

@@ -131,7 +131,7 @@ def test_solve_rational_one_inconsistent_column_gives_none():
 
 
 def test_rational_truthiness_and_reciprocal():
-    # what SparseEchelon needs of a field element: zero is false, 1 / x works
+    # what FieldEchelon needs of a field element: zero is false, 1 / x works
     x = var(2, 1)
     assert not RationalFunction(LaurentPoly.zero(2))
     assert RationalFunction(x - x * x)
