@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .diffeos import FormalDiffeo
-from .fields import VectorField
+from .fields import BudgetExceededError, VectorField
 from .laurent import LaurentPoly, validate_order
 from .lie import LieAlgebraSpan, span_reduce
 from .scalars import Scalar
@@ -183,15 +183,48 @@ def chain_summands(dim: int, index: int) -> list[tuple[str, int]]:
     return out
 
 
+# The most monomial generators build_chain_algebra builds; n = 3 at jet
+# order 42 (the stability recheck of the n = 3 claim) needs 1,929, while
+# n = 4 at its default order 161 would need 1,456,882.
+CHAIN_GENERATOR_BUDGET = 5000
+
+
+def _chain_generator_count(dim: int, summands, order: int) -> int:
+    """How many generators ``chain_space_generators`` returns for the
+    summands, counted without building them: for j < dim, U_j has the
+    monomials of degree 2..order and V_j those of degree 1..order-1 in the
+    dim - j variables after x_j; U_dim and V_dim have one each."""
+    total = 0
+    for kind, j in summands:
+        m = dim - j
+        if m == 0:
+            total += 1
+        elif kind == "U":
+            total += math.comb(m + order, m) - 1 - m
+        else:
+            total += math.comb(m + order - 1, m) - 1
+    return total
+
+
 def build_chain_algebra(dim: int, index: int, order: int) -> LieAlgebraSpan:
     """Jet-mode span generated by all monomial generators of the chain space.
 
     Every chain space is a Lie algebra in jet mode, so the span is marked
-    closed.
+    closed.  Raises BudgetExceededError, before building any generator, when
+    there are more than CHAIN_GENERATOR_BUDGET of them.
     """
+    if dim < 1:
+        raise ValueError("the solvable chain needs dimension >= 1")
     validate_order(order)
+    summands = chain_summands(dim, index)
+    count = _chain_generator_count(dim, summands, order)
+    if count > CHAIN_GENERATOR_BUDGET:
+        raise BudgetExceededError(
+            f"the chain space needs {count} generators at jet order {order}, "
+            f"over the budget of {CHAIN_GENERATOR_BUDGET}"
+        )
     gens: list[VectorField] = []
-    for kind, j in chain_summands(dim, index):
+    for kind, j in summands:
         gens.extend(chain_space_generators(dim, kind, j, order))
     if not gens:
         return LieAlgebraSpan(dim, "jet", (), order, closed=True)

@@ -606,34 +606,6 @@ def sum_of_products(
     return _finish(dim, re, im, den)
 
 
-def field_weight_key(coeffs: Sequence[LaurentPoly]) -> int | None:
-    """The weight a - e_i shared by every term x^a d/dx_i of the field
-    sum_i coeffs[i] d/dx_(i+1), as the packed key of x^(a - e_i) less the key
-    of x^0, so that the key of a sum of weights is the sum of their keys.
-
-    None for the zero field, when two terms disagree (a component with two
-    terms always does), or when the weight leaves the key range.  Sums of
-    two weights in range have distinct keys.
-    """
-    layout = _LAYOUTS[coeffs[0].dim]
-    weight = None
-    for p, step in zip(coeffs, layout.lower):
-        t = p._t
-        if not t:
-            continue
-        if len(t) > 1:
-            return None
-        (k,) = t
-        w = k + step
-        if weight is None:
-            weight = w
-        elif w != weight:
-            return None
-    if weight is None or weight & layout.guard:
-        return None
-    return weight - layout.zero
-
-
 def evaluate(p: LaurentPoly, point: Sequence[int]) -> Scalar:
     """The exact value of p at a point with nonzero integer coordinates."""
     re, im, den = evaluate_parts(p, point)

@@ -23,7 +23,7 @@ from math import lcm
 from typing import Iterable, Sequence
 
 from .fields import BudgetExceededError, VectorField
-from .laurent import LaurentPoly, evaluate_parts, field_weight_key, grlex_key
+from .laurent import _LAYOUTS, LaurentPoly, _normal, evaluate_parts, grlex_key
 from .ratfunc import RationalFunction, solve_rational
 from .spans import SparseEchelon
 
@@ -233,28 +233,158 @@ def _require_algebra(g: LieAlgebraSpan) -> None:
 #   independent fields of weight w as that space (possibly none), every
 #   further bracket of weight w is redundant.
 #
-# Weights are integer keys (``laurent.field_weight_key``) that add as the
-# weights do, so the weight test of a pair is one addition and one lookup.
+# Weights are integer keys that add as the weights do, so the weight test of
+# a pair is one addition and one lookup.
+#
+# The bracket of two weight-homogeneous fields has a closed form.  With
+# X = sum_k a_k x^(u+e_k) d_k of weight u and Y = sum_k b_k x^(v+e_k) d_k of
+# weight v,
+#
+#     [X, Y] = sum_k (b_k <a, v> - a_k <b, u>) x^(u+v+e_k) d_k,
+#
+# one term per component, of weight u + v and total degree |u| + |v| + 1.
+# The graded branch forms it straight into the echelon's vector and builds a
+# field only for a bracket the echelon keeps.  Every bracket of a closed span
+# lies in its span, hence its terms are terms of basis fields of the same
+# weight: exact mode needs no degree-budget check per pair, and no key leaves
+# the packed range.  In jet mode the degree break leaves nothing to truncate.
 
 
 def _lowest_degree(X: VectorField) -> int:
     return min((c.min_total_degree() for c in X.coeffs if c), default=0)
 
 
-def _graded(basis: Sequence[VectorField]) -> list[tuple[VectorField, int | None, int]]:
-    """Each basis field with its weight key (None when X is not
-    weight-homogeneous) and its lowest coefficient degree, in ascending
-    order of that degree.
+def _weight(X: VectorField):
+    """(weight key, weight exponents u, ((k, re, im), ...), den) when every
+    term x^a d_k of X has the same weight u = a - e_k; the triples are the
+    Gaussian-integer numerators of the nonzero components over their common
+    denominator den.
+
+    The weight key is the packed key of x^u less the key of x^0, so that
+    the key of a sum of weights is the sum of their keys; sums of two
+    weights in range have distinct keys.  None for the zero field, when two
+    terms disagree (a component with two terms always does), or when the
+    weight leaves the key range.
+    """
+    layout = _LAYOUTS[X.dim]
+    key = None
+    parts = []
+    den = 1
+    for k, c in enumerate(X.coeffs):
+        terms, d = c.numerators()
+        if not terms:
+            continue
+        if len(terms) > 1:
+            return None
+        ((term, num),) = terms.items()
+        term += layout.lower[k]
+        if key is None:
+            key = term
+        elif term != key:
+            return None
+        parts.append((k, num, d))
+        if d != den:
+            den = lcm(den, d)
+    if key is None or key & layout.guard:
+        return None
+    nums = tuple((k, re * (den // d), im * (den // d)) for k, (re, im), d in parts)
+    return key - layout.zero, layout.unpack(key), nums, den
+
+
+def _graded(basis: Sequence[VectorField]) -> list[tuple]:
+    """Each basis field as (X, weight key, lowest coefficient degree,
+    ``_weight(X)``), in ascending order of that degree; the key and the
+    weight are None when X is not weight-homogeneous.
 
     The order lets the truncation test end a row of pairs early, and it
     brackets the fields of low degree first: they act on the most others
     (x_n d_n rescales every monomial field), so weight spaces fill early and
     the later, mostly commuting pairs are skipped.
     """
-    return sorted(
-        ((X, field_weight_key(X.coeffs), _lowest_degree(X)) for X in basis),
-        key=lambda entry: entry[2],
-    )
+    entries = []
+    for X in basis:
+        h = _weight(X)
+        if h is None:
+            entries.append((X, None, _lowest_degree(X), None))
+        else:
+            entries.append((X, h[0], sum(h[1]) + 1, h))
+    entries.sort(key=lambda entry: entry[2])
+    return entries
+
+
+def _weight_bracket(hx: tuple, hy: tuple, n: int) -> dict[int, tuple[int, int]]:
+    """[X, Y] in closed form, from the ``_weight`` tuples of two fields in
+    n variables: the sparse vector {packed key * n + k: (re, im)} of its
+    numerators over den_X * den_Y, empty when the bracket is zero."""
+    wx, u, a, _ = hx
+    wy, v, b, _ = hy
+    layout = _LAYOUTS[n]
+    sr = si = 0  # <a, v>
+    for k, re, im in a:
+        e = v[k]
+        if e:
+            sr += re * e
+            si += im * e
+    tr = ti = 0  # <b, u>
+    for k, re, im in b:
+        e = u[k]
+        if e:
+            tr += re * e
+            ti += im * e
+    # the key of x^(u+v+e_k) d_k
+    base = (wx + wy + layout.zero) * n
+    lower = layout.lower
+    vec = {}
+    if sr or si:
+        for k, re, im in b:
+            vec[base + k - lower[k] * n] = (re * sr - im * si, re * si + im * sr)
+    if tr or ti:
+        for k, re, im in a:
+            key = base + k - lower[k] * n
+            cr = re * tr - im * ti
+            ci = re * ti + im * tr
+            old = vec.get(key)
+            if old is None:
+                vec[key] = (-cr, -ci)
+            elif old[0] != cr or old[1] != ci:
+                vec[key] = (old[0] - cr, old[1] - ci)
+            else:
+                del vec[key]
+    return vec
+
+
+def _vector_field(vec: dict[int, tuple[int, int]], den: int, n: int) -> VectorField:
+    """The field whose sparse vector over den is vec, one term per
+    component, each coefficient in normal form."""
+    coeffs = [LaurentPoly.zero(n)] * n
+    for key, num in vec.items():
+        packed, k = divmod(key, n)
+        coeffs[k] = _normal(n, {packed: num}, den)
+    return VectorField(coeffs)
+
+
+def _weight_brackets(ideal: LieAlgebraSpan, left: list, right: list, derived: bool,
+                     ech: SparseEchelon) -> list[VectorField]:
+    """The pair loop of ``_bracket_span`` for weight-homogeneous fields, with
+    each bracket in closed form: the kept brackets, in order."""
+    n = ideal.dim
+    limit = ideal.order + 1 if ideal.mode == "jet" else None
+    room: dict[int, int] = {}  # weight key -> independent fields still missing
+    for _, w, _, _ in right:
+        room[w] = room.get(w, 0) + 1
+    kept = []
+    for i, (_, wx, dx, hx) in enumerate(left):
+        for _, wy, dy, hy in (right[i + 1:] if derived else right):
+            if limit is not None and dx + dy > limit:
+                break  # right is sorted by degree
+            w = wx + wy
+            if not room.get(w):
+                continue
+            vec = _weight_bracket(hx, hy, n)
+            if vec and ech.insert(vec):
+                kept.append(_vector_field(vec, hx[3] * hy[3], n))
+                room[w] -= 1
+    return kept
 
 
 def _bracket_span(ideal: LieAlgebraSpan, outer: list | None = None) -> LieAlgebraSpan:
@@ -265,27 +395,24 @@ def _bracket_span(ideal: LieAlgebraSpan, outer: list | None = None) -> LieAlgebr
     right = _graded(ideal.basis)
     left = right if outer is None else outer
     jet = ideal.mode == "jet"
-    limit = ideal.order + 1 if jet else None
-    graded = all(w is not None for _, w, _ in left) and all(w is not None for _, w, _ in right)
-    room: dict[int, int] = {}  # weight key -> independent fields still missing
-    if graded:
-        for _, w, _ in right:
-            room[w] = room.get(w, 0) + 1
     ech = SparseEchelon()
-    kept = []
-    for i, (X, wx, dx) in enumerate(left):
-        for Y, wy, dy in (right[i + 1:] if outer is None else right):
-            if jet and dx + dy > limit:
-                break  # right is sorted by degree
-            if graded:
-                w = wx + wy
-                if not room.get(w):
-                    continue
-            Z = _bracket_in_mode(ideal, X, Y)
-            if not Z.is_zero() and ech.insert(Z.sparse()):
-                kept.append(Z)
-                if graded:
-                    room[w] -= 1
+    if all(w is not None for _, w, _, _ in left) and all(w is not None for _, w, _, _ in right):
+        if jet:
+            # checked once per level, as VectorField.bracket checks its factors
+            fields = ideal.basis if outer is None else ideal.basis + tuple(X for X, *_ in outer)
+            if not all(c.is_polynomial() for X in fields for c in X.coeffs if c):
+                raise ValueError("truncation is undefined for terms with negative exponents")
+        kept = _weight_brackets(ideal, left, right, outer is None, ech)
+    else:
+        limit = ideal.order + 1 if jet else None
+        kept = []
+        for i, (X, _, dx, _) in enumerate(left):
+            for Y, _, dy, _ in (right[i + 1:] if outer is None else right):
+                if jet and dx + dy > limit:
+                    break  # right is sorted by degree
+                Z = _bracket_in_mode(ideal, X, Y)
+                if not Z.is_zero() and ech.insert(Z.sparse()):
+                    kept.append(Z)
     # [g, I] is an ideal of g, hence a subalgebra
     return LieAlgebraSpan(
         ideal.dim, ideal.mode, tuple(kept), ideal.order, ideal.degree_budget,

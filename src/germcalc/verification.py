@@ -204,6 +204,8 @@ def verify_solvable_family(n: int, jet_order: int | None = None) -> Verification
     All reported values must be reproduced at jet order + 1, otherwise the
     claim is unstable rather than decided.
     """
+    if n < 1:
+        raise ValueError("the solvable chain needs dimension >= 1")
     if jet_order is None:
         jet_order = default_solvable_order(n)
     claim = _Claim(f"solvable-chain-n{n}", {"n": n, "jet_order": jet_order})

@@ -137,6 +137,44 @@ def test_verify_solvable_n3_requires_opt_in(capsys):
     assert code == EXIT_PRECONDITION and "heavy" in err
 
 
+def test_verify_solvable_n3_matches_the_committed_report(capsys):
+    code, out, _ = run(
+        capsys, "--heavy-solvable-n3", "verify", "solvable", "--n", "3", "--format", "json"
+    )
+    assert code == EXIT_OK
+    assert out == (Path(__file__).parent / "data" / "solvable_n3.json").read_text()
+
+
+def test_verify_solvable_n4_exceeds_the_budget_at_once(capsys):
+    code, out, err = run(capsys, "--heavy-solvable-n3", "verify", "solvable", "--n", "4")
+    assert code == EXIT_BUDGET and out == ""
+    assert "1456882 generators" in err
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_verify_solvable_rejects_dimension_below_one(capsys, n):
+    code, out, err = run(capsys, "verify", "solvable", "--n", n)
+    assert code == EXIT_PRECONDITION and out == ""
+    assert err == "error: the solvable chain needs dimension >= 1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["jet-matrix", "--diffeo", "(x1, x2, x3)"],
+    ["jet-matrix", "--field", "x1^2 d1"],
+    ["jordan-chevalley", "--diffeo", "(2*x1, x2, x3)"],
+])
+def test_dense_jet_matrix_over_budget_exits_before_the_basis(capsys, monkeypatch, argv):
+    from germcalc import jets
+
+    def fail(*args):
+        raise AssertionError("built the jet basis")
+
+    monkeypatch.setattr(jets, "jet_basis", fail)
+    code, out, err = run(capsys, *argv, "--dim", "3", "--order", "40")
+    assert code == EXIT_BUDGET and out == ""
+    assert "12340x12340" in err
+
+
 def test_verify_witness_json_deterministic(capsys):
     code1, out1, _ = run(capsys, "verify", "witness", "--n", "1", "--format", "json")
     code2, out2, _ = run(capsys, "verify", "witness", "--n", "1", "--format", "json")

@@ -1,5 +1,8 @@
 import pytest
 
+from germcalc import families
+from germcalc.fields import BudgetExceededError
+
 from germcalc.diffeos import FormalDiffeo
 from germcalc.fields import VectorField
 from germcalc.laurent import LaurentPoly
@@ -231,3 +234,33 @@ def test_chain_composition_nonzero_constants():
         for k in range(1, n):
             value = chain_composition_value(n, k)
             assert value.is_constant() and not value.is_zero()
+
+
+def test_chain_generator_count_matches_the_generators():
+    for dim in range(1, 4):
+        for index in range(2 * dim + 1):
+            summands = chain_summands(dim, index)
+            for order in range(1, 9):
+                built = sum(
+                    len(families.chain_space_generators(dim, kind, j, order))
+                    for kind, j in summands
+                )
+                assert families._chain_generator_count(dim, summands, order) == built
+    # the n = 3 claim and its recheck stay under the budget
+    assert families._chain_generator_count(3, chain_summands(3, 0), 42) == 1929
+    assert 1929 <= families.CHAIN_GENERATOR_BUDGET
+
+
+def test_chain_algebra_over_budget_fails_before_building(monkeypatch):
+    def fail(*args):
+        raise AssertionError("built a generator")
+
+    monkeypatch.setattr(families, "chain_space_generators", fail)
+    with pytest.raises(BudgetExceededError, match="1456882 generators"):
+        build_chain_algebra(4, 0, 161)
+
+
+def test_chain_algebra_needs_a_positive_dimension():
+    for dim in (0, -1):
+        with pytest.raises(ValueError, match="the solvable chain needs dimension >= 1"):
+            build_chain_algebra(dim, 0, 5)

@@ -1,5 +1,8 @@
 import pytest
 
+from germcalc import jets
+from germcalc.fields import BudgetExceededError
+
 from conftest import random_field, random_nilpotent_field, random_unipotent_diffeo
 
 from germcalc.diffeos import FormalDiffeo, exp_field
@@ -110,3 +113,15 @@ def test_export_text_round_shape():
     lines = text.splitlines()
     assert lines[0].startswith("basis: x1 x2")
     assert len(lines) == 1 + 5  # header + one line per basis monomial
+
+
+def test_jet_matrix_budget_is_the_jet_dimension(monkeypatch):
+    # C(3 + 4, 3) - 1 = 34 basis monomials at dim 3, order 4
+    monkeypatch.setattr(jets, "JET_MATRIX_BUDGET", 34)
+    X = VectorField.from_terms(3, (LaurentPoly.monomial(3, {2: 2}), 1))
+    assert field_to_jet_matrix(X, 4).size == 34
+    monkeypatch.setattr(jets, "JET_MATRIX_BUDGET", 33)
+    with pytest.raises(BudgetExceededError):
+        field_to_jet_matrix(X, 4)
+    with pytest.raises(BudgetExceededError):
+        to_jet_matrix(FormalDiffeo.identity(3, 4))

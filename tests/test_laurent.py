@@ -12,7 +12,6 @@ from germcalc.laurent import (
     LaurentPoly,
     SubstitutionCache,
     evaluate,
-    field_weight_key,
     grlex_key,
     substitute,
 )
@@ -434,43 +433,3 @@ def test_evaluate_against_term_sum(rng):
         evaluate(x1, (0, 3))
     with pytest.raises(ValueError):
         evaluate(x1, (2,))
-
-
-def _weight(coeffs):
-    """The weight a - e_i of every term x^a d_i, as a set of tuples."""
-    return {
-        tuple(e - (j == i) for j, e in enumerate(exps))
-        for i, c in enumerate(coeffs)
-        for exps in c.terms
-    }
-
-
-def test_field_weight_key_adds_as_weights_do():
-    dim = 3
-    fields = [
-        [LaurentPoly.monomial(dim, {1: 2}), LaurentPoly.zero(dim), LaurentPoly.zero(dim)],
-        [LaurentPoly.zero(dim), LaurentPoly.monomial(dim, {1: 1, 2: 1}, 3), LaurentPoly.zero(dim)],
-        [LaurentPoly.zero(dim), LaurentPoly.zero(dim), LaurentPoly.monomial(dim, {2: 4})],
-        [LaurentPoly.monomial(dim, {1: 1, 3: 2}), LaurentPoly.monomial(dim, {2: 1, 3: 2}), LaurentPoly.zero(dim)],
-        [LaurentPoly.monomial(dim, {1: -3, 2: 5}), LaurentPoly.zero(dim), LaurentPoly.zero(dim)],
-        [LaurentPoly.zero(dim), LaurentPoly.monomial(dim, {3: 1}), LaurentPoly.zero(dim)],
-    ]
-    weights = {}
-    for coeffs in fields:
-        (w,) = _weight(coeffs)
-        weights[w] = field_weight_key(coeffs)
-    assert len(set(weights.values())) == len(weights)
-    for u, ku in weights.items():
-        for v, kv in weights.items():
-            total = tuple(a + b for a, b in zip(u, v))
-            for w, kw in weights.items():
-                assert (ku + kv == kw) == (total == w)
-    x = LaurentPoly.variable(dim, 1)
-    zero = LaurentPoly.zero(dim)
-    assert field_weight_key([zero, zero, zero]) is None
-    assert field_weight_key([x + x * x, zero, zero]) is None
-    assert field_weight_key([x, LaurentPoly.variable(dim, 3), zero]) is None
-    # x_1^EXPONENT_MIN d_1 has a weight outside the key range
-    low = LaurentPoly.monomial(dim, {1: EXPONENT_MIN})
-    assert field_weight_key([low, zero, zero]) is None
-    assert field_weight_key([LaurentPoly.monomial(dim, {2: EXPONENT_MIN + 1}), zero, zero]) is not None

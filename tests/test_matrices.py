@@ -177,3 +177,66 @@ def test_inverse_random_gaussian_matrices():
             assert mat_eq(mat_mul(inv, a), identity(n))
             inverted += 1
     assert raised >= 16 and inverted >= 24
+
+
+def _domain_matrix(a):
+    """a as a sympy DomainMatrix over the Gaussian rationals."""
+    from sympy.polys.domains import QQ, QQ_I
+    from sympy.polys.matrices import DomainMatrix
+
+    def entry(x):
+        return QQ_I.new(QQ(x.re.numerator, x.re.denominator), QQ(x.im.numerator, x.im.denominator))
+
+    return DomainMatrix([[entry(x) for x in row] for row in a], (len(a), len(a)), QQ_I)
+
+
+def _scalar(c) -> Scalar:
+    """A sympy Gaussian rational as a Scalar."""
+    return Scalar(
+        Fraction(int(c.x.numerator), int(c.x.denominator)),
+        Fraction(int(c.y.numerator), int(c.y.denominator)),
+    )
+
+
+def _from_domain_matrix(m):
+    return [[_scalar(c) for c in row] for row in m.to_list()]
+
+
+def test_charpoly_against_sympy():
+    pytest.importorskip("sympy")
+    rng = random.Random(77)
+    for n in range(2, 5):
+        for trial in range(6):
+            a = random_gaussian_matrix(rng, n, singular=trial == 0)
+            expected = _domain_matrix(a).charpoly()[::-1]
+            assert charpoly(a) == [_scalar(c) for c in expected]
+
+
+def test_jordan_chevalley_against_sympy():
+    # a = P (D + N) P^-1 with D diagonal (eigenvalues repeated) and N
+    # nilpotent inside the blocks of equal eigenvalue, so that D and N
+    # commute: the semisimple part is P D P^-1 and the unipotent part
+    # P (I + D^-1 N) P^-1, both formed by sympy
+    pytest.importorskip("sympy")
+    rng = random.Random(91)
+    pool = [Scalar(2), Scalar(-1), Scalar(0, 1), Scalar(Fraction(1, 2), 1)]
+    checked = 0
+    for n in range(2, 5):
+        for _ in range(4):
+            eigen = sorted((rng.choice(pool) for _ in range(n)), key=repr)
+            dn = [[Scalar(0)] * n for _ in range(n)]
+            for i in range(n):
+                dn[i][i] = eigen[i]
+                if i + 1 < n and eigen[i + 1] == eigen[i]:
+                    dn[i][i + 1] = Scalar(rng.choice([1, -2, Fraction(1, 3)]))
+            d = [[dn[i][j] if i == j else Scalar(0) for j in range(n)] for i in range(n)]
+            p = random_gaussian_matrix(rng, n, singular=False)
+            if not charpoly(p)[0]:
+                continue
+            P, D, DN = _domain_matrix(p), _domain_matrix(d), _domain_matrix(dn)
+            Pinv = P.inv()
+            s, u = jordan_chevalley(_from_domain_matrix(P * DN * Pinv))
+            assert s == _from_domain_matrix(P * D * Pinv)
+            assert u == _from_domain_matrix(P * D.inv() * DN * Pinv)
+            checked += 1
+    assert checked >= 10

@@ -7,24 +7,28 @@ closes the result under the bracket, so agreement checks both the ideal
 argument and the skip rules.
 """
 
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from germcalc import lie
 from germcalc.families import build_chain_algebra, build_nilpotent_example
 from germcalc.fields import VectorField
-from germcalc.laurent import LaurentPoly
+from germcalc.laurent import EXPONENT_MIN, LaurentPoly
 from germcalc.lie import (
     LieAlgebraSpan,
     bracket_closure,
     central_series,
     derived_series,
     kappa_sequence,
+    nilpotency_class,
     soluble_length,
     span_reduce,
 )
+from germcalc.scalars import Scalar
+from germcalc.spans import SparseEchelon
 
 
 def _closed_bracket_span(g: LieAlgebraSpan, pairs) -> LieAlgebraSpan:
@@ -105,7 +109,7 @@ def test_weight_skip_keeps_the_bases(monkeypatch, n, k):
     # keeps the same basis fields, in the same order, without the weight test
     g = build_chain_algebra(n, 0, k)
     derived, central = derived_series(g), central_series(g)
-    monkeypatch.setattr(lie, "field_weight_key", lambda coeffs: None)
+    monkeypatch.setattr(lie, "_weight", lambda X: None)
     assert [lv.basis for lv in derived_series(g)] == [lv.basis for lv in derived]
     assert [lv.basis for lv in central_series(g)] == [lv.basis for lv in central]
 
@@ -186,9 +190,9 @@ def test_jet_mode_rejects_non_formal_fields():
 
 
 @st.composite
-def monomial_algebras(draw):
-    """The jet-mode closure of up to three monomial fields c x^a d_i in two
-    variables, at an order of at most 6 that keeps them nonzero."""
+def monomial_generators(draw):
+    """Up to three monomial fields c x^a d_i in two variables, and a jet
+    order of at most 6 that keeps them nonzero."""
     order = draw(st.integers(2, 6))
     gens = []
     for _ in range(draw(st.integers(1, 3))):
@@ -197,7 +201,12 @@ def monomial_algebras(draw):
         direction = draw(st.integers(1, 2))
         coeff = draw(st.sampled_from([1, -1, 2]))
         gens.append(mono_field(2, {1: a1, 2: degree - a1}, direction, coeff))
-    return bracket_closure(gens, "jet", order)
+    return gens, order
+
+
+def monomial_algebras():
+    """The jet-mode closure of ``monomial_generators``."""
+    return monomial_generators().map(lambda case: bracket_closure(case[0], "jet", case[1]))
 
 
 @settings(max_examples=30, deadline=None)
@@ -205,3 +214,150 @@ def monomial_algebras(draw):
 def test_random_monomial_algebras_match_reference(g):
     assert_same_series(derived_series(g), reference_derived_series(g))
     assert_same_series(central_series(g), reference_central_series(g))
+
+
+@st.composite
+def mixed_generators(draw):
+    """Monomial generators, some with a second term (so that the algebra
+    need not be weight-homogeneous), and the same generators permuted with
+    some of them repeated at a nonzero multiple."""
+    gens, order = draw(monomial_generators())
+    for i, X in enumerate(gens):
+        if draw(st.booleans()):
+            degree = draw(st.integers(1, order))
+            a1 = draw(st.integers(0, degree))
+            extra = mono_field(2, {1: a1, 2: degree - a1}, draw(st.integers(1, 2)))
+            gens[i] = VectorField([a + b for a, b in zip(X.coeffs, extra.coeffs)])
+    repeats = [
+        VectorField([c * Scalar(2, -1) for c in X.coeffs])
+        for X in draw(st.lists(st.sampled_from(gens), max_size=2))
+    ]
+    return gens, draw(st.permutations(gens + repeats)), order
+
+
+@settings(max_examples=25, deadline=None)
+@given(mixed_generators())
+def test_invariants_ignore_generator_order_and_repeats(case):
+    gens, shuffled, order = case
+    g = bracket_closure(gens, "jet", order)
+    h = bracket_closure(shuffled, "jet", order)
+    assert g.dimension == h.dimension and g.contains_span(h)
+    assert soluble_length(h) == soluble_length(g)
+    assert nilpotency_class(h) == nilpotency_class(g)
+
+
+def _weight_tuples(coeffs):
+    """The weight a - e_i of every term x^a d_i, as a set of tuples."""
+    return {
+        tuple(e - (j == i) for j, e in enumerate(exps))
+        for i, c in enumerate(coeffs)
+        for exps in c.terms
+    }
+
+
+def test_weight_keys_add_as_weights_do():
+    dim = 3
+    zero = LaurentPoly.zero(dim)
+    fields = [
+        [LaurentPoly.monomial(dim, {1: 2}), zero, zero],
+        [zero, LaurentPoly.monomial(dim, {1: 1, 2: 1}, 3), zero],
+        [zero, zero, LaurentPoly.monomial(dim, {2: 4})],
+        [LaurentPoly.monomial(dim, {1: 1, 3: 2}), LaurentPoly.monomial(dim, {2: 1, 3: 2}), zero],
+        [LaurentPoly.monomial(dim, {1: -3, 2: 5}), zero, zero],
+        [zero, LaurentPoly.monomial(dim, {3: 1}), zero],
+    ]
+    weights = {}
+    for coeffs in fields:
+        (w,) = _weight_tuples(coeffs)
+        key, exps, _, _ = lie._weight(VectorField(coeffs))
+        assert exps == w
+        weights[w] = key
+    assert len(set(weights.values())) == len(weights)
+    for u, ku in weights.items():
+        for v, kv in weights.items():
+            total = tuple(a + b for a, b in zip(u, v))
+            for w, kw in weights.items():
+                assert (ku + kv == kw) == (total == w)
+    x = LaurentPoly.variable(dim, 1)
+    assert lie._weight(VectorField([zero, zero, zero])) is None
+    assert lie._weight(VectorField([x + x * x, zero, zero])) is None
+    assert lie._weight(VectorField([x, LaurentPoly.variable(dim, 3), zero])) is None
+    # x_1^EXPONENT_MIN d_1 has a weight outside the key range
+    low = LaurentPoly.monomial(dim, {1: EXPONENT_MIN})
+    assert lie._weight(VectorField([low, zero, zero])) is None
+    edge = LaurentPoly.monomial(dim, {2: EXPONENT_MIN + 1})
+    assert lie._weight(VectorField([edge, zero, zero])) is not None
+
+
+def test_weight_reads_numerators_over_one_denominator():
+    # (1/2) x1^2 x2 d1 + (i/3) x1 x2^2 d2 has weight (1, 1)
+    X = VectorField([
+        LaurentPoly.monomial(2, {1: 2, 2: 1}, Fraction(1, 2)),
+        LaurentPoly.monomial(2, {1: 1, 2: 2}, Scalar(0, Fraction(1, 3))),
+    ])
+    _, exps, nums, den = lie._weight(X)
+    assert exps == (1, 1)
+    assert (nums, den) == (((0, 3, 0), (1, 0, 2)), 6)
+
+
+GAUSSIAN = st.sampled_from([
+    Scalar(1), Scalar(-1), Scalar(3), Scalar(Fraction(1, 2)), Scalar(Fraction(-2, 3)),
+    Scalar(0, 1), Scalar(1, -1), Scalar(Fraction(1, 3), Fraction(-5, 2)),
+])
+
+
+@st.composite
+def homogeneous_pairs(draw):
+    """Two weight-homogeneous fields in 1-3 variables with Gaussian-rational
+    coefficients, and a jet order or None.  In exact mode the exponents may
+    be negative; in jet mode the fields are formal."""
+    dim = draw(st.integers(1, 3))
+    order = draw(st.one_of(st.none(), st.integers(1, 8)))
+    low = -3 if order is None else -1
+
+    def field():
+        u = draw(st.lists(st.integers(low, 3), min_size=dim, max_size=dim))
+        support = draw(st.sets(st.integers(0, dim - 1), min_size=1))
+        exps = [[e + (j == k) for j, e in enumerate(u)] for k in support]
+        if order is not None:
+            assume(sum(u) >= 0 and all(e >= 0 for a in exps for e in a))
+        coeffs = [LaurentPoly.zero(dim)] * dim
+        for k, a in zip(support, exps):
+            coeffs[k] = LaurentPoly.monomial(dim, a, draw(GAUSSIAN))
+        return VectorField(coeffs)
+
+    return field(), field(), order
+
+
+@settings(max_examples=200, deadline=None)
+@given(homogeneous_pairs())
+def test_closed_form_bracket_matches_the_general_bracket(case):
+    X, Y, order = case
+    n = X.dim
+    hx, hy = lie._weight(X), lie._weight(Y)
+    vec = lie._weight_bracket(hx, hy, n)
+    closed = lie._vector_field(vec, hx[3] * hy[3], n)
+    assert (not vec) == closed.is_zero()
+    if order is None:
+        expected = X.bracket(Y)
+    elif sum(hx[1]) + sum(hy[1]) + 1 <= order:
+        # the degree break of the pair loop keeps only these pairs
+        expected = X.bracket(Y, order)
+    else:
+        assert X.bracket(Y, order).is_zero()
+        return
+    assert closed == expected
+    if vec:
+        # the vector the echelon receives spans the bracket's line
+        ech = SparseEchelon()
+        ech.insert(vec)
+        assert ech.contains(expected.sparse())
+
+
+def test_graded_series_rejects_negative_exponents_in_jet_mode():
+    # a span marked closed is trusted, so only the per-level check sees the
+    # Laurent term x1^2 x2^-1 d1
+    X = mono_field(2, {1: 2, 2: -1}, 1)
+    g = LieAlgebraSpan(2, "jet", (X, mono_field(2, {2: 1}, 2)), 4, closed=True)
+    with pytest.raises(ValueError, match="negative exponents"):
+        derived_series(g)
