@@ -15,13 +15,13 @@ materialized at a jet order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .diffeos import FormalDiffeo
 from .fields import BudgetExceededError, VectorField
 from .laurent import LaurentPoly, validate_order
-from .lie import LieAlgebraSpan, span_reduce
+from .lie import LieAlgebraSpan
 from .scalars import Scalar
 
 
@@ -142,27 +142,32 @@ def chain_space_generators(dim: int, kind: str, j: int, order: int) -> list[Vect
     """Monomial generators, up to total degree ``order``, of the j-th summand.
 
     kind "U": a(x_(j+1),...,x_n) d/dx_j with a in m^2 (for j = n the single
-    field x_n^2 d/dx_n); kind "V": x_j b(x_(j+1),...,x_n) d/dx_j with b in m
-    (for j = n the single field x_n d/dx_n).
+    field x_n^2 d/dx_n, absent at order 1); kind "V": x_j b(x_(j+1),...,x_n)
+    d/dx_j with b in m (for j = n the single field x_n d/dx_n).
     """
     if not 1 <= j <= dim:
         raise ValueError(f"summand index {j} out of range 1..{dim}")
-    out = []
-    if j == dim:
-        exps = {dim: 2} if kind == "U" else {dim: 1}
-        return [VectorField.from_terms(dim, (LaurentPoly.monomial(dim, exps), dim))]
     if kind == "U":
-        for vec in _monomials_in_tail_vars(dim, j + 1, 2, order):
-            out.append(VectorField.from_terms(dim, (LaurentPoly(dim, {vec: Scalar(1)}), j)))
+        if j < dim:
+            exponents = _monomials_in_tail_vars(dim, j + 1, 2, order)
+        else:
+            exponents = [{dim: 2}] if order >= 2 else []
     elif kind == "V":
-        for vec in _monomials_in_tail_vars(dim, j + 1, 1, order - 1):
-            full = list(vec)
-            full[j - 1] += 1
-            out.append(
-                VectorField.from_terms(dim, (LaurentPoly(dim, {tuple(full): Scalar(1)}), j))
-            )
+        if j < dim:
+            exponents = []
+            for vec in _monomials_in_tail_vars(dim, j + 1, 1, order - 1):
+                full = list(vec)
+                full[j - 1] += 1
+                exponents.append(full)
+        else:
+            exponents = [{dim: 1}]
     else:
         raise ValueError(f"unknown summand kind {kind!r}")
+    coeffs = [LaurentPoly.zero(dim)] * dim
+    out = []
+    for exps in exponents:
+        coeffs[j - 1] = LaurentPoly.monomial(dim, exps)
+        out.append(VectorField(coeffs))
     return out
 
 
@@ -193,12 +198,13 @@ def _chain_generator_count(dim: int, summands, order: int) -> int:
     """How many generators ``chain_space_generators`` returns for the
     summands, counted without building them: for j < dim, U_j has the
     monomials of degree 2..order and V_j those of degree 1..order-1 in the
-    dim - j variables after x_j; U_dim and V_dim have one each."""
+    dim - j variables after x_j; V_dim has one, and so has U_dim from
+    order 2."""
     total = 0
     for kind, j in summands:
         m = dim - j
         if m == 0:
-            total += 1
+            total += 1 if kind == "V" or order >= 2 else 0
         elif kind == "U":
             total += math.comb(m + order, m) - 1 - m
         else:
@@ -226,9 +232,10 @@ def build_chain_algebra(dim: int, index: int, order: int) -> LieAlgebraSpan:
     gens: list[VectorField] = []
     for kind, j in summands:
         gens.extend(chain_space_generators(dim, kind, j, order))
-    if not gens:
-        return LieAlgebraSpan(dim, "jet", (), order, closed=True)
-    return replace(span_reduce(gens, "jet", order), closed=True)
+    # No span reduction: the generators are distinct monomial fields (each
+    # an exponent and a direction), hence independent, and none has degree
+    # above the order, so truncation leaves them as they are.
+    return LieAlgebraSpan(dim, "jet", tuple(gens), order, closed=True)
 
 
 def chain_exponent(j: int) -> int:

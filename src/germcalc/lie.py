@@ -19,7 +19,8 @@ function-field basis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lcm
+from math import gcd, lcm
+from operator import add
 from typing import Iterable, Sequence
 
 from .fields import BudgetExceededError, VectorField
@@ -244,10 +245,13 @@ def _require_algebra(g: LieAlgebraSpan) -> None:
 #
 # one term per component, of weight u + v and total degree |u| + |v| + 1.
 # The graded branch forms it straight into the echelon's vector and builds a
-# field only for a bracket the echelon keeps.  Every bracket of a closed span
-# lies in its span, hence its terms are terms of basis fields of the same
-# weight: exact mode needs no degree-budget check per pair, and no key leaves
-# the packed range.  In jet mode the degree break leaves nothing to truncate.
+# field only for a bracket the echelon keeps.  The weight data of a kept
+# bracket come from the closed form too, and each level hands them to the
+# next, so ``_weight`` reads only the fields of the first level.  Every
+# bracket of a closed span lies in its span, hence its terms are terms of
+# basis fields of the same weight: exact mode needs no degree-budget check
+# per pair, and no key leaves the packed range.  In jet mode the degree break
+# leaves nothing to truncate.
 
 
 def _lowest_degree(X: VectorField) -> int:
@@ -363,10 +367,27 @@ def _vector_field(vec: dict[int, tuple[int, int]], den: int, n: int) -> VectorFi
     return VectorField(coeffs)
 
 
+def _bracket_entry(vec: dict[int, tuple[int, int]], w: int, degree: int, hx: tuple,
+                   hy: tuple, n: int) -> tuple:
+    """The ``_graded`` entry of the bracket of weight key w and lowest degree
+    ``degree`` whose closed form ``_weight_bracket(hx, hy, n)`` is vec."""
+    den = hx[3] * hy[3]
+    g = den
+    for re, im in vec.values():
+        g = gcd(g, re, im)
+        if g == 1:
+            break
+    nums = sorted((key % n, re // g, im // g) for key, (re, im) in vec.items())
+    u = tuple(map(add, hx[1], hy[1]))
+    return _vector_field(vec, den, n), w, degree, (w, u, tuple(nums), den // g)
+
+
 def _weight_brackets(ideal: LieAlgebraSpan, left: list, right: list, derived: bool,
-                     ech: SparseEchelon) -> list[VectorField]:
+                     ech: SparseEchelon) -> list[tuple]:
     """The pair loop of ``_bracket_span`` for weight-homogeneous fields, with
-    each bracket in closed form: the kept brackets, in order."""
+    each bracket in closed form: the kept brackets, in order, as ``_graded``
+    entries.  ``room`` holds only weights of right fields, so the weight of
+    a kept bracket is in the key range that ``_weight`` checks."""
     n = ideal.dim
     limit = ideal.order + 1 if ideal.mode == "jet" else None
     room: dict[int, int] = {}  # weight key -> independent fields still missing
@@ -382,28 +403,39 @@ def _weight_brackets(ideal: LieAlgebraSpan, left: list, right: list, derived: bo
                 continue
             vec = _weight_bracket(hx, hy, n)
             if vec and ech.insert(vec):
-                kept.append(_vector_field(vec, hx[3] * hy[3], n))
+                kept.append(_bracket_entry(vec, w, dx + dy - 1, hx, hy, n))
                 room[w] -= 1
     return kept
 
 
-def _bracket_span(ideal: LieAlgebraSpan, outer: list | None = None) -> LieAlgebraSpan:
+def _bracket_span(
+    ideal: LieAlgebraSpan, right: list | None, outer: list | None = None
+) -> tuple[LieAlgebraSpan, list | None]:
     """Span of [outer, ideal], with ``outer`` from ``_graded``, or of
     [ideal, ideal] when ``outer`` is None.  Every bracket must lie in
     ``ideal``, which holds when ideal is an ideal of a Lie algebra containing
-    the outer fields."""
-    right = _graded(ideal.basis)
+    the outer fields.  ``right`` is ``_graded(ideal.basis)``, or None to
+    compute it here.  Returns the span and, when its fields came from the
+    closed form, its ``_graded`` entries for the next level (else None)."""
+    fresh = right is None
+    if fresh:
+        right = _graded(ideal.basis)
     left = right if outer is None else outer
     jet = ideal.mode == "jet"
     ech = SparseEchelon()
     if all(w is not None for _, w, _, _ in left) and all(w is not None for _, w, _, _ in right):
-        if jet:
-            # checked once per level, as VectorField.bracket checks its factors
+        if jet and fresh:
+            # checked once, as VectorField.bracket checks its factors; the
+            # brackets of polynomial fields that later levels read stay
+            # polynomial
             fields = ideal.basis if outer is None else ideal.basis + tuple(X for X, *_ in outer)
             if not all(c.is_polynomial() for X in fields for c in X.coeffs if c):
                 raise ValueError("truncation is undefined for terms with negative exponents")
-        kept = _weight_brackets(ideal, left, right, outer is None, ech)
+        entries = _weight_brackets(ideal, left, right, outer is None, ech)
+        kept = [X for X, *_ in entries]
+        entries.sort(key=lambda entry: entry[2])  # the basis keeps its order
     else:
+        entries = None
         limit = ideal.order + 1 if jet else None
         kept = []
         for i, (X, _, dx, _) in enumerate(left):
@@ -414,10 +446,11 @@ def _bracket_span(ideal: LieAlgebraSpan, outer: list | None = None) -> LieAlgebr
                 if not Z.is_zero() and ech.insert(Z.sparse()):
                     kept.append(Z)
     # [g, I] is an ideal of g, hence a subalgebra
-    return LieAlgebraSpan(
+    span = LieAlgebraSpan(
         ideal.dim, ideal.mode, tuple(kept), ideal.order, ideal.degree_budget,
         closed=True, _echelon=ech,
     )
+    return span, entries
 
 
 def _series(
@@ -426,8 +459,9 @@ def _series(
     """g, [outer, g], ... (with ``outer`` as in ``_bracket_span``) until a
     zero term or two consecutive terms of equal dimension."""
     levels = [g]
+    entries = None
     while not levels[-1].is_zero():
-        nxt = _bracket_span(levels[-1], outer)
+        nxt, entries = _bracket_span(levels[-1], entries, outer)
         stable = nxt.dimension == levels[-1].dimension
         levels.append(nxt)
         if stable:
@@ -516,17 +550,23 @@ def _rank_at_point(rows: list[list[LaurentPoly]], cap: int) -> int:
     """The rank of the rows evaluated at ``_evaluation_point``, counted up to
     cap: a lower bound for their generic rank, since a minor that is nonzero
     at a point is nonzero.  Each evaluated row is scaled to Gaussian
-    integers by the lcm of its denominators, which leaves the rank alone."""
+    integers by the lcm of its denominators, which leaves the rank alone.
+    While the rank equals the number of columns the inserted rows touch, a
+    row supported on those columns is dependent and is not evaluated."""
     point = _evaluation_point(rows[0][0].dim)
     ech = SparseEchelon()
     rank = 0
+    covered: set[int] = set()  # the columns of the inserted rows
     for row in rows:
+        support = [j for j, p in enumerate(row) if p]
+        if rank == len(covered) and covered.issuperset(support):
+            # the inserted rows span every vector supported on covered
+            continue
         values = {}
-        for j, p in enumerate(row):
-            if p:
-                re, im, den = evaluate_parts(p, point)
-                if re or im:
-                    values[j] = (re, im, den)
+        for j in support:
+            re, im, den = evaluate_parts(row[j], point)
+            if re or im:
+                values[j] = (re, im, den)
         common = lcm(*(den for _, _, den in values.values()))
         vector = {
             j: (re * (common // den), im * (common // den))
@@ -534,6 +574,7 @@ def _rank_at_point(rows: list[list[LaurentPoly]], cap: int) -> int:
         }
         if vector and ech.insert(vector):
             rank += 1
+            covered.update(support)
             if rank == cap:
                 break
     return rank

@@ -6,6 +6,7 @@ from germcalc.fields import BudgetExceededError
 from germcalc.diffeos import FormalDiffeo
 from germcalc.fields import VectorField
 from germcalc.laurent import LaurentPoly
+from germcalc.lie import span_reduce
 from germcalc.scalars import Scalar
 from germcalc.families import (
     TriangularGeneratorSpec,
@@ -256,8 +257,57 @@ def test_chain_algebra_over_budget_fails_before_building(monkeypatch):
         raise AssertionError("built a generator")
 
     monkeypatch.setattr(families, "chain_space_generators", fail)
+    monkeypatch.setattr(families, "VectorField", fail)
     with pytest.raises(BudgetExceededError, match="1456882 generators"):
         build_chain_algebra(4, 0, 161)
+
+
+def test_chain_space_generators_reject_an_unknown_kind():
+    # the last summand index is checked too, not read as V
+    for j in (1, 2):
+        with pytest.raises(ValueError, match="unknown summand kind 'W'"):
+            families.chain_space_generators(2, "W", j, 4)
+
+
+def _summed_chain_generators(dim, kind, j, order):
+    """The chain generators built as before, each one ``from_terms`` sum of
+    a monomial ``LaurentPoly``; for j = dim the field x_n^2 d/dx_n came at
+    every order."""
+    if j == dim:
+        exps = {dim: 2} if kind == "U" else {dim: 1}
+        return [VectorField.from_terms(dim, (LaurentPoly.monomial(dim, exps), dim))]
+    out = []
+    low, high, extra = (2, order, 0) if kind == "U" else (1, order - 1, 1)
+    for vec in families._monomials_in_tail_vars(dim, j + 1, low, high):
+        full = list(vec)
+        full[j - 1] += extra
+        out.append(VectorField.from_terms(dim, (LaurentPoly(dim, {tuple(full): Scalar(1)}), j)))
+    return out
+
+
+def test_chain_algebra_is_its_monomial_generators_unreduced():
+    # build_chain_algebra skips span reduction; reducing the generators and
+    # truncating them at the order must change nothing
+    for dim in range(1, 4):
+        for index in range(2 * dim + 1):
+            summands = chain_summands(dim, index)
+            for order in range(1, 13):
+                g = build_chain_algebra(dim, index, order)
+                assert g.closed and g.mode == "jet" and g.order == order
+                gens = [
+                    X for kind, j in summands
+                    for X in families.chain_space_generators(dim, kind, j, order)
+                ]
+                assert g.basis == tuple(gens)
+                summed = [
+                    X.truncate(order) for kind, j in summands
+                    for X in _summed_chain_generators(dim, kind, j, order)
+                ]
+                assert list(g.basis) == [X for X in summed if not X.is_zero()]
+                if gens:
+                    assert g.basis == span_reduce(gens, "jet", order).basis
+                else:
+                    assert g.is_zero()
 
 
 def test_chain_algebra_needs_a_positive_dimension():

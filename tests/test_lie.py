@@ -1,12 +1,14 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import good_monomials, random_field, random_poly
 
 from germcalc import lie
 from germcalc.fields import BudgetExceededError, VectorField
-from germcalc.laurent import LaurentPoly
+from germcalc.laurent import LaurentPoly, evaluate, evaluate_parts
 from germcalc.lie import (
     NON_TERMINATING,
     BasisSplit,
@@ -315,6 +317,73 @@ def test_generic_rank_random_families_against_elimination(monkeypatch):
         assert rank <= len(base)
         ranks.add((rank, dim))
     assert len(calls) >= 5 and len(ranks) >= 5
+
+
+@st.composite
+def planted_rows(draw):
+    """Fields for generic_rank whose rows have planted zero columns, supports
+    drawn from a small pool (so they repeat), multiples of earlier rows, and
+    entries or whole rows that vanish at the evaluation point (2, 3, 5, 7)."""
+    dim = draw(st.integers(2, 4))
+    point = lie._evaluation_point(dim)
+    live = sorted(draw(st.sets(st.integers(0, dim - 1), min_size=1)))
+    pool = draw(st.lists(st.sets(st.sampled_from(live), min_size=1), min_size=1, max_size=3))
+    # x_i - p_i is zero at the point
+    vanish = [LaurentPoly.variable(dim, i + 1) - point[i] for i in range(dim)]
+    coeffs = st.sampled_from([1, -1, 2, Fraction(1, 3), Scalar(0, 1), Scalar(1, -2)])
+
+    def entry():
+        exps = draw(st.lists(st.integers(-1, 2), min_size=dim, max_size=dim))
+        p = LaurentPoly.monomial(dim, exps, draw(coeffs))
+        if draw(st.integers(0, 3)) == 0:
+            p = p * vanish[draw(st.integers(0, dim - 1))]
+        return p
+
+    fields = []
+    for _ in range(draw(st.integers(1, 6))):
+        if fields and draw(st.booleans()):
+            factor = entry()
+            row = [factor * p for p in draw(st.sampled_from(fields)).coeffs]
+        else:
+            support = draw(st.sampled_from(pool))
+            row = [entry() if j in support else LaurentPoly.zero(dim) for j in range(dim)]
+        if draw(st.integers(0, 4)) == 0:
+            row = [vanish[0] * p for p in row]
+        fields.append(VectorField(row))
+    return fields
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_rows())
+def test_rank_at_point_skips_only_dependent_rows(fields):
+    # the skip must leave the rank at the point, and so the certified
+    # generic rank, as the elimination finds them
+    assert generic_rank(fields) == _bareiss_only(fields)
+    rows = [list(X.coeffs) for X in fields if not X.is_zero()]
+    if not rows:
+        return
+    dim = fields[0].dim
+    point = lie._evaluation_point(dim)
+    values = [[LaurentPoly.constant(dim, evaluate(p, point)) for p in row] for row in rows]
+    assert lie._rank_at_point(rows, len(rows)) == _bareiss_rank(values)
+
+
+def test_rank_at_point_evaluates_each_column_once_on_the_chain(monkeypatch):
+    # every derived level of the chain has as many independent rows as
+    # nonzero columns, so once the columns are covered no row is evaluated
+    levels = derived_series(build_chain_algebra(3, 0, 9))
+    calls = []
+
+    def counting(p, point):
+        calls.append(p)
+        return evaluate_parts(p, point)
+
+    monkeypatch.setattr(lie, "evaluate_parts", counting)
+    for level in levels[:-1]:
+        calls.clear()
+        columns = sum(1 for j in range(3) if any(X.coeffs[j] for X in level.basis))
+        assert generic_rank(level) == columns
+        assert len(calls) <= columns
 
 
 def test_kappa_sequence_one_variable():

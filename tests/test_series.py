@@ -103,6 +103,42 @@ def test_chain_n3_dimensions_and_kappa_order_12():
     assert kappa_sequence(g, levels).values == (3, 3, 2, 2, 1, 0)
 
 
+def _gaussian_rationals(h):
+    """The components of a ``_weight`` tuple as {k: (re, im)} Fractions."""
+    _, _, nums, den = h
+    return {k: (Fraction(re, den), Fraction(im, den)) for k, re, im in nums}
+
+
+@pytest.mark.parametrize("n, k", [(3, 9), (3, 12), (2, 12)])
+def test_carried_weights_match_the_recomputed_ones(monkeypatch, n, k):
+    # each level hands the next the _graded entries of its kept brackets,
+    # formed from the closed form instead of read back by _weight
+    g = build_chain_algebra(n, 0, k)
+    bracket_span = lie._bracket_span
+    handed = []
+
+    def recording(ideal, right, outer=None):
+        span, entries = bracket_span(ideal, right, outer)
+        handed.append((span, entries))
+        return span, entries
+
+    monkeypatch.setattr(lie, "_bracket_span", recording)
+    levels = derived_series(g)
+    assert [span for span, _ in handed] == levels[1:]
+    for span, entries in handed:
+        expected = lie._graded(span.basis)
+        assert [e[0] for e in entries] == [e[0] for e in expected]
+        assert [e[1:3] for e in entries] == [e[1:3] for e in expected]
+        for (*_, h), (*_, hh) in zip(entries, expected):
+            assert h[:2] == hh[:2]
+            assert _gaussian_rationals(h) == _gaussian_rationals(hh)
+    # the same levels when every level reads its weights with _weight
+    monkeypatch.setattr(
+        lie, "_bracket_span", lambda ideal, right, outer=None: bracket_span(ideal, None, outer)
+    )
+    assert [lv.basis for lv in derived_series(g)] == [lv.basis for lv in levels]
+
+
 @pytest.mark.parametrize("n, k", [(2, 8), (3, 7)])
 def test_weight_skip_keeps_the_bases(monkeypatch, n, k):
     # a skipped bracket is one the echelon would reject, so the series
@@ -352,6 +388,10 @@ def test_closed_form_bracket_matches_the_general_bracket(case):
         ech = SparseEchelon()
         ech.insert(vec)
         assert ech.contains(expected.sparse())
+        # and the entry handed to the next level is the one _graded reads
+        degree = sum(hx[1]) + sum(hy[1]) + 1
+        entry = lie._bracket_entry(vec, hx[0] + hy[0], degree, hx, hy, n)
+        assert entry == (closed, *lie._graded([closed])[0][1:])
 
 
 def test_graded_series_rejects_negative_exponents_in_jet_mode():
