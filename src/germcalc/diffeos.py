@@ -89,9 +89,7 @@ class FormalDiffeo:
 
     @staticmethod
     def identity(dim: int, order: int) -> "FormalDiffeo":
-        return FormalDiffeo(
-            [LaurentPoly.variable(dim, i) for i in range(1, dim + 1)], order
-        )
+        return FormalDiffeo(_variables(dim), order)
 
     @staticmethod
     def linear(matrix, order: int) -> "FormalDiffeo":
@@ -152,7 +150,7 @@ class FormalDiffeo:
         """
         n, k = self.dim, self.order
         psi = _linear_components(mat_inverse(self.linear_part()))
-        xs = [LaurentPoly.variable(n, i) for i in range(1, n + 1)]
+        xs = _variables(n)
         d = 2  # the error of psi starts at degree >= d
         while d <= k:
             t = min(k, 2 * d - 2)
@@ -174,14 +172,41 @@ class FormalDiffeo:
         return FormalDiffeo._trusted(n, k, psi)
 
     def commutator(self, other: "FormalDiffeo") -> "FormalDiffeo":
-        """Group commutator a o b o a^-1 o b^-1, formed as (a o b) o (b o a)^-1.
+        """Group commutator a o b o a^-1 o b^-1, formed as x + D o psi with
+        D = a o b - b o a and psi the inverse of b o a at a low order.
 
-        (b o a)^-1 = a^-1 o b^-1, and truncated composition is the group law
-        of the jet group, so this is the four-fold product exactly, with one
-        inversion instead of two.
+        With g = b o a, the commutator is (a o b) o g^-1 = (g + D) o g^-1,
+        since (b o a)^-1 = a^-1 o b^-1.  Substitution is linear in the outer
+        map, so (g + D) o g^-1 = g o g^-1 + D o g^-1 = x + D o g^-1.  Let
+        m = ord D, the lowest degree in its components.  If psi agrees with
+        g^-1 through degree k - m + 1, the difference psi - g^-1 starts at
+        degree k - m + 2, and for a monomial of degree d >= m the difference
+        of its images under psi and g^-1 starts at degree
+        (d - 1) + (k - m + 2) > k.  So D o psi = D o g^-1 mod degree k + 1.
+        Taking jets is a group homomorphism, so inverting g truncated at
+        order k - m + 1 gives g^-1 mod degree k - m + 1, which is such a
+        psi.  The result is the four-fold product exactly; the inversion
+        runs at order k - m + 1 instead of k, and commuting a, b (D = 0)
+        need none.
         """
         self._check_compatible(other)
-        return self.compose(other).compose(other.compose(self).invert())
+        n, k = self.dim, self.order
+        g = other.compose(self)
+        diff = [p - q for p, q in zip(self.compose(other).components, g.components)]
+        m = min((p.min_total_degree() for p in diff if p), default=None)
+        if m is None:
+            return FormalDiffeo._trusted(n, k, _variables(n))
+        t = k - m + 1
+        psi = FormalDiffeo._trusted(n, t, [c.truncate(t) for c in g.components]).invert()
+        cache = SubstitutionCache(psi.components, k)
+        return FormalDiffeo._trusted(
+            n,
+            k,
+            [
+                x + substitute(p, psi.components, k, _cache=cache)
+                for x, p in zip(_variables(n), diff)
+            ],
+        )
 
     # -- comparison ------------------------------------------------------------
 
@@ -204,6 +229,11 @@ class FormalDiffeo:
         from .parsing import format_diffeo
 
         return format_diffeo(self)
+
+
+def _variables(n: int) -> list[LaurentPoly]:
+    """The coordinates x_1, ..., x_n."""
+    return [LaurentPoly.variable(n, i) for i in range(1, n + 1)]
 
 
 def _linear_components(matrix) -> list[LaurentPoly]:

@@ -31,20 +31,30 @@ from .scalars import Scalar
 def geometric_inverse_power(dim: int, var: int, t: Scalar, power: int, order: int) -> LaurentPoly:
     """(1 + t*x_var)^(-power) as a series truncated at order: the
     coefficient of x_var^j is C(power + j - 1, j) * (-t)^j.  Power 0 gives 1;
-    a negative power raises ValueError."""
+    a negative power or order raises ValueError.
+
+    With -t = (a + i*b) / q, the coefficients are built as Gaussian-integer
+    numerators C(power + j - 1, j) * (a + i*b)^j * q^(order - j) over q^order.
+    """
     if power < 0:
         raise ValueError(f"power must be >= 0, got {power}")
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
     if power == 0:
         return LaurentPoly.one(dim)
-    step = -Scalar.of(t)
-    coeff = Scalar(1)  # (-t)^j
+    t = Scalar.of(t)
+    q = math.lcm(t.re.denominator, t.im.denominator)
+    a = -t.re.numerator * (q // t.re.denominator)
+    b = -t.im.numerator * (q // t.im.denominator)
     terms = {}
+    re, im = 1, 0  # (a + i*b)^j
     for j in range(order + 1):
+        scale = math.comb(power + j - 1, j) * q ** (order - j)
         exps = [0] * dim
         exps[var - 1] = j
-        terms[tuple(exps)] = coeff * math.comb(power + j - 1, j)
-        coeff = coeff * step
-    return LaurentPoly(dim, terms)
+        terms[tuple(exps)] = (re * scale, im * scale)
+        re, im = re * a - im * b, re * b + im * a
+    return LaurentPoly.from_numerators(dim, terms, q ** order)
 
 
 def moebius_component(dim: int, var: int, lam: Scalar, mu: Scalar, order: int) -> LaurentPoly:
@@ -99,12 +109,12 @@ def intro_member(k_param: int, P: LaurentPoly, t: Scalar, order: int) -> FormalD
 def random_intro_member(rng, k_param: int, order: int) -> FormalDiffeo:
     """A pseudo-random family member with small rational parameters."""
     pool = [-2, -1, 1, 2, 0, 0]
-    terms = {}
+    terms = {}  # numerators over 2
     for d in range(2, k_param + 1):
         c = rng.choice(pool)
         if c:
-            terms[(0, d)] = Scalar.rational(c, rng.choice([1, 2]))
-    P = LaurentPoly(2, terms)
+            terms[(0, d)] = (c * 2 // rng.choice([1, 2]), 0)
+    P = LaurentPoly.from_numerators(2, terms, 2)
     t = Scalar.rational(rng.choice(pool), rng.choice([1, 2]))
     return intro_member(k_param, P, t, order)
 

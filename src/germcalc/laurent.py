@@ -334,6 +334,20 @@ class LaurentPoly:
             exps = vec
         return _monomial(dim, tuple(exps), coeff)
 
+    @staticmethod
+    def from_numerators(
+        dim: int, terms: Mapping[ExponentVector, tuple[int, int]], den: int = 1
+    ) -> "LaurentPoly":
+        """sum (re + i*im) / den * x^exps over the {exps: (re, im)} terms, for
+        integer numerators and a positive integer denominator: the stored
+        form of ``numerators`` on exponent vectors, built without a Scalar."""
+        if dim < 1:
+            raise ValueError(f"dimension must be >= 1, got {dim}")
+        if not isinstance(den, int) or den < 1:
+            raise ValueError(f"denominator must be a positive integer, got {den!r}")
+        pack = _LAYOUTS[dim].pack
+        return _normal(dim, {pack(e): (r, i) for e, (r, i) in terms.items() if r or i}, den)
+
     # -- predicates ------------------------------------------------------
 
     def is_zero(self) -> bool:

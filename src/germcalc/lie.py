@@ -546,7 +546,7 @@ def _evaluation_point(dim: int) -> tuple[int, ...]:
     return tuple(primes)
 
 
-def _rank_at_point(rows: list[list[LaurentPoly]], cap: int) -> int:
+def _rank_at_point(rows: Sequence[Sequence[LaurentPoly]], cap: int) -> int:
     """The rank of the rows evaluated at ``_evaluation_point``, counted up to
     cap: a lower bound for their generic rank, since a minor that is nonzero
     at a point is nonzero.  Each evaluated row is scaled to Gaussian
@@ -580,9 +580,9 @@ def _rank_at_point(rows: list[list[LaurentPoly]], cap: int) -> int:
     return rank
 
 
-def _bareiss_rank(rows: list[list[LaurentPoly]]) -> int:
-    """Generic rank of nonzero coefficient rows by fraction-free Bareiss
-    elimination.
+def _bareiss_rank(rows: Sequence[Sequence[LaurentPoly]]) -> int:
+    """Generic rank of coefficient rows by fraction-free Bareiss
+    elimination (a zero row is never a pivot).
 
     Negative exponents are cleared row by row with monomial factors; exact
     polynomial division then keeps every intermediate entry a polynomial.
@@ -644,7 +644,9 @@ def generic_rank(fields_or_span) -> int:
         fields = list(fields_or_span)
         if not fields:
             raise ValueError("generic rank of an empty family is undefined")
-    rows = [list(X.coeffs) for X in fields if not X.is_zero()]
+    # zero rows are kept: they leave min(#rows, #columns) an upper bound, and
+    # the rank at a point skips their empty supports
+    rows = [X.coeffs for X in fields]
     if not rows:
         return 0
     columns = sum(1 for j in range(len(rows[0])) if any(row[j] for row in rows))

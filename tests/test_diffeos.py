@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_nilpotent_field, random_scalar, random_unipotent_diffeo
 
@@ -370,3 +371,230 @@ def test_series_reversion_against_sympy(rng):
                 1, {(mon[1],): from_sympy(c) for mon, c in rev.terms()}
             )
             assert phi.invert().components == (expected,)
+
+
+# -- the commutator against the textbook four-fold product -----------------------
+
+
+def textbook_commutator(a: FormalDiffeo, b: FormalDiffeo) -> FormalDiffeo:
+    """a o b o a^-1 o b^-1: two inversions and three compositions."""
+    return a.compose(b).compose(a.invert()).compose(b.invert())
+
+
+GAUSSIAN = st.builds(
+    Scalar,
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    st.sampled_from([0, 0, 1, -1, Fraction(1, 2)]),
+)
+
+
+@st.composite
+def jets(draw, dim, order, low, linear=None):
+    """x -> linear x plus one to three terms of degree low..order with
+    Gaussian-rational coefficients; linear is the identity when None."""
+    comps = []
+    for i in range(dim):
+        terms = {}
+        for j in range(dim):
+            c = (1 if i == j else 0) if linear is None else linear[i][j]
+            if c:
+                e = [0] * dim
+                e[j] = 1
+                terms[tuple(e)] = Scalar.of(c)
+        for _ in range(draw(st.integers(1, 3)) if low <= order else 0):
+            d = draw(st.integers(low, order))
+            e = [0] * dim
+            for v in draw(st.lists(st.integers(0, dim - 1), min_size=d, max_size=d)):
+                e[v] += 1
+            terms[tuple(e)] = terms.get(tuple(e), Scalar(0)) + draw(GAUSSIAN)
+        comps.append(LaurentPoly(dim, terms))
+    return FormalDiffeo(comps, order)
+
+
+@st.composite
+def commutator_pairs(draw):
+    """Pairs with non-commuting invertible linear parts (ord D = 1, so the
+    inverse runs at full order), commuting pairs (D = 0) and near-identity
+    pairs whose terms start at a high degree (the inverse runs at a low order)."""
+    dim = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["linear", "commuting", "near-identity"]))
+    if kind == "near-identity":
+        # D starts at degree >= low_a + low_b - 1, so keep that <= order
+        order = draw(st.integers(1, 10))
+        lows = st.integers(2, max(2, (order + 1) // 2))
+        return draw(jets(dim, order, draw(lows))), draw(jets(dim, order, draw(lows)))
+    # dense linear parts in three variables cost seconds past order 5
+    order = draw(st.integers(1, 10 if dim < 3 else 5))
+    entries = st.sampled_from(LINEAR_POOL)
+    mats = []
+    for _ in range(2):
+        m = [[Scalar.of(draw(entries)) for _ in range(dim)] for _ in range(dim)]
+        # m + s*I is singular for at most dim values of s
+        for s in range(dim + 1):
+            shifted = [
+                [c + s if i == j else c for j, c in enumerate(row)] for i, row in enumerate(m)
+            ]
+            try:
+                mat_inverse(shifted)
+            except ValueError:
+                continue
+            mats.append(shifted)
+            break
+    a = draw(jets(dim, order, 2, mats[0]))
+    if kind == "commuting":
+        b = draw(st.sampled_from([a.compose(a), a.invert(), FormalDiffeo.identity(dim, order)]))
+    else:
+        b = draw(jets(dim, order, 2, mats[1]))
+    return a, b
+
+
+@settings(max_examples=120, deadline=None)
+@given(commutator_pairs())
+def test_commutator_matches_the_textbook_product(pair):
+    a, b = pair
+    c = a.commutator(b)
+    assert c == textbook_commutator(a, b)
+    assert_valid(c)
+    if a.compose(b) == b.compose(a):
+        assert c.is_identity()
+
+
+def test_commutator_of_noncommuting_linear_parts():
+    # ord D = 1: the inverse of b o a is taken at the full order
+    a = FormalDiffeo.linear([[Scalar(1), Scalar(1)], [Scalar(0), Scalar(1)]], 6)
+    b = FormalDiffeo.linear([[Scalar(1), Scalar(0)], [I, Scalar(2)]], 6)
+    x, y = LaurentPoly.variable(2, 1), LaurentPoly.variable(2, 2)
+    b = b.compose(FormalDiffeo([x + y ** 3, y - x ** 2 * Fraction(1, 2)], 6))
+    assert a.commutator(b) == textbook_commutator(a, b)
+    assert not a.commutator(b).is_identity()
+
+
+def test_commutator_inverts_at_a_low_order(monkeypatch):
+    # a depth-2 planar commutator at order 8: D starts at degree 3 or more
+    # (here 4), so b o a is inverted at order <= 6, not at the full order 8
+    from germcalc.families import intro_member
+
+    order = 8
+    y = LaurentPoly.variable(2, 2)
+    a = intro_member(5, y ** 2, Scalar(1), order)
+    b = intro_member(5, y ** 3 * 2 - y ** 5, Scalar(-2), order)
+    c = intro_member(5, y ** 4 * Fraction(1, 2), Scalar(Fraction(1, 2)), order)
+    inner = b.commutator(a)
+    orders = []
+    invert = FormalDiffeo.invert
+
+    def recording(self):
+        orders.append(self.order)
+        return invert(self)
+
+    monkeypatch.setattr(FormalDiffeo, "invert", recording)
+    outer = c.commutator(inner)
+    assert orders and max(orders) <= 6
+    monkeypatch.undo()
+    assert not outer.is_identity()
+    assert outer == textbook_commutator(c, inner)
+
+
+def test_commuting_commutator_skips_the_inversion(monkeypatch):
+    x = LaurentPoly.variable(1, 1)
+    a = FormalDiffeo([x * 2 + x ** 2], 6)
+
+    def failing(self):
+        raise AssertionError("commuting pairs need no inversion")
+
+    b = a.compose(a)
+    monkeypatch.setattr(FormalDiffeo, "invert", failing)
+    assert a.commutator(b) == FormalDiffeo.identity(1, 6)
+
+
+# -- sympy oracles: composition, exp and log as truncated series ------------------
+
+
+def _ring_element(p: LaurentPoly, R):
+    """A polynomial in the first p.dim generators of the sympy ring R (over
+    QQ_I) as an element of R."""
+    from sympy.polys.domains import QQ_I
+
+    pad = (0,) * (R.ngens - p.dim)
+    return R({
+        exps + pad: QQ_I(QQ_I.dom(c.re.numerator, c.re.denominator),
+                         QQ_I.dom(c.im.numerator, c.im.denominator))
+        for exps, c in p.terms.items()
+    })
+
+
+def _ring_truncate(f, order, count):
+    """The terms of f whose degree in the first count generators is <= order."""
+    return f.ring({m: c for m, c in f.terms() if sum(m[:count]) <= order})
+
+
+@pytest.mark.parametrize("dim,orders", [(1, range(1, 11)), (2, range(1, 8))])
+def test_compose_against_sympy(rng, dim, orders):
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import QQ_I
+    from sympy.polys.rings import ring
+
+    R, *gens = ring(",".join(f"x{i}" for i in range(1, dim + 1)), QQ_I)
+    for order in orders:
+        for _ in range(3):
+            a, b = random_diffeo(rng, dim, order), random_diffeo(rng, dim, order)
+            inner = list(zip(gens, (_ring_element(c, R) for c in b.components)))
+            for got, outer in zip(a.compose(b).components, a.components):
+                expected = _ring_truncate(_ring_element(outer, R).compose(inner), order, dim)
+                assert _ring_element(got, R) == expected
+
+
+def _flow(f, t, order):
+    """The time-t flow of f(x) d/dx, ord f >= 2, truncated at order: the
+    Picard iteration phi <- x + integral_0^s f(phi) ds over QQ_I[x, s]
+    gains one x-degree a step, and s = t at the end."""
+    R = f.ring
+    x, s = R.gens
+    coeffs = {a: c for (a, _), c in f.terms()}
+    phi = x
+    for _ in range(order - 1):
+        integrand = R.zero  # f(phi) by Horner, cut at x-degree order
+        for d in range(max(coeffs, default=0), -1, -1):
+            integrand = _ring_truncate(integrand * phi, order, 1) + coeffs.get(d, 0)
+        phi = x + R({(a, b + 1): c / (b + 1) for (a, b), c in integrand.terms()})
+    return phi.compose(s, R.ground_new(t))
+
+
+def _one_variable_field(rng, order):
+    """A field f(x) d/dx with ord f >= 2 and Gaussian-rational coefficients."""
+    terms = {(d,): random_scalar(rng) for d in range(2, order + 1) if rng.random() < 0.6}
+    return VectorField([LaurentPoly(1, terms)])
+
+
+def test_exp_field_against_sympy_flow(rng):
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import QQ_I
+    from sympy.polys.rings import ring
+
+    R, x, s = ring("x, s", QQ_I)
+    for order in range(1, 11):
+        for t in (Scalar(1), Scalar(Fraction(-1, 2)), Scalar(Fraction(1, 3), 1)):
+            X = _one_variable_field(rng, order)
+            (qt,) = _ring_element(LaurentPoly.constant(1, t), R).coeffs()
+            expected = _flow(_ring_element(X.coeffs[0], R), qt, order)
+            assert _ring_element(exp_field(X, t, order).components[0], R) == expected
+
+
+def test_log_diffeo_against_sympy_flow(rng):
+    # the generator of a tangent-to-identity jet is the unique field of
+    # order >= 2 whose time-1 flow is the jet
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import QQ_I
+    from sympy.polys.rings import ring
+
+    R, x, s = ring("x, s", QQ_I)
+    for order in range(1, 9):
+        for _ in range(2):
+            terms = {(1,): Scalar(1)}
+            terms.update({(d,): random_scalar(rng) for d in range(2, order + 1)})
+            phi = FormalDiffeo([LaurentPoly(1, terms)], order)
+            (f,) = log_diffeo(phi).coeffs
+            assert f.is_zero() or f.min_total_degree() >= 2
+            assert _flow(_ring_element(f, R), QQ_I.one, order) == _ring_element(
+                phi.components[0], R
+            )

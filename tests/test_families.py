@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import pytest
 
 from germcalc import families
@@ -74,6 +77,54 @@ def test_geometric_inverse_power_zero_and_negative_power():
     assert geometric_inverse_power(2, 2, Scalar(3), 0, 5) == LaurentPoly.one(2)
     with pytest.raises(ValueError):
         geometric_inverse_power(1, 1, Scalar(1), -1, 5)
+    with pytest.raises(ValueError):
+        geometric_inverse_power(2, 1, Scalar(Fraction(1, 2), 3), -2, 5)
+    with pytest.raises(ValueError):
+        geometric_inverse_power(1, 1, Scalar(1), 2, -1)
+
+
+def scalar_series(dim, var, coefficients):
+    """sum_j coefficients[j] * x_var^j, built term by term from Scalars."""
+    terms = {}
+    for j, c in enumerate(coefficients):
+        exps = [0] * dim
+        exps[var - 1] = j
+        terms[tuple(exps)] = c
+    return LaurentPoly(dim, terms)
+
+
+SERIES_TS = [
+    Scalar(0),
+    Scalar(1),
+    Scalar(-3),
+    Scalar(Fraction(2, 3)),
+    Scalar(Fraction(-5, 4)),
+    Scalar(0, 1),
+    Scalar(Fraction(1, 2), Fraction(-3, 5)),
+    Scalar(-2, Fraction(1, 3)),
+]
+
+
+def test_geometric_series_match_the_scalar_formula():
+    # the coefficient of x_var^j is C(p + j - 1, j) * (-t)^j, and the
+    # Moebius map lambda*x/(1 + mu*x) has lambda * (-mu)^(j - 1) at x^j
+    lam = Scalar(Fraction(-3, 2), 1)
+    for dim in (1, 2, 3):
+        for var in range(1, dim + 1):
+            for t in SERIES_TS:
+                powers = [Scalar(1)]
+                for _ in range(12):
+                    powers.append(powers[-1] * -t)
+                for order in range(1, 13):
+                    assert geometric_inverse_power(dim, var, t, 0, order) == LaurentPoly.one(dim)
+                    for p in range(1, 7):
+                        coefficients = [powers[j] * math.comb(p + j - 1, j) for j in range(order + 1)]
+                        expected = scalar_series(dim, var, coefficients)
+                        assert geometric_inverse_power(dim, var, t, p, order) == expected
+                    expected = scalar_series(
+                        dim, var, [Scalar(0)] + [lam * powers[j] for j in range(order)]
+                    )
+                    assert moebius_component(dim, var, lam, t, order) == expected
 
 
 def test_intro_member_validation():

@@ -46,6 +46,20 @@ def test_no_zero_terms_stored():
     assert (x * 0).is_zero()
 
 
+def test_from_numerators_is_the_normal_form():
+    p = LaurentPoly.from_numerators(2, {(0, 2): (6, -4), (1, -1): (0, 0), (3, 0): (2, 0)}, 8)
+    assert p == LaurentPoly(2, {(0, 2): Scalar(Fraction(3, 4), Fraction(-1, 2)),
+                                (3, 0): Scalar(Fraction(1, 4))})
+    assert p.numerators()[1] == 4
+    assert LaurentPoly.from_numerators(1, {(1,): (0, 0)}, 5) == LaurentPoly.zero(1)
+    assert LaurentPoly.from_numerators(1, {(-2,): (3, 0)}) == LaurentPoly.monomial(1, (-2,), 3)
+    for den in (0, -2, Fraction(1, 2)):
+        with pytest.raises(ValueError):
+            LaurentPoly.from_numerators(1, {(1,): (1, 0)}, den)
+    with pytest.raises(ValueError):
+        LaurentPoly.from_numerators(1, {(1, 0): (1, 0)})
+
+
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
         var(1, 1) + var(2, 1)

@@ -368,6 +368,28 @@ def test_rank_at_point_skips_only_dependent_rows(fields):
     assert lie._rank_at_point(rows, len(rows)) == _bareiss_rank(values)
 
 
+@settings(max_examples=100, deadline=None)
+@given(planted_rows(), st.data())
+def test_generic_rank_with_planted_zero_fields(fields, data):
+    # generic_rank keeps zero rows: the rank must be that of the nonzero ones
+    dim = fields[0].dim
+    padded = list(fields)
+    for _ in range(data.draw(st.integers(1, 4))):
+        padded.insert(data.draw(st.integers(0, len(padded))), VectorField.zero(dim))
+    assert generic_rank(padded) == _bareiss_only(fields)
+
+
+def test_generic_rank_of_zero_fields(monkeypatch):
+    calls = _counting_fallback(monkeypatch)
+    assert generic_rank([VectorField.zero(2)] * 3) == 0
+    assert generic_rank(span_reduce([VectorField.zero(2)], "exact")) == 0
+    # rank 1 with two nonzero columns: the elimination decides, zero rows included
+    zero = VectorField.zero(2)
+    fields = [zero, _field(2, {(1, 0): 1}, {(0, 1): 1}), zero, _field(2, {(2, 0): 1}, {(1, 1): 1})]
+    assert generic_rank(fields) == 1
+    assert calls == [4]
+
+
 def test_rank_at_point_evaluates_each_column_once_on_the_chain(monkeypatch):
     # every derived level of the chain has as many independent rows as
     # nonzero columns, so once the columns are covered no row is evaluated
