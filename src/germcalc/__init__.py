@@ -24,7 +24,6 @@ from .jets import JetMatrix, field_to_jet_matrix, jet_basis, to_jet_matrix
 from .matrices import jordan_chevalley
 from .lie import (
     NON_TERMINATING,
-    BasisSplit,
     KappaSequence,
     LieAlgebraSpan,
     bracket_closure,

@@ -72,7 +72,8 @@ class FormalDiffeo:
     def _trusted(dim: int, order: int, components) -> "FormalDiffeo":
         """Wrap components that are valid by construction, skipping the checks.
 
-        For results of the group operations and of ``exp_field`` only: the
+        For results of the group operations and of ``exp_field``, and for
+        the planar members of ``families.intro_member``, only: the
         components must already be dim polynomials with zero constant term,
         truncated at order, whose linear part is invertible.
         """

@@ -86,6 +86,7 @@ def build_intro_family(
 
 
 def intro_member(k_param: int, P: LaurentPoly, t: Scalar, order: int) -> FormalDiffeo:
+    validate_order(order)
     if k_param < 2:
         raise ValueError(f"the family parameter must be >= 2, got {k_param}")
     if P.dim != 2:
@@ -103,7 +104,8 @@ def intro_member(k_param: int, P: LaurentPoly, t: Scalar, order: int) -> FormalD
     denom = geometric_inverse_power(2, 2, t, k_param, order)
     first = (x + P).mul_truncated(denom, order)
     second = moebius_component(2, 2, Scalar(1), t, order)
-    return FormalDiffeo([first, second], order)
+    # polynomial, in m, truncated at order and tangent to the identity
+    return FormalDiffeo._trusted(2, order, (first, second))
 
 
 def random_intro_member(rng, k_param: int, order: int) -> FormalDiffeo:

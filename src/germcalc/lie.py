@@ -11,21 +11,20 @@ Two computation modes:
   recomputing at k+1.
 
 On top of span reduction and bracket closure this module computes derived and
-descending central series, soluble length and nilpotency class, the generic
-rank over the fraction field (kappa), and the decomposition of fields over a
-function-field basis.
+descending central series, soluble length and nilpotency class, and the
+generic rank over the fraction field (kappa).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from math import gcd, lcm
 from operator import add
 from typing import Iterable, Sequence
 
 from .fields import BudgetExceededError, VectorField
 from .laurent import _LAYOUTS, LaurentPoly, _normal, evaluate_parts, grlex_key
-from .ratfunc import RationalFunction, solve_rational
 from .spans import SparseEchelon
 
 
@@ -171,27 +170,30 @@ def bracket_closure(
 ) -> LieAlgebraSpan:
     """Smallest span containing the generators and closed under bracket.
 
-    Saturation loop: bracket every new basis element against the whole
-    current basis, insert what is independent, repeat until the dimension
-    stabilizes.  In jet mode the dimension is bounded by n * dim(m/m^(k+1)),
-    so termination is unconditional; in exact mode the degree budget guards
-    against non-finite-dimensional inputs.
+    Semi-naive saturation: each round brackets the fields the last round
+    added with the older basis, then with the added fields after them, so
+    each unordered pair is formed once ([Y, X] = -[X, Y] and [X, X] = 0 add
+    nothing).  Brackets of weight-homogeneous generators are homogeneous and
+    are formed in closed form, as in the series.  In jet mode the dimension
+    is bounded by n * dim(m/m^(k+1)), so termination is unconditional; in
+    exact mode the degree budget guards against infinite-dimensional inputs.
     """
     span = span_reduce(gens, mode, order, degree_budget)
     ech = span.echelon()
-    basis = list(span.basis)
-    frontier = list(basis)
+    frontier = [_entry(X) for X in span.basis]
+    graded = all(w is not None for _, w, _, _ in frontier)
+    older: list[tuple] = []
     while frontier:
-        new_frontier = []
-        for X in frontier:
-            for Y in basis:
-                Z = _bracket_in_mode(span, X, Y)
-                if not Z.is_zero() and ech.insert(Z.sparse()):
-                    new_frontier.append(Z)
-        basis.extend(new_frontier)
-        frontier = new_frontier
+        if graded:
+            kept = _weight_brackets(span, frontier, older, True, ech, None)
+        else:
+            kept = [(Z, None, _lowest_degree(Z), None)
+                    for Z in _field_brackets(span, frontier, older, True, ech)]
+        older += frontier
+        frontier = kept
     return LieAlgebraSpan(
-        span.dim, mode, tuple(basis), order, degree_budget, closed=True, _echelon=ech
+        span.dim, mode, tuple(X for X, *_ in older), order, degree_budget,
+        closed=True, _echelon=ech,
     )
 
 
@@ -250,8 +252,9 @@ def _require_algebra(g: LieAlgebraSpan) -> None:
 # next, so ``_weight`` reads only the fields of the first level.  Every
 # bracket of a closed span lies in its span, hence its terms are terms of
 # basis fields of the same weight: exact mode needs no degree-budget check
-# per pair, and no key leaves the packed range.  In jet mode the degree break
-# leaves nothing to truncate.
+# per pair, and no key leaves the packed range (``bracket_closure`` has no
+# such bound, and checks both).  In jet mode the degree break leaves nothing
+# to truncate.
 
 
 def _lowest_degree(X: VectorField) -> int:
@@ -295,25 +298,24 @@ def _weight(X: VectorField):
     return key - layout.zero, layout.unpack(key), nums, den
 
 
+def _entry(X: VectorField) -> tuple:
+    """(X, weight key, lowest coefficient degree, ``_weight(X)``); the key
+    and the weight are None when X is not weight-homogeneous."""
+    h = _weight(X)
+    if h is None:
+        return X, None, _lowest_degree(X), None
+    return X, h[0], sum(h[1]) + 1, h
+
+
 def _graded(basis: Sequence[VectorField]) -> list[tuple]:
-    """Each basis field as (X, weight key, lowest coefficient degree,
-    ``_weight(X)``), in ascending order of that degree; the key and the
-    weight are None when X is not weight-homogeneous.
+    """The ``_entry`` of each basis field, by ascending lowest degree.
 
     The order lets the truncation test end a row of pairs early, and it
     brackets the fields of low degree first: they act on the most others
     (x_n d_n rescales every monomial field), so weight spaces fill early and
     the later, mostly commuting pairs are skipped.
     """
-    entries = []
-    for X in basis:
-        h = _weight(X)
-        if h is None:
-            entries.append((X, None, _lowest_degree(X), None))
-        else:
-            entries.append((X, h[0], sum(h[1]) + 1, h))
-    entries.sort(key=lambda entry: entry[2])
-    return entries
+    return sorted(map(_entry, basis), key=lambda entry: entry[2])
 
 
 def _weight_bracket(hx: tuple, hy: tuple, n: int) -> dict[int, tuple[int, int]]:
@@ -382,29 +384,69 @@ def _bracket_entry(vec: dict[int, tuple[int, int]], w: int, degree: int, hx: tup
     return _vector_field(vec, den, n), w, degree, (w, u, tuple(nums), den // g)
 
 
-def _weight_brackets(ideal: LieAlgebraSpan, left: list, right: list, derived: bool,
-                     ech: SparseEchelon) -> list[tuple]:
-    """The pair loop of ``_bracket_span`` for weight-homogeneous fields, with
-    each bracket in closed form: the kept brackets, in order, as ``_graded``
-    entries.  ``room`` holds only weights of right fields, so the weight of
-    a kept bracket is in the key range that ``_weight`` checks."""
-    n = ideal.dim
-    limit = ideal.order + 1 if ideal.mode == "jet" else None
-    room: dict[int, int] = {}  # weight key -> independent fields still missing
-    for _, w, _, _ in right:
-        room[w] = room.get(w, 0) + 1
+def _check_bracket(span: LieAlgebraSpan, vec: dict, w: int, u: tuple, v: tuple) -> None:
+    """Raise as ``_bracket_in_mode`` would for the closed form vec of weight
+    key w = u + v: BudgetExceededError past exact mode's budget, with the
+    degree read from the exponents of its terms x^(u+v+e_k), and ValueError
+    when the weight or a term leaves the packed key range."""
+    n = span.dim
+    if span.mode == "exact":
+        s = list(map(add, u, v))
+        total = sum(map(abs, s))
+        degree = max(total - abs(s[k]) + abs(s[k] + 1) for k in {key % n for key in vec})
+        if degree > span.degree_budget:
+            raise BudgetExceededError(
+                f"bracket degree {degree} exceeds budget {span.degree_budget}"
+            )
+    layout = _LAYOUTS[n]
+    layout.check([w + layout.zero, *(key // n for key in vec)])
+
+
+def _weight_brackets(span: LieAlgebraSpan, left: list, old: list, tail: bool,
+                     ech: SparseEchelon, room: dict[int, int] | None) -> list[tuple]:
+    """The brackets of each left entry with the entries of ``old`` and, when
+    ``tail``, with the left entries after it, in closed form: the kept ones,
+    in order, as ``_entry`` tuples.  A series passes the ``room`` of the
+    weight spaces of its term, which holds only weights in the key range
+    that ``_weight`` checks, and rows sorted by degree.  A closure passes
+    None: its rows keep basis order, and ``_check_bracket`` bounds each
+    bracket it forms."""
+    n = span.dim
+    limit = span.order + 1 if span.mode == "jet" else None
     kept = []
     for i, (_, wx, dx, hx) in enumerate(left):
-        for _, wy, dy, hy in (right[i + 1:] if derived else right):
+        for _, wy, dy, hy in (chain(old, left[i + 1:]) if tail else old):
             if limit is not None and dx + dy > limit:
-                break  # right is sorted by degree
+                if room is None:
+                    continue
+                break  # the row is sorted by degree
             w = wx + wy
-            if not room.get(w):
+            if room is not None and not room.get(w):
                 continue
             vec = _weight_bracket(hx, hy, n)
-            if vec and ech.insert(vec):
+            if not vec:
+                continue
+            if room is None:
+                _check_bracket(span, vec, w, hx[1], hy[1])
+            if ech.insert(vec):
                 kept.append(_bracket_entry(vec, w, dx + dy - 1, hx, hy, n))
-                room[w] -= 1
+                if room is not None:
+                    room[w] -= 1
+    return kept
+
+
+def _field_brackets(span: LieAlgebraSpan, left: list, old: list, tail: bool,
+                    ech: SparseEchelon) -> list[VectorField]:
+    """The pairs of ``_weight_brackets`` for fields that are not all
+    weight-homogeneous, formed by ``_bracket_in_mode``: the kept brackets."""
+    limit = span.order + 1 if span.mode == "jet" else None
+    kept = []
+    for i, (X, _, dx, _) in enumerate(left):
+        for Y, _, dy, _ in (chain(old, left[i + 1:]) if tail else old):
+            if limit is None or dx + dy <= limit:
+                Z = _bracket_in_mode(span, X, Y)
+                if not Z.is_zero() and ech.insert(Z.sparse()):
+                    kept.append(Z)
     return kept
 
 
@@ -421,30 +463,25 @@ def _bracket_span(
     if fresh:
         right = _graded(ideal.basis)
     left = right if outer is None else outer
-    jet = ideal.mode == "jet"
+    old = [] if outer is None else right  # [I, I] pairs each field with those after it
     ech = SparseEchelon()
     if all(w is not None for _, w, _, _ in left) and all(w is not None for _, w, _, _ in right):
-        if jet and fresh:
+        if ideal.mode == "jet" and fresh:
             # checked once, as VectorField.bracket checks its factors; the
             # brackets of polynomial fields that later levels read stay
             # polynomial
             fields = ideal.basis if outer is None else ideal.basis + tuple(X for X, *_ in outer)
             if not all(c.is_polynomial() for X in fields for c in X.coeffs if c):
                 raise ValueError("truncation is undefined for terms with negative exponents")
-        entries = _weight_brackets(ideal, left, right, outer is None, ech)
+        room: dict[int, int] = {}  # weight key -> independent fields still missing
+        for _, w, _, _ in right:
+            room[w] = room.get(w, 0) + 1
+        entries = _weight_brackets(ideal, left, old, outer is None, ech, room)
         kept = [X for X, *_ in entries]
         entries.sort(key=lambda entry: entry[2])  # the basis keeps its order
     else:
         entries = None
-        limit = ideal.order + 1 if jet else None
-        kept = []
-        for i, (X, _, dx, _) in enumerate(left):
-            for Y, _, dy, _ in (right[i + 1:] if outer is None else right):
-                if jet and dx + dy > limit:
-                    break  # right is sorted by degree
-                Z = _bracket_in_mode(ideal, X, Y)
-                if not Z.is_zero() and ech.insert(Z.sparse()):
-                    kept.append(Z)
+        kept = _field_brackets(ideal, left, old, outer is None, ech)
     # [g, I] is an ideal of g, hence a subalgebra
     span = LieAlgebraSpan(
         ideal.dim, ideal.mode, tuple(kept), ideal.order, ideal.degree_budget,
@@ -699,40 +736,3 @@ def kappa_sequence(
         tuple(generic_rank(level) if level.basis else 0 for level in levels),
         g.order,
     )
-
-
-# -- decomposition over a function-field basis --------------------------------
-
-
-@dataclass(frozen=True)
-class BasisSplit:
-    """Function-field basis {Y_1..Y_q} + {X_1..X_m} of a space of fields,
-    with the Y part spanning the deeper derived term."""
-
-    ys: tuple[VectorField, ...]
-    xs: tuple[VectorField, ...]
-
-    def __post_init__(self):
-        if not self.xs:
-            raise ValueError("degenerate split: no X part")
-        dims = {f.dim for f in self.ys} | {f.dim for f in self.xs}
-        if len(dims) != 1:
-            raise ValueError("split fields have mixed dimensions")
-
-
-def decompose_over_split(
-    fields: Sequence[VectorField], split: BasisSplit
-) -> list[tuple[list[RationalFunction], list[RationalFunction]]]:
-    """For each Z in ``fields``, the coefficients (b_1..b_q, a_1..a_m) with
-    Z = sum b_j Y_j + sum a_k X_k over the fraction field.  The split's
-    matrix is eliminated once for all the fields.  Raises ValueError when
-    any field is not in the span."""
-    basis = list(split.ys) + list(split.xs)
-    dim = basis[0].dim
-    matrix = [[RationalFunction(F.coeffs[i]) for F in basis] for i in range(dim)]
-    columns = [[RationalFunction(Z.coeffs[i]) for i in range(dim)] for Z in fields]
-    solutions = solve_rational(matrix, columns)
-    if solutions is None:
-        raise ValueError("field does not lie in the span of the split basis")
-    q = len(split.ys)
-    return [(s[:q], s[q:]) for s in solutions]

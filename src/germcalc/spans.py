@@ -9,7 +9,7 @@ Two eliminations, for two jobs:
   without fractions (fraction-free elimination, as in Bareiss, Math. Comp.
   1968) and reads the integer numerators that ``LaurentPoly`` stores.
 * ``FieldEchelon`` is Gauss-Jordan elimination over an exact field, for the
-  solvers ``mat_inverse`` and ``solve_rational``, which read reduced rows.
+  solver ``mat_inverse``, which reads reduced rows.
 
 Both pivot on the smallest key of a vector.
 """
@@ -138,13 +138,12 @@ class FieldEchelon:
     """A growing reduced row-echelon basis over an exact field.
 
     Values are field elements that support ``+ - * /``, ``1 / x`` and
-    truthiness (zero is false): Gaussian rationals (``Scalar``) for
-    ``mat_inverse``, rational functions for ``solve_rational``.  ``insert``
-    reduces a vector against the rows and, if a nonzero remainder survives,
-    normalizes it (pivot coefficient 1), back-substitutes it into the
-    existing rows and stores it.  Inserting the rows of an augmented matrix
-    keyed by column index and reading the reduced rows is how the solvers
-    solve their systems.
+    truthiness (zero is false), such as the Gaussian rationals (``Scalar``)
+    of ``mat_inverse``.  ``insert`` reduces a vector against the rows and,
+    if a nonzero remainder survives, normalizes it (pivot coefficient 1),
+    back-substitutes it into the existing rows and stores it.  Inserting the
+    rows of an augmented matrix keyed by column index and reading the
+    reduced rows is how ``mat_inverse`` solves its system.
     """
 
     def __init__(self):

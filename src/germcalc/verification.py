@@ -20,9 +20,7 @@ from .fields import VectorField, is_first_integral, nilpotency_degree_a
 from .laurent import LaurentPoly
 from .lie import (
     NON_TERMINATING,
-    BasisSplit,
     bracket_closure,
-    decompose_over_split,
     derived_series,
     kappa_sequence,
     nilpotency_class,
@@ -39,7 +37,6 @@ from .families import (
     random_intro_member,
 )
 from .parsing import format_diffeo, format_word, parse_diffeo, parse_word
-from .ratfunc import apply_field_rational
 
 
 @dataclass
@@ -331,25 +328,48 @@ def verify_nilpotent_example(n: int) -> VerificationReport:
 def _check_first_integral_structure(claim: _Claim, n: int, xs, levels):
     """Each derived term g^(j) (``levels`` is the derived series) must
     decompose over the X basis with coefficients vanishing past index n-j
-    and coefficient k a first integral of X_1..X_k."""
-    fields = [(j, Z) for j, level in enumerate(levels[:n]) for Z in level.basis]
-    decomposed = decompose_over_split([Z for _, Z in fields], BasisSplit((), tuple(xs)))
-    for (j, _), (_, coeffs) in zip(fields, decomposed):
-        for k, vk in enumerate(coeffs, start=1):
-            if k > n - j:
-                claim.check(
-                    vk.is_zero(),
-                    f"derived term {j} has a component along X{k} > X{n - j}",
-                )
-            elif not vk.is_zero():
-                if vk.is_laurent():
-                    ok = is_first_integral(vk.as_laurent(), xs[:k])
-                else:
-                    ok = all(apply_field_rational(X, vk).is_zero() for X in xs[:k])
-                claim.check(
-                    ok,
-                    f"coefficient of X{k} in derived term {j} is not a first integral",
-                )
+    and coefficient k a first integral of X_1..X_k.
+
+    The X basis must be upper triangular with monomial pivots (X_k has no
+    d_j component for j > k, and its d_k coefficient is a monomial); then
+    every coefficient is a Laurent polynomial, found by
+    ``_triangular_coefficients``."""
+    triangular = [not any(X.coeffs[k:]) and len(X.coeffs[k - 1].terms) == 1
+                  for k, X in enumerate(xs, start=1)]
+    for k, ok in enumerate(triangular, start=1):
+        claim.check(ok, f"X{k} is not triangular with a monomial pivot")
+    if not all(triangular):
+        return
+    inverses = [X.coeffs[k].monomial_inverse() for k, X in enumerate(xs)]
+    for j, level in enumerate(levels[:n]):
+        for Z in level.basis:
+            for k, vk in enumerate(_triangular_coefficients(Z, xs, inverses), start=1):
+                if k > n - j:
+                    claim.check(
+                        vk.is_zero(),
+                        f"derived term {j} has a component along X{k} > X{n - j}",
+                    )
+                elif not vk.is_zero():
+                    claim.check(
+                        is_first_integral(vk, xs[:k]),
+                        f"coefficient of X{k} in derived term {j} is not a first integral",
+                    )
+
+
+def _triangular_coefficients(Z: VectorField, xs, inverses) -> list[LaurentPoly]:
+    """(a_1, ..., a_n) with Z = sum a_k X_k, for fields X_k with no d_j
+    component past j = k whose d_k coefficients have the Laurent inverses
+    ``inverses``: back-substitution from the last component upward, one
+    division by a monomial a step."""
+    rest = list(Z.coeffs)
+    coeffs = [None] * len(xs)
+    for k in reversed(range(len(xs))):
+        a = coeffs[k] = rest[k] * inverses[k]
+        if a:
+            for i, c in enumerate(xs[k].coeffs[:k]):
+                if c:
+                    rest[i] = rest[i] - a * c
+    return coeffs
 
 
 # -- group-level witnesses -----------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -142,6 +143,19 @@ def test_intro_member_rejects_small_family_parameter(k_param):
         intro_member(k_param, LaurentPoly.zero(2), Scalar(1), 5)
     with pytest.raises(ValueError):
         build_intro_family(k_param, [(LaurentPoly.zero(2), Scalar(1))], 5)
+
+
+def test_random_intro_members_pass_the_checked_constructor():
+    # the members are built unchecked; the public constructor must accept
+    # each one and keep its components as they are
+    rng = random.Random(13)
+    for i in range(200):
+        k_param = 2 + i % 4
+        order = k_param + rng.randint(1, 4)
+        member = families.random_intro_member(rng, k_param, order)
+        checked = FormalDiffeo(member.components, order)
+        assert (member.dim, member.order) == (2, order)
+        assert checked.components == member.components
 
 
 def test_intro_family_closed_under_composition():

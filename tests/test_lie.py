@@ -4,18 +4,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import good_monomials, random_field, random_poly
+from conftest import good_monomials, random_field, random_poly, random_scalar
 
 from germcalc import lie
 from germcalc.fields import BudgetExceededError, VectorField
 from germcalc.laurent import LaurentPoly, evaluate, evaluate_parts
 from germcalc.lie import (
     NON_TERMINATING,
-    BasisSplit,
     _bareiss_rank,
     bracket_closure,
     central_series,
-    decompose_over_split,
     derived_series,
     generic_rank,
     kappa_sequence,
@@ -23,9 +21,9 @@ from germcalc.lie import (
     soluble_length,
     span_reduce,
 )
-from germcalc.ratfunc import RationalFunction
 from germcalc.scalars import Scalar
 from germcalc.families import build_nilpotent_example, build_chain_algebra
+from germcalc.verification import _triangular_coefficients
 
 
 def mono_field(dim, exps, direction, coeff=1):
@@ -97,6 +95,152 @@ def test_degree_budget_guard():
     Y = mono_field(1, {1: 3}, 1)
     with pytest.raises(BudgetExceededError):
         bracket_closure([X, Y], "exact", degree_budget=10)
+
+
+def _closure_by_all_pairs(gens, mode="exact", order=None, degree_budget=lie.DEFAULT_DEGREE_BUDGET):
+    """Oracle: the plain saturation loop, which brackets each new field with
+    the whole current basis, itself and the other new fields included, in
+    both orders, through the general ``VectorField.bracket``."""
+    span = span_reduce(gens, mode, order, degree_budget)
+    ech = span.echelon()
+    basis = list(span.basis)
+    frontier = list(basis)
+    while frontier:
+        new = []
+        for X in frontier:
+            for Y in basis:
+                if mode == "jet":
+                    Z = X.bracket(Y, order)
+                else:
+                    Z = X.bracket(Y)
+                    if Z.abs_degree() > degree_budget:
+                        raise BudgetExceededError(
+                            f"bracket degree {Z.abs_degree()} exceeds budget {degree_budget}"
+                        )
+                if not Z.is_zero() and ech.insert(Z.sparse()):
+                    new.append(Z)
+        basis.extend(new)
+        frontier = new
+    return tuple(basis)
+
+
+def _outcome(closure, *args, **kwargs):
+    """The basis a closure returns, or the type and message of its error."""
+    try:
+        result = closure(*args, **kwargs)
+    except (BudgetExceededError, ValueError) as exc:
+        return type(exc), str(exc)
+    return result if isinstance(result, tuple) else result.basis
+
+
+def _random_homogeneous_field(rng, dim, polynomial):
+    """sum_k c_k x^(u+e_k) d_k for a random weight u; with ``polynomial``
+    every term has nonnegative exponents and positive degree."""
+    while True:
+        u = [rng.randint(-1, 2) for _ in range(dim)]
+        coeffs = []
+        for k in range(dim):
+            exps = list(u)
+            exps[k] += 1
+            c = random_scalar(rng)
+            if polynomial and (min(exps) < 0 or sum(exps) < 1):
+                c = 0
+            coeffs.append(LaurentPoly.monomial(dim, exps, c))
+        X = VectorField(coeffs)
+        if not X.is_zero():
+            return X
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_closure_matches_all_pairs_on_the_nilpotent_family(n):
+    _, _, zs = build_nilpotent_example(n)
+    assert bracket_closure(zs, "exact").basis == _closure_by_all_pairs(zs, "exact")
+
+
+@pytest.mark.parametrize("homogeneous", [True, False])
+@pytest.mark.parametrize("mode", ["exact", "jet"])
+def test_closure_matches_all_pairs_on_random_generators(mode, homogeneous):
+    # exact mode often runs into the small budget, which must then raise at
+    # the same bracket with the same message
+    rng = random.Random(2026 + homogeneous + 2 * (mode == "jet"))
+    outcomes = set()
+    for _ in range(12):
+        dim = rng.randint(1, 3)
+        order = rng.randint(3, 6 if dim < 3 else 4)
+        jet = mode == "jet"
+        if homogeneous:
+            gens = [_random_homogeneous_field(rng, dim, jet) for _ in range(rng.randint(1, 3))]
+        else:
+            gens = [random_field(rng, dim, 3, formal=jet) for _ in range(rng.randint(1, 3))]
+        if all(X.is_zero() for X in gens):
+            continue
+        args = (gens, mode, order if jet else None, 12)
+        expected = _outcome(_closure_by_all_pairs, *args)
+        assert _outcome(bracket_closure, *args) == expected
+        outcomes.add(expected[0] if expected and isinstance(expected[0], type) else len(expected))
+    assert len(outcomes) >= 3, outcomes
+
+
+def test_closure_matches_all_pairs_on_mixed_combinations():
+    # invertible combinations of the n = 3 generators are not homogeneous,
+    # so the general bracket closes the same algebra
+    _, _, (z1, z2, z3) = build_nilpotent_example(3)
+
+    def plus(*fields):
+        return VectorField([sum((X.coeffs[i] for X in fields), LaurentPoly.zero(3)) for i in range(3)])
+
+    gens = [plus(z1, z2), plus(z2, z3), z3]
+    g = bracket_closure(gens, "exact")
+    assert g.basis == _closure_by_all_pairs(gens, "exact")
+    assert g.dimension == bracket_closure([z1, z2, z3], "exact").dimension == 9
+
+
+def _pairs_formed(monkeypatch, name, factors):
+    """Record the factors (the arguments at ``factors``) of every bracket
+    that ``lie.<name>`` forms."""
+    pairs = []
+    inner = getattr(lie, name)
+
+    def recording(*args):
+        pairs.append(tuple(map(id, args[factors])))
+        return inner(*args)
+
+    monkeypatch.setattr(lie, name, recording)
+    return pairs
+
+
+@pytest.mark.parametrize("homogeneous", [True, False])
+def test_closure_forms_each_unordered_pair_once(monkeypatch, homogeneous):
+    _, _, zs = build_nilpotent_example(4)
+    if homogeneous:
+        pairs = _pairs_formed(monkeypatch, "_weight_bracket", slice(0, 2))
+        monkeypatch.setattr(VectorField, "bracket", None)  # the closed form only
+    else:
+        zs = [VectorField([a + b for a, b in zip(zs[0].coeffs, zs[1].coeffs)])] + zs[1:]
+        pairs = _pairs_formed(monkeypatch, "_bracket_in_mode", slice(1, 3))
+    g = bracket_closure(zs, "exact")
+    assert len(pairs) == len({frozenset(pair) for pair in pairs})
+    assert all(a != b for a, b in pairs)
+    # every unordered pair of distinct basis fields is formed
+    assert len(pairs) == g.dimension * (g.dimension - 1) // 2
+
+
+def test_closure_budget_raises_at_the_same_bracket():
+    gens = [mono_field(1, {1: 2}, 1), mono_field(1, {1: 3}, 1)]
+    expected = _outcome(_closure_by_all_pairs, gens, "exact", None, 20)
+    assert expected[0] is BudgetExceededError
+    assert _outcome(bracket_closure, gens, "exact", degree_budget=20) == expected
+
+
+@pytest.mark.parametrize("mode, order", [("exact", None), ("jet", 20000)])
+def test_closure_weight_out_of_key_range_raises(mode, order):
+    # [x1^10000 d1, x1^9000 d1] = -1000 x1^18999 d1: the exponent leaves the
+    # packed range, which the general bracket's product rejects too
+    gens = [mono_field(1, {1: 10000}, 1), mono_field(1, {1: 9000}, 1)]
+    with pytest.raises(ValueError, match="outside the supported range"):
+        bracket_closure(gens, mode, order, degree_budget=10 ** 6)
+    with pytest.raises(ValueError, match="outside the supported range"):
+        _closure_by_all_pairs(gens, mode, order, degree_budget=10 ** 6)
 
 
 def test_good_monomials_basics():
@@ -206,35 +350,24 @@ def test_generic_rank_matches_fraction_field_elimination(rng):
 
 
 def _rank_by_fraction_field(fields):
-    rows = [
-        [RationalFunction(c) for c in X.coeffs]
-        for X in fields
-        if not X.is_zero()
-    ]
-    rank = 0
-    cols = fields[0].dim
-    col = 0
-    r = 0
-    while col < cols and r < len(rows):
-        pivot = None
-        for i in range(r, len(rows)):
-            if not rows[i][col].is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            col += 1
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = RationalFunction(LaurentPoly.one(fields[0].dim)) / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][col].is_zero():
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        rank += 1
-        r += 1
-        col += 1
-    return rank
+    """The rank of the coefficient rows over Q(i)(x_1, ..., x_n), by sympy."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.domains import QQ_I
+    from sympy.polys.matrices import DomainMatrix
+
+    dim = fields[0].dim
+    xs = sympy.symbols(f"x1:{dim + 1}")
+    K = QQ_I.frac_field(*xs)
+
+    def element(p):
+        expr = sympy.Integer(0)
+        for exps, c in p.terms.items():
+            monomial = sympy.Mul(*(x ** e for x, e in zip(xs, exps)))
+            expr += (sympy.Rational(c.re) + sympy.I * sympy.Rational(c.im)) * monomial
+        return K.from_sympy(expr)
+
+    rows = [[element(c) for c in X.coeffs] for X in fields]
+    return DomainMatrix(rows, (len(rows), dim), K).rank()
 
 
 def _bareiss_only(fields):
@@ -427,28 +560,32 @@ def test_kappa_strict_drop_property():
     assert ks.strict_two_step_drop()
 
 
+def _x_coefficients(Z, xs):
+    """Z's coefficients over the triangular X basis of the nilpotent family,
+    by back-substitution in the Laurent ring."""
+    inverses = [X.coeffs[k].monomial_inverse() for k, X in enumerate(xs)]
+    return _triangular_coefficients(Z, xs, inverses)
+
+
 def test_decompose_over_split_coefficients():
     _, xs, _ = build_nilpotent_example(3)
-    split = BasisSplit((), tuple(xs))
     Z = VectorField([xs[0].coeffs[0] * 3 + xs[1].coeffs[0],
                      xs[1].coeffs[1],
                      LaurentPoly.zero(3)])
-    [(_, coeffs)] = decompose_over_split([Z], split)
-    assert coeffs[0] == RationalFunction(LaurentPoly.constant(3, 3))
-    assert coeffs[1] == RationalFunction(LaurentPoly.one(3))
-    assert coeffs[2].is_zero()
+    assert _x_coefficients(Z, xs) == [
+        LaurentPoly.constant(3, 3), LaurentPoly.one(3), LaurentPoly.zero(3),
+    ]
 
 
 def test_decompose_over_split_rejects_one_stranger():
+    # fields in the span of X1, X2 have no X3 coefficient; X3 itself has one
     _, xs, _ = build_nilpotent_example(3)
-    split = BasisSplit((), (xs[0], xs[1]))
     combo = VectorField([a * 2 - b for a, b in zip(xs[0].coeffs, xs[1].coeffs)])
-    inside = [xs[0], xs[1], combo]
-    decomposed = decompose_over_split(inside, split)
-    assert [a for _, a in decomposed] == [[1, 0], [0, 1], [2, -1]]
-    assert all(b == [] for b, _ in decomposed)
-    with pytest.raises(ValueError):
-        decompose_over_split([xs[0], xs[1], xs[2], combo], split)
+    decomposed = [_x_coefficients(Z, xs) for Z in (xs[0], xs[1], combo)]
+    assert decomposed == [
+        [LaurentPoly.constant(3, c) for c in row] for row in ([1, 0, 0], [0, 1, 0], [2, -1, 0])
+    ]
+    assert _x_coefficients(xs[2], xs)[2] == LaurentPoly.one(3)
 
 
 def test_eigenfunction_vanishing_for_nilpotent_fields():

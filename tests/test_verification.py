@@ -1,11 +1,18 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from germcalc.diffeos import FormalDiffeo, WordComm, WordLeaf
 from germcalc.laurent import LaurentPoly
+from germcalc.families import build_nilpotent_example
+from germcalc.fields import VectorField
+from germcalc.lie import bracket_closure, derived_series
 from germcalc.verification import (
     VerificationReport,
+    _check_first_integral_structure,
+    _Claim,
+    _triangular_coefficients,
     load_witness_fixture,
     reports_to_json,
     reports_to_text,
@@ -63,6 +70,56 @@ def test_nilpotent_example_n2():
     assert r.status == "pass"
     assert r.parameters["soluble_length"] == 2
     assert r.parameters["nilpotency_class"] == 2
+
+
+def _nilpotent_levels(n):
+    _, xs, zs = build_nilpotent_example(n)
+    return xs, derived_series(bracket_closure(zs, "exact"))
+
+
+def _add(X, Y):
+    return VectorField([a + b for a, b in zip(X.coeffs, Y.coeffs)])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_triangular_coefficients_rebuild_the_derived_terms(n):
+    xs, levels = _nilpotent_levels(n)
+    inverses = [X.coeffs[k].monomial_inverse() for k, X in enumerate(xs)]
+    for level in levels:
+        for Z in level.basis:
+            coeffs = _triangular_coefficients(Z, xs, inverses)
+            rebuilt = VectorField([
+                sum((a * X.coeffs[i] for a, X in zip(coeffs, xs)), LaurentPoly.zero(n))
+                for i in range(n)
+            ])
+            assert rebuilt == Z
+
+
+def _first_integral_failures(n, xs, levels):
+    claim = _Claim(f"nilpotent-family-n{n}", {"n": n})
+    _check_first_integral_structure(claim, n, xs, levels)
+    return claim.failures
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_first_integral_structure_fails_on_a_stray_component(n):
+    xs, levels = _nilpotent_levels(n)
+    assert _first_integral_failures(n, xs, levels) == []
+    # one field of g^(n-1) may only run along X_1; give it an X_n component
+    last = levels[n - 1]
+    bent = replace(last, basis=(_add(last.basis[0], xs[n - 1]),) + last.basis[1:])
+    failures = _first_integral_failures(n, xs, levels[:n - 1] + [bent])
+    assert failures == [f"derived term {n - 1} has a component along X{n} > X1"]
+
+
+def test_first_integral_structure_fails_on_a_non_triangular_basis():
+    xs, levels = _nilpotent_levels(3)
+    # X_1 + X_2 has a d_2 component; X_2 + x_1 X_2 has a binomial pivot
+    x1 = LaurentPoly.variable(3, 1)
+    bad = [_add(xs[0], xs[1]), xs[1], xs[2]]
+    assert _first_integral_failures(3, bad, levels) == ["X1 is not triangular with a monomial pivot"]
+    bad = [xs[0], VectorField([c + x1 * c for c in xs[1].coeffs]), xs[2]]
+    assert _first_integral_failures(3, bad, levels) == ["X2 is not triangular with a monomial pivot"]
 
 
 def test_witness_fixture_loading():
