@@ -14,6 +14,7 @@ matrix identity in jets.py is stated against this convention.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +32,6 @@ from .laurent import (
 from .matrices import (
     identity as mat_identity,
     is_nilpotent_matrix,
-    is_zero_matrix,
     mat_inverse,
     mat_sub,
 )
@@ -110,7 +110,9 @@ class FormalDiffeo:
         return is_nilpotent_matrix(mat_sub(self.linear_part(), mat_identity(self.dim)))
 
     def is_tangent_to_identity(self) -> bool:
-        return is_zero_matrix(mat_sub(self.linear_part(), mat_identity(self.dim)))
+        # the components have no constant term, so truncating at degree 1
+        # leaves the linear part
+        return tuple(c.truncate(1) for c in self.components) == _variables(self.dim)
 
     # -- group operations ------------------------------------------------------
 
@@ -173,41 +175,44 @@ class FormalDiffeo:
         return FormalDiffeo._trusted(n, k, psi)
 
     def commutator(self, other: "FormalDiffeo") -> "FormalDiffeo":
-        """Group commutator a o b o a^-1 o b^-1, formed as x + D o psi with
-        D = a o b - b o a and psi the inverse of b o a at a low order.
+        """Group commutator a o b o a^-1 o b^-1, formed as x + E with E the
+        solution of E o g = D, g = b o a and D = a o b - b o a, degree by
+        degree and without inverting g.
 
-        With g = b o a, the commutator is (a o b) o g^-1 = (g + D) o g^-1,
-        since (b o a)^-1 = a^-1 o b^-1.  Substitution is linear in the outer
-        map, so (g + D) o g^-1 = g o g^-1 + D o g^-1 = x + D o g^-1.  Let
-        m = ord D, the lowest degree in its components.  If psi agrees with
-        g^-1 through degree k - m + 1, the difference psi - g^-1 starts at
-        degree k - m + 2, and for a monomial of degree d >= m the difference
-        of its images under psi and g^-1 starts at degree
-        (d - 1) + (k - m + 2) > k.  So D o psi = D o g^-1 mod degree k + 1.
-        Taking jets is a group homomorphism, so inverting g truncated at
-        order k - m + 1 gives g^-1 mod degree k - m + 1, which is such a
-        psi.  The result is the four-fold product exactly; the inversion
-        runs at order k - m + 1 instead of k, and commuting a, b (D = 0)
-        need none.
+        Since (b o a)^-1 = a^-1 o b^-1, the commutator is (a o b) o g^-1 =
+        (g + D) o g^-1, and substitution is linear in the outer map, so it
+        equals x + D o g^-1 = x + E with E o g = D.  Write g = L + h, L the
+        linear part and ord h >= 2.  For F homogeneous of degree d,
+        F o g = F o L + (terms of degree > d).  So with R = D and m = ord D,
+        for d = m, ..., k in turn: E_d = R_d o L^-1 is the degree-d part of
+        E, and R <- R - E_d o g (at order k) leaves R with no terms of degree
+        <= d; the last degree needs no update.  When L is the identity,
+        E_d = R_d and no linear substitution runs.  The jet solution is
+        unique, so E = D o g^-1 mod degree k + 1 and the result is the
+        four-fold product exactly.  Commuting a, b (D = 0) need no solve.
         """
         self._check_compatible(other)
         n, k = self.dim, self.order
         g = other.compose(self)
-        diff = [p - q for p, q in zip(self.compose(other).components, g.components)]
-        m = min((p.min_total_degree() for p in diff if p), default=None)
+        rest = [p - q for p, q in zip(self.compose(other).components, g.components)]
+        m = min((p.min_total_degree() for p in rest if p), default=None)
+        out = _variables(n)
         if m is None:
-            return FormalDiffeo._trusted(n, k, _variables(n))
-        t = k - m + 1
-        psi = FormalDiffeo._trusted(n, t, [c.truncate(t) for c in g.components]).invert()
-        cache = SubstitutionCache(psi.components, k)
-        return FormalDiffeo._trusted(
-            n,
-            k,
-            [
-                x + substitute(p, psi.components, k, _cache=cache)
-                for x, p in zip(_variables(n), diff)
-            ],
-        )
+            return FormalDiffeo._trusted(n, k, out)
+        lin_inv = None  # the substitution cache of x -> L^-1 x, when L != I
+        if not g.is_tangent_to_identity():
+            lin_inv = SubstitutionCache(_linear_components(mat_inverse(g.linear_part())), k)
+        cache = SubstitutionCache(g.components, k)
+        for d in range(m, k + 1):
+            parts = [r.degree_part(d) for r in rest]
+            if not any(parts):
+                continue
+            if lin_inv is not None:
+                parts = [substitute(p, lin_inv.phi, k, _cache=lin_inv) for p in parts]
+            out = [x + p for x, p in zip(out, parts)]
+            if d < k:
+                rest = [r - substitute(p, cache.phi, k, _cache=cache) for r, p in zip(rest, parts)]
+        return FormalDiffeo._trusted(n, k, out)
 
     # -- comparison ------------------------------------------------------------
 
@@ -232,9 +237,10 @@ class FormalDiffeo:
         return format_diffeo(self)
 
 
-def _variables(n: int) -> list[LaurentPoly]:
+@functools.cache
+def _variables(n: int) -> tuple[LaurentPoly, ...]:
     """The coordinates x_1, ..., x_n."""
-    return [LaurentPoly.variable(n, i) for i in range(1, n + 1)]
+    return tuple(LaurentPoly.variable(n, i) for i in range(1, n + 1))
 
 
 def _linear_components(matrix) -> list[LaurentPoly]:
@@ -355,10 +361,23 @@ def word_depth(word: CommutatorWord) -> int:
 
 
 def evaluate_word(word: CommutatorWord, gens: Sequence[FormalDiffeo]) -> FormalDiffeo:
-    """Evaluate a commutator word over the given generators."""
-    if isinstance(word, WordLeaf):
-        if not 0 <= word.index < len(gens):
-            raise ValueError(f"word leaf index {word.index} out of range")
-        g = gens[word.index]
-        return g.invert() if word.inverse else g
-    return evaluate_word(word.left, gens).commutator(evaluate_word(word.right, gens))
+    """Evaluate a commutator word over the given generators.
+
+    Each distinct subword (and so each inverted leaf) is evaluated once per
+    call, so a word that repeats a subtree pays for it once.
+    """
+    values: dict[CommutatorWord, FormalDiffeo] = {}
+
+    def value(w: CommutatorWord) -> FormalDiffeo:
+        v = values.get(w)
+        if v is None:
+            if isinstance(w, WordLeaf):
+                if not 0 <= w.index < len(gens):
+                    raise ValueError(f"word leaf index {w.index} out of range")
+                v = gens[w.index].invert() if w.inverse else gens[w.index]
+            else:
+                v = value(w.left).commutator(value(w.right))
+            values[w] = v
+        return v
+
+    return value(word)

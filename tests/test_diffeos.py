@@ -233,6 +233,58 @@ def test_evaluate_word_index_error():
         evaluate_word(WordLeaf(3), [g0])
 
 
+def _evaluate_unshared(word, gens):
+    """evaluate_word without sharing: one evaluation per tree node."""
+    if isinstance(word, WordLeaf):
+        return gens[word.index].invert() if word.inverse else gens[word.index]
+    return _evaluate_unshared(word.left, gens).commutator(_evaluate_unshared(word.right, gens))
+
+
+def _commutator_nodes(word) -> set:
+    if isinstance(word, WordLeaf):
+        return set()
+    return {word} | _commutator_nodes(word.left) | _commutator_nodes(word.right)
+
+
+def _counting(monkeypatch, name):
+    """Wrap FormalDiffeo.<name> so that each call is recorded."""
+    calls = []
+    method = getattr(FormalDiffeo, name)
+
+    def wrapper(self, *args):
+        calls.append(self)
+        return method(self, *args)
+
+    monkeypatch.setattr(FormalDiffeo, name, wrapper)
+    return calls
+
+
+def test_evaluate_word_shares_subwords(monkeypatch):
+    # the n = 2 witness word [[[g1,g3],[g0,g1]],[[g2,g3],[g1,g3]]] holds
+    # [g1,g3] twice: seven commutator nodes, six distinct
+    from germcalc.verification import load_witness_fixture
+
+    fx = load_witness_fixture("group_witness_n2.txt")
+    (word,) = fx.words
+    expected = _evaluate_unshared(word, fx.generators)
+    calls = _counting(monkeypatch, "commutator")
+    assert evaluate_word(word, fx.generators) == expected
+    assert len(calls) == len(_commutator_nodes(word)) == 6
+
+
+def test_evaluate_word_inverts_a_repeated_leaf_once(monkeypatch):
+    x = LaurentPoly.variable(1, 1)
+    gens = [FormalDiffeo([x * 2 + x ** 2], 6), FormalDiffeo([x + x ** 3], 6)]
+    inv = WordLeaf(0, inverse=True)
+    word = WordComm(WordComm(inv, WordLeaf(1)), WordComm(WordLeaf(1), inv))
+    expected = _evaluate_unshared(word, gens)
+    inverted = _counting(monkeypatch, "invert")
+    commuted = _counting(monkeypatch, "commutator")
+    assert evaluate_word(word, gens) == expected
+    assert inverted == [gens[0]]
+    assert len(commuted) == 3
+
+
 def test_compose_requires_matching_order_and_dim():
     x = LaurentPoly.variable(1, 1)
     a = FormalDiffeo([x + x ** 2], 3)
@@ -413,11 +465,12 @@ def jets(draw, dim, order, low, linear=None):
 
 @st.composite
 def commutator_pairs(draw):
-    """Pairs with non-commuting invertible linear parts (ord D = 1, so the
-    inverse runs at full order), commuting pairs (D = 0) and near-identity
-    pairs whose terms start at a high degree (the inverse runs at a low order)."""
+    """Pairs with non-commuting invertible linear parts (ord D = 1),
+    commuting pairs (D = 0), near-identity pairs whose terms start at a high
+    degree (ord D is high), and pairs with diagonal linear parts other than
+    the identity (ord D >= 2 while b o a is not tangent to the identity)."""
     dim = draw(st.integers(1, 3))
-    kind = draw(st.sampled_from(["linear", "commuting", "near-identity"]))
+    kind = draw(st.sampled_from(["linear", "commuting", "near-identity", "diagonal"]))
     if kind == "near-identity":
         # D starts at degree >= low_a + low_b - 1, so keep that <= order
         order = draw(st.integers(1, 10))
@@ -425,6 +478,19 @@ def commutator_pairs(draw):
         return draw(jets(dim, order, draw(lows))), draw(jets(dim, order, draw(lows)))
     # dense linear parts in three variables cost seconds past order 5
     order = draw(st.integers(1, 10 if dim < 3 else 5))
+    if kind == "diagonal":
+        units = st.sampled_from([c for c in LINEAR_POOL if c]).map(Scalar.of)
+        diagonals = st.lists(units, min_size=dim, max_size=dim).filter(
+            lambda ds: any(c != 1 for c in ds)
+        )
+        first = draw(diagonals)
+        # keep the linear part of b o a off the identity too
+        second = draw(diagonals.filter(lambda ds: any(c * e != 1 for c, e in zip(first, ds))))
+        mats = [
+            [[c if i == j else Scalar(0) for j in range(dim)] for i, c in enumerate(ds)]
+            for ds in (first, second)
+        ]
+        return draw(jets(dim, order, 2, mats[0])), draw(jets(dim, order, 2, mats[1]))
     entries = st.sampled_from(LINEAR_POOL)
     mats = []
     for _ in range(2):
@@ -460,7 +526,8 @@ def test_commutator_matches_the_textbook_product(pair):
 
 
 def test_commutator_of_noncommuting_linear_parts():
-    # ord D = 1: the inverse of b o a is taken at the full order
+    # ord D = 1 and b o a is not tangent to the identity: every degree of
+    # the solve runs the substitution of L^-1
     a = FormalDiffeo.linear([[Scalar(1), Scalar(1)], [Scalar(0), Scalar(1)]], 6)
     b = FormalDiffeo.linear([[Scalar(1), Scalar(0)], [I, Scalar(2)]], 6)
     x, y = LaurentPoly.variable(2, 1), LaurentPoly.variable(2, 2)
@@ -469,9 +536,9 @@ def test_commutator_of_noncommuting_linear_parts():
     assert not a.commutator(b).is_identity()
 
 
-def test_commutator_inverts_at_a_low_order(monkeypatch):
-    # a depth-2 planar commutator at order 8: D starts at degree 3 or more
-    # (here 4), so b o a is inverted at order <= 6, not at the full order 8
+def test_commutator_never_inverts(monkeypatch):
+    # [a, b] solves E o (b o a) = a o b - b o a degree by degree, so no
+    # inverse is formed, whatever the linear parts
     from germcalc.families import intro_member
 
     order = 8
@@ -480,19 +547,33 @@ def test_commutator_inverts_at_a_low_order(monkeypatch):
     b = intro_member(5, y ** 3 * 2 - y ** 5, Scalar(-2), order)
     c = intro_member(5, y ** 4 * Fraction(1, 2), Scalar(Fraction(1, 2)), order)
     inner = b.commutator(a)
-    orders = []
-    invert = FormalDiffeo.invert
+    x1, x2 = LaurentPoly.variable(2, 1), LaurentPoly.variable(2, 2)
+    # ord D = 1: the pair of test_commutator_of_noncommuting_linear_parts
+    p = FormalDiffeo.linear([[Scalar(1), Scalar(1)], [Scalar(0), Scalar(1)]], 6)
+    q = FormalDiffeo.linear([[Scalar(1), Scalar(0)], [I, Scalar(2)]], 6)
+    q = q.compose(FormalDiffeo([x1 + x2 ** 3, x2 - x1 ** 2 * Fraction(1, 2)], 6))
+    # diagonal linear parts other than the identity, terms from degree 2
+    r = FormalDiffeo([x1 * 2 + x2 ** 2, x2 * I - x1 ** 2 * x2], 6)
+    s = FormalDiffeo([x1 * -1 + x1 * x2 ** 2, x2 * 3 + x1 ** 3], 6)
+    pairs = [(c, inner), (p, q), (r, s)]
 
-    def recording(self):
-        orders.append(self.order)
-        return invert(self)
+    def failing(self):
+        raise AssertionError("the commutator forms no inverse")
 
-    monkeypatch.setattr(FormalDiffeo, "invert", recording)
-    outer = c.commutator(inner)
-    assert orders and max(orders) <= 6
+    monkeypatch.setattr(FormalDiffeo, "invert", failing)
+    values = [u.commutator(v) for u, v in pairs]
     monkeypatch.undo()
-    assert not outer.is_identity()
-    assert outer == textbook_commutator(c, inner)
+    for (u, v), value in zip(pairs, values):
+        assert not value.is_identity()
+        assert value == textbook_commutator(u, v)
+
+
+def test_commutator_of_random_dense_jets_in_three_variables(rng):
+    # 3-term random jets with random linear parts in dim 3 at order 8: the
+    # case where inverting the dense b o a cost more than the textbook product
+    for _ in range(2):
+        a, b = random_diffeo(rng, 3, 8), random_diffeo(rng, 3, 8)
+        assert a.commutator(b) == textbook_commutator(a, b)
 
 
 def test_commuting_commutator_skips_the_inversion(monkeypatch):
