@@ -26,7 +26,6 @@ from .laurent import (
     SubstitutionCache,
     linear_coefficients,
     linear_combination,
-    substitute,
     validate_order,
 )
 from .matrices import (
@@ -110,9 +109,14 @@ class FormalDiffeo:
         return is_nilpotent_matrix(mat_sub(self.linear_part(), mat_identity(self.dim)))
 
     def is_tangent_to_identity(self) -> bool:
-        # the components have no constant term, so truncating at degree 1
-        # leaves the linear part
-        return tuple(c.truncate(1) for c in self.components) == _variables(self.dim)
+        """True iff the linear part is the identity: component i has the
+        coefficient 1 on x_i and no other degree-1 term."""
+        units = _unit_keys(self.dim)
+        for unit, comp in zip(units, self.components):
+            terms, den = comp.numerators()
+            if terms.get(unit) != (den, 0) or sum(u in terms for u in units) != 1:
+                return False
+        return True
 
     # -- group operations ------------------------------------------------------
 
@@ -125,15 +129,8 @@ class FormalDiffeo:
     def compose(self, other: "FormalDiffeo") -> "FormalDiffeo":
         """self o other."""
         self._check_compatible(other)
-        cache = SubstitutionCache(other.components, self.order)
-        return FormalDiffeo._trusted(
-            self.dim,
-            self.order,
-            [
-                substitute(comp, other.components, self.order, _cache=cache)
-                for comp in self.components
-            ],
-        )
+        image = SubstitutionCache.trusted(other.components, self.order).image
+        return FormalDiffeo._trusted(self.dim, self.order, [image(c) for c in self.components])
 
     def invert(self) -> "FormalDiffeo":
         """The inverse jet, by Newton doubling.
@@ -157,11 +154,8 @@ class FormalDiffeo:
         d = 2  # the error of psi starts at degree >= d
         while d <= k:
             t = min(k, 2 * d - 2)
-            cache = SubstitutionCache(psi, t)
-            err = [
-                substitute(comp, psi, t, _cache=cache) - x
-                for comp, x in zip(self.components, xs)
-            ]
+            image = SubstitutionCache.trusted(psi, t).image
+            err = [image(comp) - x for comp, x in zip(self.components, xs)]
             if any(err):
                 new_psi = []
                 for p in psi:
@@ -190,29 +184,35 @@ class FormalDiffeo:
         E_d = R_d and no linear substitution runs.  The jet solution is
         unique, so E = D o g^-1 mod degree k + 1 and the result is the
         four-fold product exactly.  Commuting a, b (D = 0) need no solve.
+        The caches on g and on L^-1 skip the checks: both are jets at order
+        k by construction.
         """
         self._check_compatible(other)
         n, k = self.dim, self.order
         g = other.compose(self)
         rest = [p - q for p, q in zip(self.compose(other).components, g.components)]
         m = min((p.min_total_degree() for p in rest if p), default=None)
-        out = _variables(n)
+        xs = _variables(n)
         if m is None:
-            return FormalDiffeo._trusted(n, k, out)
-        lin_inv = None  # the substitution cache of x -> L^-1 x, when L != I
+            return FormalDiffeo._trusted(n, k, xs)
+        lin_inv = None  # x -> L^-1 x, when L != I
         if not g.is_tangent_to_identity():
-            lin_inv = SubstitutionCache(_linear_components(mat_inverse(g.linear_part())), k)
-        cache = SubstitutionCache(g.components, k)
+            lin = _linear_components(mat_inverse(g.linear_part()))
+            lin_inv = SubstitutionCache.trusted(lin, k).image
+        image = SubstitutionCache.trusted(g.components, k).image
+        terms = [[(1, x)] for x in xs]  # x_i and the E_d of component i
         for d in range(m, k + 1):
             parts = [r.degree_part(d) for r in rest]
             if not any(parts):
                 continue
             if lin_inv is not None:
-                parts = [substitute(p, lin_inv.phi, k, _cache=lin_inv) for p in parts]
-            out = [x + p for x, p in zip(out, parts)]
-            if d < k:
-                rest = [r - substitute(p, cache.phi, k, _cache=cache) for r, p in zip(rest, parts)]
-        return FormalDiffeo._trusted(n, k, out)
+                parts = [lin_inv(p) for p in parts]
+            for i, p in enumerate(parts):
+                if p:
+                    terms[i].append((1, p))
+                    if d < k:
+                        rest[i] = rest[i] - image(p)
+        return FormalDiffeo._trusted(n, k, [linear_combination(n, t) for t in terms])
 
     # -- comparison ------------------------------------------------------------
 
@@ -241,6 +241,12 @@ class FormalDiffeo:
 def _variables(n: int) -> tuple[LaurentPoly, ...]:
     """The coordinates x_1, ..., x_n."""
     return tuple(LaurentPoly.variable(n, i) for i in range(1, n + 1))
+
+
+@functools.cache
+def _unit_keys(n: int) -> tuple[int, ...]:
+    """The packed keys of x_1, ..., x_n."""
+    return tuple(next(iter(x.numerators()[0])) for x in _variables(n))
 
 
 def _linear_components(matrix) -> list[LaurentPoly]:
@@ -311,14 +317,14 @@ def log_diffeo(phi: FormalDiffeo) -> VectorField:
     if not phi.is_unipotent():
         raise ValueError("log is defined for unipotent diffeomorphisms only")
     n, k = phi.dim, phi.order
-    cache = SubstitutionCache(phi.components, k)
+    image = SubstitutionCache.trusted(phi.components, k).image
     cap = math.comb(n + k, n)  # jet dimension + 1
     coeffs = []
     for i in range(1, n + 1):
         w = LaurentPoly.variable(n, i)
         series = []
         for j in range(1, cap + 1):
-            w = substitute(w, phi.components, k, _cache=cache) - w
+            w = image(w) - w
             if w.is_zero():
                 break
             series.append((Fraction(1 if j % 2 == 1 else -1, j), w))

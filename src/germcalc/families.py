@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .diffeos import FormalDiffeo
 from .fields import BudgetExceededError, VectorField
-from .laurent import LaurentPoly, validate_order
+from .laurent import _LAYOUTS, LaurentPoly, validate_order
 from .lie import LieAlgebraSpan
 from .scalars import Scalar
 
@@ -33,8 +33,8 @@ def geometric_inverse_power(dim: int, var: int, t: Scalar, power: int, order: in
     coefficient of x_var^j is C(power + j - 1, j) * (-t)^j.  Power 0 gives 1;
     a negative power or order raises ValueError.
 
-    With -t = (a + i*b) / q, the coefficients are built as Gaussian-integer
-    numerators C(power + j - 1, j) * (a + i*b)^j * q^(order - j) over q^order.
+    With (-t)^j = w_j / q^order (``_power_numerators``), the numerator of
+    x_var^j over q^order is C(power + j - 1, j) * w_j.
     """
     if power < 0:
         raise ValueError(f"power must be >= 0, got {power}")
@@ -42,19 +42,31 @@ def geometric_inverse_power(dim: int, var: int, t: Scalar, power: int, order: in
         raise ValueError(f"order must be >= 0, got {order}")
     if power == 0:
         return LaurentPoly.one(dim)
+    powers, den = _power_numerators(t, order)
+    terms = {}
+    for j, (r, i) in enumerate(powers):
+        exps = [0] * dim
+        exps[var - 1] = j
+        c = math.comb(power + j - 1, j)
+        terms[tuple(exps)] = (c * r, c * i)
+    return LaurentPoly.from_numerators(dim, terms, den)
+
+
+def _power_numerators(t, order: int) -> tuple[list[tuple[int, int]], int]:
+    """The powers (-t)^j, j = 0..order, as Gaussian-integer numerators over
+    one denominator: with -t = (a + i*b) / q, (a + i*b)^j * q^(order - j)
+    over q^order."""
     t = Scalar.of(t)
     q = math.lcm(t.re.denominator, t.im.denominator)
     a = -t.re.numerator * (q // t.re.denominator)
     b = -t.im.numerator * (q // t.im.denominator)
-    terms = {}
+    powers = []
     re, im = 1, 0  # (a + i*b)^j
     for j in range(order + 1):
-        scale = math.comb(power + j - 1, j) * q ** (order - j)
-        exps = [0] * dim
-        exps[var - 1] = j
-        terms[tuple(exps)] = (re * scale, im * scale)
+        scale = q ** (order - j)
+        powers.append((re * scale, im * scale))
         re, im = re * a - im * b, re * b + im * a
-    return LaurentPoly.from_numerators(dim, terms, q ** order)
+    return powers, q ** order
 
 
 def moebius_component(dim: int, var: int, lam: Scalar, mu: Scalar, order: int) -> LaurentPoly:
@@ -86,6 +98,15 @@ def build_intro_family(
 
 
 def intro_member(k_param: int, P: LaurentPoly, t: Scalar, order: int) -> FormalDiffeo:
+    """The member ((x + P(y))/(1+ty)^k, y/(1+ty)) at the jet order, with
+    k = k_param, built from closed-form numerators.
+
+    With (-t)^j = w_j / q^order (``_power_numerators``), (1 + ty)^(-k) is
+    sum_j G_j y^j / q^order with G_j = C(k + j - 1, j) w_j.  For
+    P = sum_p P_p y^p / pden the first component has, over pden * q^order,
+    the numerator pden * G_j on x y^j and sum_p P_p G_(s-p) on y^s; the
+    second, y/(1 + ty), has w_j on y^(j+1) over q^order.
+    """
     validate_order(order)
     if k_param < 2:
         raise ValueError(f"the family parameter must be >= 2, got {k_param}")
@@ -93,19 +114,39 @@ def intro_member(k_param: int, P: LaurentPoly, t: Scalar, order: int) -> FormalD
         raise ValueError("P must live in two variables (as a polynomial in y)")
     if not P.is_polynomial():
         raise ValueError("P must be a polynomial")
-    for exps in P.terms:
-        if exps[0] != 0:
+    nums, pden = P.numerators()
+    unpack = _LAYOUTS[2].unpack
+    ys = []  # (p, numerator of y^p)
+    for key in sorted(nums):  # the order of P.terms
+        e0, p = unpack(key)
+        if e0 != 0:
             raise ValueError("P may only involve the second variable")
-        if exps[1] < 2:
+        if p < 2:
             raise ValueError("P must lie in (y^2)")
-        if exps[1] > k_param:
+        if p > k_param:
             raise ValueError(f"deg P must be <= {k_param}")
-    x = LaurentPoly.variable(2, 1)
-    denom = geometric_inverse_power(2, 2, t, k_param, order)
-    first = (x + P).mul_truncated(denom, order)
-    second = moebius_component(2, 2, Scalar(1), t, order)
+        ys.append((p, nums[key]))
+    powers, den = _power_numerators(t, order)
+    geo = []  # the G_j
+    for j, (r, i) in enumerate(powers):
+        c = math.comb(k_param + j - 1, j)
+        geo.append((c * r, c * i))
+    first = {(1, j): (pden * r, pden * i) for j, (r, i) in enumerate(geo[:order])}
+    for s in range(2, order + 1):
+        re = im = 0
+        for p, (pr, pi) in ys:
+            if p > s:
+                break
+            gr, gi = geo[s - p]
+            re += pr * gr - pi * gi
+            im += pr * gi + pi * gr
+        first[(0, s)] = (re, im)
+    second = {(0, j + 1): power for j, power in enumerate(powers[:order])}
     # polynomial, in m, truncated at order and tangent to the identity
-    return FormalDiffeo._trusted(2, order, (first, second))
+    return FormalDiffeo._trusted(2, order, (
+        LaurentPoly.from_numerators(2, first, pden * den),
+        LaurentPoly.from_numerators(2, second, den),
+    ))
 
 
 def random_intro_member(rng, k_param: int, order: int) -> FormalDiffeo:
@@ -428,7 +469,7 @@ def expected_a_value(dim: int, k: int) -> int:
     return 3 * 2 ** (k - 1) - 2
 
 
-def chain_composition_value(dim: int, k: int) -> LaurentPoly:
+def chain_composition_value(dim: int, k: int, family=None) -> LaurentPoly:
     """The maximal-length composite applied to u_(n-k):
 
         Z_n^(2^(k-1)) o Z_(n-1)^(2^(k-1)) o Z_(n-2)^(2^(k-2)) o ...
@@ -436,8 +477,10 @@ def chain_composition_value(dim: int, k: int) -> LaurentPoly:
 
     a composition of exactly 3*2^(k-1) - 2 derivations.  The family realizes
     its nilpotency class iff this evaluates to a nonzero constant.
+    ``family`` is ``build_nilpotent_example(dim)`` when the caller has
+    already built it, so that a loop over k builds it once.
     """
-    us, _, zs = build_nilpotent_example(dim)
+    us, _, zs = build_nilpotent_example(dim) if family is None else family
     if not 1 <= k <= dim - 1:
         raise ValueError(f"k = {k} out of range 1..{dim - 1}")
     v = us[dim - k - 1]  # u_(n-k)

@@ -12,7 +12,7 @@ from itertools import combinations_with_replacement
 from math import comb
 
 from .fields import BudgetExceededError
-from .laurent import ExponentVector, LaurentPoly, SubstitutionCache, grlex_key, substitute, validate_order
+from .laurent import ExponentVector, LaurentPoly, SubstitutionCache, grlex_key, validate_order
 from .matrices import Matrix
 from .scalars import Scalar
 
@@ -123,10 +123,7 @@ def to_jet_matrix(phi) -> JetMatrix:
     convention the action is contravariant: the matrix of phi o psi equals
     matrix(psi) . matrix(phi).
     """
-    cache = SubstitutionCache(phi.components, phi.order)
-    return _action_matrix(
-        phi.dim, phi.order, lambda g: substitute(g, phi.components, phi.order, _cache=cache)
-    )
+    return _action_matrix(phi.dim, phi.order, SubstitutionCache(phi.components, phi.order).image)
 
 
 def field_to_jet_matrix(X, order: int) -> JetMatrix:

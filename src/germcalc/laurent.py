@@ -69,7 +69,7 @@ def validate_order(k: int) -> int:
 class _Layout:
     """The packed-key constants of one dimension."""
 
-    __slots__ = ("top", "shifts", "zero", "guard", "negative", "lower", "unbounded")
+    __slots__ = ("top", "shifts", "zero", "guard", "negative", "lower", "unbounded", "one")
 
     def __init__(self, dim: int):
         self.top = dim * FIELD_BITS
@@ -82,6 +82,7 @@ class _Layout:
         self.lower = tuple((1 << s) - (1 << self.top) for s in self.shifts)
         # above the sum of any two valid keys: the cut of an untruncated product
         self.unbounded = 1 << (self.top + 2 * FIELD_BITS)
+        self.one = _make(dim, {self.zero: (1, 0)}, 1)  # the polynomial 1, shared
 
     def pack(self, exps) -> int:
         if len(exps) != len(self.shifts):
@@ -194,6 +195,22 @@ def _scalar(re: int, im: int, den: int) -> Scalar:
     if den == 1:
         return Scalar(re, im)
     return Scalar(Fraction(re, den), Fraction(im, den) if im else 0)
+
+
+def _shifted(dim: int, terms: dict, den: int, key: int, cr: int, ci: int, cut: int):
+    """(cr + i*ci) x^key times sum (r + i*im) x^k / den over the terms, over
+    the product keys below cut: a product with a one-term factor is a shift
+    of the other factor's keys."""
+    layout = _LAYOUTS[dim]
+    shift = key - layout.zero
+    limit = cut - shift
+    if ci or cr != 1:
+        terms = {k + shift: (r * cr - i * ci, r * ci + i * cr)
+                 for k, (r, i) in terms.items() if k < limit}
+    else:
+        terms = {k + shift: v for k, v in terms.items() if k < limit}
+    layout.check(terms)
+    return _normal(dim, terms, den)
 
 
 def _split(terms: dict, ordered: bool):
@@ -429,10 +446,8 @@ class LaurentPoly:
         if not (cr or ci):
             return LaurentPoly.zero(self.dim)
         layout = _LAYOUTS[self.dim]
-        shift = layout.pack(exps) - layout.zero
-        terms = {k + shift: (r * cr - i * ci, r * ci + i * cr) for k, (r, i) in self._t.items()}
-        layout.check(terms)
-        return _normal(self.dim, terms, self._d * cd)
+        key = layout.pack(exps)
+        return _shifted(self.dim, self._t, self._d * cd, key, cr, ci, layout.unbounded)
 
     # -- ring arithmetic ----------------------------------------------------
 
@@ -593,6 +608,13 @@ def sum_of_products(
         return _make(dim, {}, 1)
     layout = _LAYOUTS[dim]
     cut = layout.unbounded if order is None else layout.cut(order)
+    if len(pairs) == 1:
+        ((a, b),) = pairs
+        if len(a._t) != 1:
+            a, b = b, a
+        if len(a._t) == 1 and a.dim == b.dim == dim:
+            ((key, (cr, ci)),) = a._t.items()
+            return _shifted(dim, b._t, a._d * b._d, key, cr, ci, cut)
     ordered = order is not None
     off = layout.zero
     den = reduce(lcm, (a._d * b._d for a, b in pairs), 1)
@@ -671,12 +693,7 @@ def linear_coefficients(polys: Sequence[LaurentPoly]) -> list[list[Scalar]]:
     return [[p._scalar_at(k) for k in units] for p in polys]
 
 
-def substitute(
-    g: LaurentPoly,
-    phi: list[LaurentPoly] | tuple[LaurentPoly, ...],
-    order: int,
-    _cache: "SubstitutionCache | None" = None,
-) -> LaurentPoly:
+def substitute(g: LaurentPoly, phi: Sequence[LaurentPoly], order: int) -> LaurentPoly:
     """Truncated composition g(phi_1, ..., phi_n) mod m^(order+1).
 
     Requires g to be a polynomial (no negative exponents) and every phi_i to
@@ -689,15 +706,7 @@ def substitute(
         raise ValueError("substitution target has negative exponents")
     if len(phi) != g.dim:
         raise ValueError(f"expected {g.dim} substitution components, got {len(phi)}")
-    cache = _cache if _cache is not None else SubstitutionCache(phi, order)
-    if cache.order != order or len(cache.phi) != g.dim:
-        raise ValueError("substitution cache does not match this call")
-    cut = _LAYOUTS[g.dim].cut(order)  # a term of higher degree maps into m^(order+1)
-    d = g._d
-    return _combine(
-        cache.out_dim,
-        [(r, i, d, cache.monomial_image(k)) for k, (r, i) in g._t.items() if k < cut],
-    )
+    return SubstitutionCache(phi, order).image(g)
 
 
 class SubstitutionCache:
@@ -721,15 +730,34 @@ class SubstitutionCache:
                 raise ValueError(f"substitution component {i} has negative exponents")
             if comp.constant_term():
                 raise ValueError(f"substitution component {i} has a nonzero constant term")
-        self.phi = tuple(comp.truncate(order) for comp in phi)
+        self._start(tuple(comp.truncate(order) for comp in phi), order)
+
+    @classmethod
+    def trusted(cls, phi, order: int) -> "SubstitutionCache":
+        """The cache of components that are valid by construction, without
+        the checks and truncation: polynomials in m of one dimension and of
+        degree <= order, such as a FormalDiffeo's components at its order."""
+        cache = _new(cls)
+        cache._start(tuple(phi), order)
+        return cache
+
+    def _start(self, phi: tuple, order: int):
+        self.phi = phi
         self.order = order
-        self.out_dim = out_dim
+        self.out_dim = phi[0].dim
         self._layout = _LAYOUTS[len(phi)]
+        self._cut = self._layout.cut(order)  # a term of higher degree maps into m^(order+1)
+        one = _LAYOUTS[self.out_dim].one
         # powers[i][a] = phi_i ** a truncated at order
-        self._powers: list[dict[int, LaurentPoly]] = [
-            {0: LaurentPoly.one(out_dim), 1: comp} for comp in self.phi
-        ]
+        self._powers: list[dict[int, LaurentPoly]] = [{0: one, 1: comp} for comp in phi]
         self._images: dict[int, LaurentPoly] = {}
+
+    def image(self, g: LaurentPoly) -> LaurentPoly:
+        """g o phi truncated at order, for a polynomial g in len(phi)
+        variables; ``substitute`` with its checks left out."""
+        d, cut, image = g._d, self._cut, self.monomial_image
+        items = [(r, i, d, image(k)) for k, (r, i) in g._t.items() if k < cut]
+        return _combine(self.out_dim, items)
 
     def component_power(self, i: int, a: int) -> LaurentPoly:
         powers = self._powers[i]

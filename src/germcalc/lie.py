@@ -60,7 +60,9 @@ class LieAlgebraSpan:
     reduction.  In jet mode every coefficient is truncated at the jet order.
     ``closed`` marks a span known to be closed under the bracket of its mode
     (``bracket_closure`` results, series terms, the chain family); it does
-    not take part in equality.  ``_echelon`` is the echelon of the basis,
+    not take part in equality, and neither does ``generators``: the number
+    of leading basis fields known to generate the algebra (set by
+    ``bracket_closure``), or None.  ``_echelon`` is the echelon of the basis,
     kept by the constructors that built it and otherwise built on first
     use; ``dataclasses.replace`` carries it over.
     """
@@ -71,6 +73,7 @@ class LieAlgebraSpan:
     order: int | None = None
     degree_budget: int = DEFAULT_DEGREE_BUDGET
     closed: bool = field(default=False, compare=False)
+    generators: int | None = field(default=None, compare=False)
     _echelon: SparseEchelon | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -177,6 +180,7 @@ def bracket_closure(
     are formed in closed form, as in the series.  In jet mode the dimension
     is bounded by n * dim(m/m^(k+1)), so termination is unconditional; in
     exact mode the degree budget guards against infinite-dimensional inputs.
+    The reduced generators lead the basis, and the span records how many.
     """
     span = span_reduce(gens, mode, order, degree_budget)
     ech = span.echelon()
@@ -193,7 +197,7 @@ def bracket_closure(
         frontier = kept
     return LieAlgebraSpan(
         span.dim, mode, tuple(X for X, *_ in older), order, degree_budget,
-        closed=True, _echelon=ech,
+        closed=True, generators=span.dimension, _echelon=ech,
     )
 
 
@@ -524,9 +528,18 @@ def derived_series(g: LieAlgebraSpan, max_steps: int = 64) -> list[LieAlgebraSpa
 
 def central_series(g: LieAlgebraSpan, max_steps: int = 256) -> list[LieAlgebraSpan]:
     """g = C^0, C^1 = [g, C^0], ...  Same precondition (g a Lie algebra) and
-    termination contract as derived_series."""
+    termination contract as derived_series.
+
+    For any generating set S of g, C^(j+1) = [S, C^j]: C^j is spanned by
+    the brackets [s_1, [s_2, ..., [s_m, s_(m+1)]]] with m >= j and every
+    s_i in S, and each one with m >= j + 1 is [s_1, c] with c such a
+    bracket in C^j.  So the outer fields are the generators that g records
+    (``bracket_closure`` keeps them first in its basis), or the whole basis
+    when it records none.
+    """
     _require_algebra(g)
-    return _series(g, _graded(g.basis), max_steps, "central")
+    outer = g.basis if g.generators is None else g.basis[:g.generators]
+    return _series(g, _graded(outer), max_steps, "central")
 
 
 def _series_length(levels: Sequence[LieAlgebraSpan]):

@@ -303,7 +303,7 @@ def verify_nilpotent_example(n: int) -> VerificationReport:
             a == expected_a_value(n, k),
             f"a(u_(n-{k})) = {a}, expected {expected_a_value(n, k)}",
         )
-        chain = chain_composition_value(n, k)
+        chain = chain_composition_value(n, k, (us, xs, zs))
         claim.check(
             chain.is_constant() and not chain.is_zero(),
             f"chain composite at k={k} is not a nonzero constant",

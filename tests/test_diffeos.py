@@ -201,6 +201,26 @@ def test_intro_pair_commutator_shape():
     assert all(e[0] == 0 and e[1] >= 2 for e in q.terms)
 
 
+@pytest.mark.parametrize(
+    "components, tangent",
+    [
+        (("x1 + x2", "x2"), False),  # another degree-1 key in the component
+        (("2*x1", "x2"), False),  # the diagonal numerator is not the denominator
+        (("i*x1", "x2"), False),  # an imaginary diagonal coefficient
+        (("x1 + x1^2", "x2"), True),  # only higher-degree terms besides x1
+        (("x1 + 1/2*x1^2", "x2"), True),  # x1's numerator equals a denominator != 1
+        (("x1", "x2 - 1/3*x1 + x1^3"), False),
+        (("x1", "1/2*x2 + x2^2"), False),
+    ],
+)
+def test_is_tangent_to_identity_reads_the_degree_one_keys(components, tangent):
+    from germcalc.parsing import parse_poly
+
+    phi = FormalDiffeo([parse_poly(c, 2) for c in components], 5)
+    assert phi.is_tangent_to_identity() is tangent
+    assert tangent == (phi.linear_part() == [[1, 0], [0, 1]])
+
+
 def test_word_evaluation():
     x = LaurentPoly.variable(1, 1)
     g0 = FormalDiffeo([x + x ** 2], 5)

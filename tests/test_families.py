@@ -137,6 +137,45 @@ def test_intro_member_validation():
         intro_member(3, LaurentPoly.monomial(2, {1: 2}), Scalar(0), 5)  # uses x1
 
 
+def _intro_member_by_products(k_param, P, t, order):
+    """The planar member as the truncated products it is defined by."""
+    x = LaurentPoly.variable(2, 1)
+    first = (x + P).mul_truncated(geometric_inverse_power(2, 2, t, k_param, order), order)
+    return first, moebius_component(2, 2, Scalar(1), t, order)
+
+
+@pytest.mark.parametrize("order", range(4, 13))
+def test_intro_member_closed_form_matches_the_products(order):
+    rng = random.Random(order)
+    ts = [Scalar(0), Scalar(1), Scalar(Fraction(-3, 2)), Scalar(Fraction(1, 3), Fraction(-2, 5)),
+          Scalar(0, 1), Scalar(Fraction(-1, 2), 2)]
+    for k_param in range(2, 7):
+        for t in ts:
+            terms = {(0, d): (rng.randint(-4, 4), rng.randint(-2, 2))
+                     for d in range(2, k_param + 1)}
+            P = LaurentPoly.from_numerators(2, terms, rng.choice([1, 2, 6]))
+            for P in (LaurentPoly.zero(2), P):
+                member = intro_member(k_param, P, t, order)
+                assert member.components == _intro_member_by_products(k_param, P, t, order)
+
+
+@pytest.mark.parametrize(
+    "P, message",
+    [
+        ("x1*x2^2 + x2^3", "P may only involve the second variable"),
+        ("x2^3 + 2*x2", r"P must lie in \(y\^2\)"),
+        ("x2^2 - x2^5", "deg P must be <= 4"),
+        # the first bad term in graded-lex order decides
+        ("x2^5 + x1^2", "P may only involve the second variable"),
+    ],
+)
+def test_intro_member_reports_the_first_bad_term_of_p(P, message):
+    from germcalc.parsing import parse_poly
+
+    with pytest.raises(ValueError, match=message):
+        intro_member(4, parse_poly(P, 2), Scalar(1), 6)
+
+
 @pytest.mark.parametrize("k_param", [1, 0, -1])
 def test_intro_member_rejects_small_family_parameter(k_param):
     with pytest.raises(ValueError):
@@ -297,9 +336,11 @@ def test_expected_values():
 
 def test_chain_composition_nonzero_constants():
     for n in (3, 4):
+        family = build_nilpotent_example(n)
         for k in range(1, n):
             value = chain_composition_value(n, k)
             assert value.is_constant() and not value.is_zero()
+            assert chain_composition_value(n, k, family) == value
 
 
 def test_chain_generator_count_matches_the_generators():

@@ -117,12 +117,34 @@ def test_substitute_rejects_negative_exponents():
         substitute(LaurentPoly.monomial(1, {1: -1}), [x], 3)
 
 
+def test_substitute_keeps_its_checks():
+    # the checks stay on the public path; the caches that compose and the
+    # commutator build skip them for jets that are valid by construction
+    x1, x2 = var(2, 1), var(2, 2)
+    with pytest.raises(ValueError, match="target has negative exponents"):
+        substitute(x1 * x2.monomial_inverse(), [x1, x2], 3)
+    with pytest.raises(ValueError, match="component 2 has negative exponents"):
+        substitute(x1, [x1, x1 * x2.monomial_inverse()], 3)
+    with pytest.raises(ValueError, match="component 1 has a nonzero constant term"):
+        substitute(x1, [x1 + 1, x2], 3)
+    with pytest.raises(ValueError, match="component 2 has a nonzero constant term"):
+        SubstitutionCache([x1, x2 - 2], 3)
+
+
+def test_trusted_cache_images_match_substitute():
+    x1, x2 = var(2, 1), var(2, 2)
+    phi = [x1 + x2 ** 2 * Scalar(0, 1), x2 + x1 * x2 * Fraction(1, 3)]
+    cache = SubstitutionCache.trusted(phi, 5)
+    for g in (x1, x2 ** 3, x1 * x2 + x1 ** 6, LaurentPoly.one(2), LaurentPoly.zero(2)):
+        assert cache.image(g) == substitute(g, phi, 5)
+
+
 def test_substitution_cache_reuse():
     x = var(1, 1)
     phi = [x + x ** 2]
     cache = SubstitutionCache(phi, 4)
-    a = substitute(x ** 2, phi, 4, _cache=cache)
-    b = substitute(x ** 3, phi, 4, _cache=cache)
+    a = cache.image(x ** 2)
+    b = cache.image(x ** 3)
     assert a == substitute(x ** 2, phi, 4)
     assert b == substitute(x ** 3, phi, 4)
 
@@ -363,6 +385,48 @@ def test_exponent_range_dim_4():
     assert (mono(EXPONENT_MAX - 1, 0, 0, 0) * mono(0, 0, 0, 1)).terms == {
         (EXPONENT_MAX - 1, 0, 0, 1): 1
     }
+
+
+def _general_product(a, b, order):
+    """a * b through the general accumulate path: a second, zero pair keeps
+    ``sum_of_products`` off the one-term shift."""
+    return laurent.sum_of_products(a.dim, [(a, b), (a, LaurentPoly.zero(a.dim))], order)
+
+
+@pytest.mark.parametrize("order", [None, 1, 3, 6])
+@pytest.mark.parametrize(
+    "one, other",
+    [
+        ("x2^2", "x1 + 2*x1*x2 - 3*x2^4 + x1^2*x2^3"),
+        ("(1/2 + 3*i)*x1*x2", "(2 - i)*x1 + 1/3*x2^2 + i*x1^3*x2"),
+        ("-2", "1/4*x1 + (1/6)*i*x2^2 + x1^5"),
+        ("(1/3)*i*x1^2", "(x1 + x2)^4 + i*x2"),
+        ("x1^-1*x2^3", "x1^2*x2^-1 + 7/5*x1"),
+    ],
+)
+def test_one_term_product_is_the_general_product(one, other, order):
+    a, b = parse_poly(one, 2), parse_poly(other, 2)
+    assert len(a.terms) == 1
+    for x, y in ((a, b), (b, a)):
+        product = x.mul_truncated(y, order)
+        assert product == _general_product(x, y, order)
+        assert product.terms == reference_mul_truncated(x.terms, y.terms, order)
+        assert_normal(product)
+
+
+@pytest.mark.parametrize("order", [None, 3])
+def test_one_term_product_leaving_the_range_raises(order):
+    top = LaurentPoly.monomial(2, {1: EXPONENT_MAX - 1})
+    low = LaurentPoly.monomial(2, {2: EXPONENT_MIN}, Scalar(2, 1))
+    for x, y in ((top, var(2, 1) ** 2), (low * 3, low + var(2, 1))):
+        for a, b in ((x, y), (y, x)):
+            if order is None or (a.min_total_degree() + b.min_total_degree() <= order):
+                with pytest.raises(ValueError, match="outside the supported range"):
+                    a.mul_truncated(b, order)
+                with pytest.raises(ValueError, match="outside the supported range"):
+                    _general_product(a, b, order)
+            else:
+                assert a.mul_truncated(b, order) == _general_product(a, b, order)
 
 
 def _forbid_products(monkeypatch):

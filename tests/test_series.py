@@ -7,6 +7,7 @@ closes the result under the bracket, so agreement checks both the ideal
 argument and the skip rules.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -163,6 +164,35 @@ def test_nilpotent_family_series_match_reference(n):
     assert_same_series(derived, reference_derived_series(g))
     assert soluble_length(g, derived) == soluble_length(g) == n
     assert_same_series(central_series(g), reference_central_series(g))
+
+
+def _all_pairs_central_series(g: LieAlgebraSpan) -> list[LieAlgebraSpan]:
+    """The central series with the whole basis as the outer row."""
+    return central_series(replace(g, generators=None))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_central_series_from_the_generators_nilpotent_family(n):
+    _, _, zs = build_nilpotent_example(n)
+    g = bracket_closure(zs, "exact")
+    assert g.generators == n < g.dimension
+    assert g.basis[:n] == span_reduce(zs).basis
+    assert_same_series(central_series(g), _all_pairs_central_series(g))
+
+
+@pytest.mark.parametrize("homogeneous", [True, False])
+def test_central_series_from_the_generators_jet_closure(homogeneous):
+    gens = [mono_field(2, {2: 2}, 1), mono_field(2, {1: 1, 2: 1}, 2, 3), mono_field(2, {2: 3}, 2)]
+    if not homogeneous:
+        gens[0] = VectorField.from_terms(
+            2, (LaurentPoly.monomial(2, {1: 1}), 1), (LaurentPoly.monomial(2, {2: 2}), 1)
+        )
+    g = bracket_closure(gens, "jet", 7)
+    assert g.generators == 3 < g.dimension
+    levels = central_series(g)
+    assert len(levels) > 3
+    assert_same_series(levels, _all_pairs_central_series(g))
+    assert_same_series(levels, reference_central_series(g))
 
 
 def _is_weight_homogeneous(X: VectorField) -> bool:
