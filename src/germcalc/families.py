@@ -3,8 +3,7 @@
 * the planar unipotent family with prescribed nilpotency class
   (x + P(y))/(1+ty)^k in the first slot, a Moebius map in the second,
 * the solvable chain: monomial generating sets for the nested spaces
-  U_1, V_1, ..., U_n, V_n and their partial sums, plus the group-level
-  generators (triangular shape with a Moebius last component),
+  U_1, V_1, ..., U_n, V_n and their partial sums,
 * the commuting meromorphic family u_k / X_k / Z_k whose generated Lie
   algebra realizes soluble length n with nilpotency class 3*2^(n-2)-1.
 
@@ -15,7 +14,6 @@ materialized at a jet order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .diffeos import FormalDiffeo
@@ -241,9 +239,9 @@ def chain_summands(dim: int, index: int) -> list[tuple[str, int]]:
     return out
 
 
-# The most monomial generators build_chain_algebra builds; n = 3 at jet
-# order 42 (the stability recheck of the n = 3 claim) needs 1,929, while
-# n = 4 at its default order 161 would need 1,456,882.
+# The most monomial generators build_chain_algebra builds; n = 3 at its
+# default jet order 41 needs 1,842, while n = 4 at its default order 161
+# would need 1,456,882.
 CHAIN_GENERATOR_BUDGET = 5000
 
 
@@ -304,47 +302,6 @@ def default_solvable_order(dim: int) -> int:
     if dim == 1:
         return 6
     return chain_exponent(2 * dim - 1) + 3
-
-
-# -- group-level generators ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TriangularGeneratorSpec:
-    """Data for one group generator: per-variable shift/scale series and the
-    Moebius parameters of the last component."""
-
-    a: tuple[LaurentPoly, ...]  # a_j in m^2, depending on x_(j+1).. only
-    b: tuple[LaurentPoly, ...]  # b_j with b_j - 1 in m, same variable support
-    lam: Scalar
-    mu: Scalar
-
-
-def build_triangular_generator(spec: TriangularGeneratorSpec, dim: int, order: int) -> FormalDiffeo:
-    """One element of the triangular group: component j is
-    a_j + x_j b_j for j < n and a Moebius map in x_n last."""
-    validate_order(order)
-    if len(spec.a) != dim - 1 or len(spec.b) != dim - 1:
-        raise ValueError(f"expected {dim - 1} shift/scale entries for dimension {dim}")
-    comps = []
-    for j in range(1, dim):
-        a, b = spec.a[j - 1], spec.b[j - 1]
-        _check_tail_support(a, j, dim, min_degree=2)
-        _check_tail_support(b - LaurentPoly.one(dim), j, dim, min_degree=1)
-        xj = LaurentPoly.variable(dim, j)
-        comps.append((a + xj.mul_truncated(b, order)).truncate(order))
-    comps.append(moebius_component(dim, dim, spec.lam, spec.mu, order))
-    return FormalDiffeo(comps, order)
-
-
-def _check_tail_support(p: LaurentPoly, j: int, dim: int, min_degree: int):
-    for exps in p.terms:
-        if any(exps[i] for i in range(j)):
-            raise ValueError(
-                f"component {j}: series may only depend on variables after x{j}"
-            )
-        if sum(exps) < min_degree:
-            raise ValueError(f"component {j}: series must lie in m^{min_degree}")
 
 
 # -- the nilpotent family ----------------------------------------------------------

@@ -7,8 +7,7 @@ Two computation modes:
   generated example algebras; a degree budget turns runaway growth into a
   loud error instead of a hang,
 * jet(k) mode truncates every coefficient at total degree k and is required
-  for infinite-dimensional inputs, where the jet order has to be certified by
-  recomputing at k+1.
+  for infinite-dimensional inputs.
 
 On top of span reduction and bracket closure this module computes derived and
 descending central series, soluble length and nilpotency class, and the
@@ -64,7 +63,8 @@ class LieAlgebraSpan:
     of leading basis fields known to generate the algebra (set by
     ``bracket_closure``), or None.  ``_echelon`` is the echelon of the basis,
     kept by the constructors that built it and otherwise built on first
-    use; ``dataclasses.replace`` carries it over.
+    use.  ``dataclasses.replace`` keeps these three only while the basis is
+    the tuple they were given for, ``_marked``.
     """
 
     dim: int
@@ -75,12 +75,18 @@ class LieAlgebraSpan:
     closed: bool = field(default=False, compare=False)
     generators: int | None = field(default=None, compare=False)
     _echelon: SparseEchelon | None = field(default=None, compare=False, repr=False)
+    _marked: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.mode not in ("exact", "jet"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "jet" and self.order is None:
             raise ValueError("jet mode requires a jet order")
+        if self._marked is not self.basis:
+            if self._marked is not None:  # a replaced basis: the marks are stale
+                for name, value in (("closed", False), ("generators", None), ("_echelon", None)):
+                    object.__setattr__(self, name, value)
+            object.__setattr__(self, "_marked", self.basis)
 
     @property
     def dimension(self) -> int:

@@ -182,37 +182,43 @@ def verify_intro_nilpotency(
 # -- the solvable chain -----------------------------------------------------------
 
 
-def _solvable_lengths(n: int, order: int):
-    g0 = build_chain_algebra(n, 0, order)
-    levels = derived_series(g0)
-    length = soluble_length(g0, levels)
-    if length is NON_TERMINATING:
-        return None, None, levels
-    return length, kappa_sequence(g0, levels), levels
-
-
 def verify_solvable_family(n: int, jet_order: int | None = None) -> VerificationReport:
     """Derived-series verification for the chain algebra in jet mode.
 
     Checks: every derived term sits inside the matching chain space; the
     monomial-scaled copies of the chain spaces sit inside the derived terms
-    (at the exponent schedule 2^j + 2^(j-2) - 2); the soluble length is
-    exactly 2n; the generic-rank sequence drops strictly every two steps.
-    All reported values must be reproduced at jet order + 1, otherwise the
-    claim is unstable rather than decided.
+    (at the exponent schedule 2^j + 2^(j-2) - 2); the soluble length is 2n
+    and kappa_j = n - floor(j/2).
+
+    Truncation at the jet order is a surjective Lie homomorphism, and each
+    weight component of a derived term is degree-homogeneous (x^a d_i has
+    weight a - e_i and degree |a|), so the jet length and each jet kappa_j
+    bound the true ones from below.  Derived term j lies in G_j, of generic
+    rank n - floor(j/2), and G_2n = 0: the paper's upper bounds.  A jet
+    value below its bound is unstable (the order is too low); the claim
+    fails only on what truncation cannot cause.
     """
     if n < 1:
         raise ValueError("the solvable chain needs dimension >= 1")
     if jet_order is None:
         jet_order = default_solvable_order(n)
     claim = _Claim(f"solvable-chain-n{n}", {"n": n, "jet_order": jet_order})
-    length, kappa, levels = _solvable_lengths(n, jet_order)
-    if length is None:
-        claim.unstable = True
-        claim.failures.append("derived series does not terminate at this jet order")
+    g0 = build_chain_algebra(n, 0, jet_order)
+    levels = derived_series(g0)
+    length = soluble_length(g0, levels)
+    if length is NON_TERMINATING:
+        # the image of a soluble algebra is soluble
+        claim.failures.append(f"derived series stabilizes nonzero at jet order {jet_order}")
         return claim.report()
-    claim.check(length == 2 * n, f"soluble length {length} != {2 * n}")
-    claim.check(kappa.strict_two_step_drop(), f"kappa {kappa.values} lacks the strict two-step drop")
+    kappa = kappa_sequence(g0, levels).values
+    # above a bound of the paper: a failure; below one: the order is too low
+    claim.check(length <= 2 * n, f"soluble length {length} > {2 * n}")
+    missed = [f"soluble length {length} < {2 * n}"] if length < 2 * n else []
+    for j, value in enumerate(kappa[:2 * n + 1]):
+        bound = n - j // 2
+        claim.check(value <= bound, f"kappa_{j} = {value} > {bound}")
+        if value < bound:
+            missed.append(f"kappa_{j} = {value} < {bound}")
     # containment in the chain spaces, each built once (levels[0] is G_0)
     top = min(2 * n, len(levels) - 1)
     chain_spaces = [levels[0]] + [build_chain_algebra(n, j, jet_order) for j in range(1, top + 1)]
@@ -240,16 +246,11 @@ def verify_solvable_family(n: int, jet_order: int | None = None) -> Verification
                 f"x{n}^{c} copy of chain space {j} escapes derived term {j}",
             )
         claim.notes.append(f"scaled-copy check at depth {j}: {checked} generators")
-    # stability under jet order + 1
-    length2, kappa2, _ = _solvable_lengths(n, jet_order + 1)
-    if length2 != length or (kappa2 and kappa2.values != kappa.values):
+    if missed and not claim.failures:
         claim.unstable = True
-        claim.failures.append(
-            f"unstable at jet order {jet_order}: length {length}->{length2}, "
-            f"kappa {kappa.values}->{kappa2.values if kappa2 else None}"
-        )
+        claim.failures.append(f"{missed[0]} at jet order {jet_order}")
     claim.parameters["soluble_length"] = length
-    claim.parameters["kappa"] = list(kappa.values)
+    claim.parameters["kappa"] = list(kappa)
     return claim.report()
 
 

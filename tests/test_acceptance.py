@@ -107,8 +107,8 @@ def test_criterion_3_family_identities():
 
 
 def test_criterion_4_solvable_chain():
-    """Chain lengths 2 and 4 at the pinned jet orders, stable under +1,
-    with the monomial-scaled containments at n = 2."""
+    """Chain lengths 2 and 4 at the pinned jet orders, exact because they
+    reach the bound 2n, with the monomial-scaled containments at n = 2."""
     r1 = verify_solvable_family(1, 6)
     assert r1.status == "pass", r1.witness
     assert r1.parameters["soluble_length"] == 2

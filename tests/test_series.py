@@ -180,6 +180,22 @@ def test_central_series_from_the_generators_nilpotent_family(n):
     assert_same_series(central_series(g), _all_pairs_central_series(g))
 
 
+def test_replace_drops_the_marks_of_another_basis():
+    _, _, zs = build_nilpotent_example(3)
+    g = bracket_closure(zs, "exact")
+    g.contains_field(g.basis[0])  # builds the echelon before the replace
+    h = replace(g, basis=g.basis[1:])
+    assert h.contains_field(g.basis[0]) is False
+    assert h.closed is False and h.generators is None
+    # the same basis keeps its marks, and a fresh span keeps what it is given
+    same = replace(g, generators=None)
+    assert same.closed is True and same.generators is None
+    assert same._echelon is g._echelon
+    fresh = LieAlgebraSpan(3, "exact", g.basis[1:], closed=True, generators=2)
+    assert fresh.closed is True and fresh.generators == 2
+    assert replace(fresh, degree_budget=10).closed is True
+
+
 @pytest.mark.parametrize("homogeneous", [True, False])
 def test_central_series_from_the_generators_jet_closure(homogeneous):
     gens = [mono_field(2, {2: 2}, 1), mono_field(2, {1: 1, 2: 1}, 2, 3), mono_field(2, {2: 3}, 2)]

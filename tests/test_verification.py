@@ -3,11 +3,12 @@ from dataclasses import replace
 
 import pytest
 
+from germcalc import lie, verification
 from germcalc.diffeos import FormalDiffeo, WordComm, WordLeaf
 from germcalc.laurent import LaurentPoly
 from germcalc.families import build_nilpotent_example
 from germcalc.fields import VectorField
-from germcalc.lie import bracket_closure, derived_series
+from germcalc.lie import KappaSequence, bracket_closure, derived_series
 from germcalc.verification import (
     VerificationReport,
     _check_first_integral_structure,
@@ -62,7 +63,60 @@ def test_solvable_family_n1():
 def test_solvable_family_unstable_at_low_order():
     # at jet order 3 the two-variable chain cannot see the deep derived terms
     r = verify_solvable_family(2, 3)
-    assert r.status in ("fail", "unstable")
+    assert r.status == "unstable"
+    assert r.witness == "soluble length 3 < 4 at jet order 3"
+
+
+@pytest.mark.parametrize("n, order, length", [(1, 1, 1), (2, 4, 3), (3, 12, 5), (3, 17, 5)])
+def test_solvable_family_below_its_bound_is_unstable(n, order, length):
+    # the jet values only bound the true ones from below: a short length
+    # means the order is too low, not that the claim is false
+    r = verify_solvable_family(n, order)
+    assert r.status == "unstable"
+    assert r.witness == f"soluble length {length} < {2 * n} at jet order {order}"
+    assert r.parameters["soluble_length"] == length
+
+
+def test_solvable_family_n3_passes_from_order_18():
+    r = verify_solvable_family(3, 18)
+    assert r.status == "pass", r.witness
+    assert r.parameters["soluble_length"] == 6
+    assert r.parameters["kappa"] == [3, 3, 2, 2, 1, 1, 0]
+
+
+def test_solvable_family_names_a_kappa_below_its_bound(monkeypatch):
+    def short_kappa(g, levels):
+        ks = lie.kappa_sequence(g, levels)
+        return KappaSequence(ks.values[:3] + (0,) * (len(ks.values) - 3), ks.jet_order)
+
+    monkeypatch.setattr(verification, "kappa_sequence", short_kappa)
+    r = verify_solvable_family(2, 12)
+    assert r.status == "unstable"
+    assert r.witness == "kappa_3 = 0 < 1 at jet order 12"
+
+
+@pytest.mark.parametrize("order, otherwise", [(12, "pass"), (3, "unstable")])
+def test_solvable_family_fails_when_a_derived_term_leaves_its_chain_space(
+    monkeypatch, order, otherwise
+):
+    # G_0 in place of derived term 1: V_2 = x2 d2 is not in G_1
+    def escaping_series(g):
+        levels = lie.derived_series(g)
+        return [levels[0], levels[0]] + levels[2:]
+
+    assert verify_solvable_family(2, order).status == otherwise
+    monkeypatch.setattr(verification, "derived_series", escaping_series)
+    r = verify_solvable_family(2, order)
+    assert r.status == "fail"
+    assert r.witness == "derived term 1 leaves the chain space 1"
+
+
+def test_solvable_family_fails_when_the_series_stabilizes_nonzero(monkeypatch):
+    # the jet algebra is a quotient of a soluble algebra, hence soluble
+    monkeypatch.setattr(verification, "derived_series", lambda g: [g, g])
+    r = verify_solvable_family(2, 12)
+    assert r.status == "fail"
+    assert r.witness == "derived series stabilizes nonzero at jet order 12"
 
 
 def test_nilpotent_example_n2():
