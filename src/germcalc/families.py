@@ -14,7 +14,6 @@ materialized at a jet order.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 from .diffeos import FormalDiffeo
 from .fields import BudgetExceededError, VectorField
@@ -76,23 +75,6 @@ def moebius_component(dim: int, var: int, lam: Scalar, mu: Scalar, order: int) -
 
 
 # -- the planar family with prescribed nilpotency class ------------------------
-
-
-def build_intro_family(
-    k_param: int,
-    members: Sequence[tuple[LaurentPoly, Scalar]],
-    order: int,
-) -> list[FormalDiffeo]:
-    """Members ((x + P(y))/(1+ty)^k, y/(1+ty)) of the planar unipotent family.
-
-    Each entry of ``members`` is (P, t) with P a polynomial in the second
-    variable, P in (y^2), deg P <= k_param.
-    """
-    validate_order(order)
-    out = []
-    for P, t in members:
-        out.append(intro_member(k_param, P, Scalar.of(t), order))
-    return out
 
 
 def intro_member(k_param: int, P: LaurentPoly, t: Scalar, order: int) -> FormalDiffeo:

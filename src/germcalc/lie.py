@@ -17,7 +17,6 @@ generic rank over the fraction field (kappa).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from math import gcd, lcm
 from operator import add
 from typing import Iterable, Sequence
@@ -179,30 +178,36 @@ def bracket_closure(
 ) -> LieAlgebraSpan:
     """Smallest span containing the generators and closed under bracket.
 
-    Semi-naive saturation: each round brackets the fields the last round
-    added with the older basis, then with the added fields after them, so
-    each unordered pair is formed once ([Y, X] = -[X, Y] and [X, X] = 0 add
-    nothing).  Brackets of weight-homogeneous generators are homogeneous and
-    are formed in closed form, as in the series.  In jet mode the dimension
-    is bounded by n * dim(m/m^(k+1)), so termination is unconditional; in
-    exact mode the degree budget guards against infinite-dimensional inputs.
-    The reduced generators lead the basis, and the span records how many.
+    The algebra generated by the reduced generators S is spanned by S and
+    the left-normed brackets [s_1, [s_2, ..., [s_m, s_(m+1)]]] with every
+    s_i in S, and each one with m >= 2 is [s_1, c] with c such a bracket of
+    length m.  So the first round brackets each generator with the ones
+    after it ([S, S]), each later round brackets S with the fields the last
+    round kept, and the closure ends with a round that keeps nothing.
+    Brackets of weight-homogeneous generators are homogeneous and are formed
+    in closed form, as in the series.  In jet mode the dimension is bounded
+    by n * dim(m/m^(k+1)), so termination is unconditional; in exact mode
+    the degree budget guards against infinite-dimensional inputs.  The
+    reduced generators lead the basis, each round's kept fields follow, and
+    the span records how many generators there are.
     """
     span = span_reduce(gens, mode, order, degree_budget)
     ech = span.echelon()
-    frontier = [_entry(X) for X in span.basis]
-    graded = all(w is not None for _, w, _, _ in frontier)
-    older: list[tuple] = []
-    while frontier:
+    S = [_entry(X) for X in span.basis]
+    graded = all(w is not None for _, w, _, _ in S)
+    basis = list(span.basis)
+    frontier = None  # the first round pairs S with itself
+    while True:
         if graded:
-            kept = _weight_brackets(span, frontier, older, True, ech, None)
+            frontier = _weight_brackets(span, S, frontier, ech, None)
         else:
-            kept = [(Z, None, _lowest_degree(Z), None)
-                    for Z in _field_brackets(span, frontier, older, True, ech)]
-        older += frontier
-        frontier = kept
+            frontier = [(Z, None, _lowest_degree(Z), None)
+                        for Z in _field_brackets(span, S, frontier, ech)]
+        if not frontier:
+            break
+        basis += (X for X, *_ in frontier)
     return LieAlgebraSpan(
-        span.dim, mode, tuple(X for X, *_ in older), order, degree_budget,
+        span.dim, mode, tuple(basis), order, degree_budget,
         closed=True, generators=span.dimension, _echelon=ech,
     )
 
@@ -412,20 +417,20 @@ def _check_bracket(span: LieAlgebraSpan, vec: dict, w: int, u: tuple, v: tuple) 
     layout.check([w + layout.zero, *(key // n for key in vec)])
 
 
-def _weight_brackets(span: LieAlgebraSpan, left: list, old: list, tail: bool,
+def _weight_brackets(span: LieAlgebraSpan, left: list, right: list | None,
                      ech: SparseEchelon, room: dict[int, int] | None) -> list[tuple]:
-    """The brackets of each left entry with the entries of ``old`` and, when
-    ``tail``, with the left entries after it, in closed form: the kept ones,
-    in order, as ``_entry`` tuples.  A series passes the ``room`` of the
-    weight spaces of its term, which holds only weights in the key range
-    that ``_weight`` checks, and rows sorted by degree.  A closure passes
-    None: its rows keep basis order, and ``_check_bracket`` bounds each
-    bracket it forms."""
+    """The brackets of each left entry with the entries of ``right``, or
+    with the left entries after it when ``right`` is None, in closed form:
+    the kept ones, in order, as ``_entry`` tuples.  A series passes the
+    ``room`` of the weight spaces of its term, which holds only weights in
+    the key range that ``_weight`` checks, and rows sorted by degree.  A
+    closure passes None: its rows keep basis order, and ``_check_bracket``
+    bounds each bracket it forms."""
     n = span.dim
     limit = span.order + 1 if span.mode == "jet" else None
     kept = []
     for i, (_, wx, dx, hx) in enumerate(left):
-        for _, wy, dy, hy in (chain(old, left[i + 1:]) if tail else old):
+        for _, wy, dy, hy in (left[i + 1:] if right is None else right):
             if limit is not None and dx + dy > limit:
                 if room is None:
                     continue
@@ -445,14 +450,14 @@ def _weight_brackets(span: LieAlgebraSpan, left: list, old: list, tail: bool,
     return kept
 
 
-def _field_brackets(span: LieAlgebraSpan, left: list, old: list, tail: bool,
+def _field_brackets(span: LieAlgebraSpan, left: list, right: list | None,
                     ech: SparseEchelon) -> list[VectorField]:
     """The pairs of ``_weight_brackets`` for fields that are not all
     weight-homogeneous, formed by ``_bracket_in_mode``: the kept brackets."""
     limit = span.order + 1 if span.mode == "jet" else None
     kept = []
     for i, (X, _, dx, _) in enumerate(left):
-        for Y, _, dy, _ in (chain(old, left[i + 1:]) if tail else old):
+        for Y, _, dy, _ in (left[i + 1:] if right is None else right):
             if limit is None or dx + dy <= limit:
                 Z = _bracket_in_mode(span, X, Y)
                 if not Z.is_zero() and ech.insert(Z.sparse()):
@@ -472,8 +477,8 @@ def _bracket_span(
     fresh = right is None
     if fresh:
         right = _graded(ideal.basis)
-    left = right if outer is None else outer
-    old = [] if outer is None else right  # [I, I] pairs each field with those after it
+    # [I, I] pairs each field with those after it
+    left, others = (right, None) if outer is None else (outer, right)
     ech = SparseEchelon()
     if all(w is not None for _, w, _, _ in left) and all(w is not None for _, w, _, _ in right):
         if ideal.mode == "jet" and fresh:
@@ -486,12 +491,12 @@ def _bracket_span(
         room: dict[int, int] = {}  # weight key -> independent fields still missing
         for _, w, _, _ in right:
             room[w] = room.get(w, 0) + 1
-        entries = _weight_brackets(ideal, left, old, outer is None, ech, room)
+        entries = _weight_brackets(ideal, left, others, ech, room)
         kept = [X for X, *_ in entries]
         entries.sort(key=lambda entry: entry[2])  # the basis keeps its order
     else:
         entries = None
-        kept = _field_brackets(ideal, left, old, outer is None, ech)
+        kept = _field_brackets(ideal, left, others, ech)
     # [g, I] is an ideal of g, hence a subalgebra
     span = LieAlgebraSpan(
         ideal.dim, ideal.mode, tuple(kept), ideal.order, ideal.degree_budget,
@@ -501,14 +506,15 @@ def _bracket_span(
 
 
 def _series(
-    g: LieAlgebraSpan, outer: list | None, max_steps: int, name: str
+    g: LieAlgebraSpan, first: list | None, outer: list | None, max_steps: int, name: str
 ) -> list[LieAlgebraSpan]:
-    """g, [outer, g], ... (with ``outer`` as in ``_bracket_span``) until a
-    zero term or two consecutive terms of equal dimension."""
+    """g, [first, g], [outer, [first, g]], ... (with ``first`` and ``outer``
+    as ``outer`` in ``_bracket_span``) until a zero term or two consecutive
+    terms of equal dimension."""
     levels = [g]
     entries = None
     while not levels[-1].is_zero():
-        nxt, entries = _bracket_span(levels[-1], entries, outer)
+        nxt, entries = _bracket_span(levels[-1], entries, first if len(levels) == 1 else outer)
         stable = nxt.dimension == levels[-1].dimension
         levels.append(nxt)
         if stable:
@@ -527,9 +533,15 @@ def derived_series(g: LieAlgebraSpan, max_steps: int = 64) -> list[LieAlgebraSpa
     example the result of ``bracket_closure``; the series of a span that is
     not closed is not the series of the algebra it generates, so such a
     span raises ValueError.
+
+    When g records its generators S, g^(1) = [g, g] = C^1 = [S, g] (see
+    ``central_series``), so the first step brackets g with S only; later
+    steps, and every step of a span that records no generators, bracket
+    each basis field of the term with the ones after it.
     """
     _require_algebra(g)
-    return _series(g, None, max_steps, "derived")
+    first = None if g.generators is None else _graded(g.basis[:g.generators])
+    return _series(g, first, None, max_steps, "derived")
 
 
 def central_series(g: LieAlgebraSpan, max_steps: int = 256) -> list[LieAlgebraSpan]:
@@ -544,8 +556,8 @@ def central_series(g: LieAlgebraSpan, max_steps: int = 256) -> list[LieAlgebraSp
     when it records none.
     """
     _require_algebra(g)
-    outer = g.basis if g.generators is None else g.basis[:g.generators]
-    return _series(g, _graded(outer), max_steps, "central")
+    outer = _graded(g.basis if g.generators is None else g.basis[:g.generators])
+    return _series(g, outer, outer, max_steps, "central")
 
 
 def _series_length(levels: Sequence[LieAlgebraSpan]):

@@ -13,7 +13,6 @@ from germcalc.laurent import LaurentPoly
 from germcalc.lie import span_reduce
 from germcalc.scalars import Scalar
 from germcalc.families import (
-    build_intro_family,
     build_nilpotent_example,
     build_chain_algebra,
     chain_composition_value,
@@ -29,18 +28,18 @@ from germcalc.families import (
 
 
 def test_intro_family_identity_member():
-    (phi,) = build_intro_family(2, [(LaurentPoly.zero(2), Scalar(0))], 4)
+    phi = intro_member(2, LaurentPoly.zero(2), Scalar(0), 4)
     assert phi == FormalDiffeo.identity(2, 4)
 
 
 def test_intro_family_pure_shift():
-    (phi,) = build_intro_family(2, [(LaurentPoly.monomial(2, {2: 2}), Scalar(0))], 4)
+    phi = intro_member(2, LaurentPoly.monomial(2, {2: 2}), Scalar(0), 4)
     x1, x2 = LaurentPoly.variable(2, 1), LaurentPoly.variable(2, 2)
     assert phi == FormalDiffeo([x1 + x2 ** 2, x2], 4)
 
 
 def test_intro_family_geometric_expansion():
-    (phi,) = build_intro_family(2, [(LaurentPoly.zero(2), Scalar(1))], 4)
+    phi = intro_member(2, LaurentPoly.zero(2), Scalar(1), 4)
     x1, x2 = LaurentPoly.variable(2, 1), LaurentPoly.variable(2, 2)
     first = x1 * (LaurentPoly.one(2) - x2 * 2 + x2 ** 2 * 3 - x2 ** 3 * 4)
     second = x2 - x2 ** 2 + x2 ** 3 - x2 ** 4
@@ -183,8 +182,6 @@ def test_intro_member_reports_the_first_bad_term_of_p(P, message):
 def test_intro_member_rejects_small_family_parameter(k_param):
     with pytest.raises(ValueError):
         intro_member(k_param, LaurentPoly.zero(2), Scalar(1), 5)
-    with pytest.raises(ValueError):
-        build_intro_family(k_param, [(LaurentPoly.zero(2), Scalar(1))], 5)
 
 
 def test_random_intro_members_pass_the_checked_constructor():

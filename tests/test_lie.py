@@ -11,6 +11,7 @@ from germcalc.fields import BudgetExceededError, VectorField
 from germcalc.laurent import LaurentPoly, evaluate, evaluate_parts
 from germcalc.lie import (
     NON_TERMINATING,
+    LieAlgebraSpan,
     _bareiss_rank,
     bracket_closure,
     central_series,
@@ -124,13 +125,28 @@ def _closure_by_all_pairs(gens, mode="exact", order=None, degree_budget=lie.DEFA
     return tuple(basis)
 
 
-def _outcome(closure, *args, **kwargs):
-    """The basis a closure returns, or the type and message of its error."""
+def _closure_against_all_pairs(gens, mode="exact", order=None, degree_budget=lie.DEFAULT_DEGREE_BUDGET):
+    """Check ``bracket_closure`` against the oracle and return the oracle's
+    basis, or the type of its error.
+
+    The closure brackets each round with the generators only, so its kept
+    basis and the first bracket it finds over budget are not the oracle's:
+    it must span the same algebra, lead with the reduced generators, and
+    raise the same exception type where the oracle raises.
+    """
     try:
-        result = closure(*args, **kwargs)
+        expected = _closure_by_all_pairs(gens, mode, order, degree_budget)
     except (BudgetExceededError, ValueError) as exc:
-        return type(exc), str(exc)
-    return result if isinstance(result, tuple) else result.basis
+        with pytest.raises((BudgetExceededError, ValueError)) as info:
+            bracket_closure(gens, mode, order, degree_budget)
+        assert info.type is type(exc)
+        return type(exc)
+    g = bracket_closure(gens, mode, order, degree_budget)
+    oracle = LieAlgebraSpan(g.dim, mode, expected, order, degree_budget)
+    assert g.dimension == oracle.dimension
+    assert g.contains_span(oracle) and oracle.contains_span(g)
+    assert g.basis[:g.generators] == span_reduce(gens, mode, order, degree_budget).basis
+    return expected
 
 
 def _random_homogeneous_field(rng, dim, polynomial):
@@ -154,14 +170,14 @@ def _random_homogeneous_field(rng, dim, polynomial):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_closure_matches_all_pairs_on_the_nilpotent_family(n):
     _, _, zs = build_nilpotent_example(n)
-    assert bracket_closure(zs, "exact").basis == _closure_by_all_pairs(zs, "exact")
+    _closure_against_all_pairs(zs, "exact")
 
 
 @pytest.mark.parametrize("homogeneous", [True, False])
 @pytest.mark.parametrize("mode", ["exact", "jet"])
 def test_closure_matches_all_pairs_on_random_generators(mode, homogeneous):
-    # exact mode often runs into the small budget, which must then raise at
-    # the same bracket with the same message
+    # exact mode often runs into the small budget, which must then raise
+    # there too
     rng = random.Random(2026 + homogeneous + 2 * (mode == "jet"))
     outcomes = set()
     for _ in range(12):
@@ -175,9 +191,8 @@ def test_closure_matches_all_pairs_on_random_generators(mode, homogeneous):
         if all(X.is_zero() for X in gens):
             continue
         args = (gens, mode, order if jet else None, 12)
-        expected = _outcome(_closure_by_all_pairs, *args)
-        assert _outcome(bracket_closure, *args) == expected
-        outcomes.add(expected[0] if expected and isinstance(expected[0], type) else len(expected))
+        expected = _closure_against_all_pairs(*args)
+        outcomes.add(expected if isinstance(expected, type) else len(expected))
     assert len(outcomes) >= 3, outcomes
 
 
@@ -190,9 +205,8 @@ def test_closure_matches_all_pairs_on_mixed_combinations():
         return VectorField([sum((X.coeffs[i] for X in fields), LaurentPoly.zero(3)) for i in range(3)])
 
     gens = [plus(z1, z2), plus(z2, z3), z3]
-    g = bracket_closure(gens, "exact")
-    assert g.basis == _closure_by_all_pairs(gens, "exact")
-    assert g.dimension == bracket_closure([z1, z2, z3], "exact").dimension == 9
+    assert len(_closure_against_all_pairs(gens, "exact")) == 9
+    assert bracket_closure([z1, z2, z3], "exact").dimension == 9
 
 
 def _pairs_formed(monkeypatch, name, factors):
@@ -202,34 +216,48 @@ def _pairs_formed(monkeypatch, name, factors):
     inner = getattr(lie, name)
 
     def recording(*args):
-        pairs.append(tuple(map(id, args[factors])))
+        pairs.append(args[factors])
         return inner(*args)
 
     monkeypatch.setattr(lie, name, recording)
     return pairs
 
 
+def _weight_field_key(h):
+    """A field's identity read off its ``_weight`` tuple: the weight key and
+    the rational coefficients."""
+    _, _, nums, den = h
+    return h[0], frozenset((k, Fraction(re, den), Fraction(im, den)) for k, re, im in nums)
+
+
 @pytest.mark.parametrize("homogeneous", [True, False])
-def test_closure_forms_each_unordered_pair_once(monkeypatch, homogeneous):
+def test_closure_brackets_with_the_generators_only(monkeypatch, homogeneous):
     _, _, zs = build_nilpotent_example(4)
     if homogeneous:
         pairs = _pairs_formed(monkeypatch, "_weight_bracket", slice(0, 2))
         monkeypatch.setattr(VectorField, "bracket", None)  # the closed form only
+        factor, field = _weight_field_key, lambda X: _weight_field_key(lie._weight(X))
     else:
         zs = [VectorField([a + b for a, b in zip(zs[0].coeffs, zs[1].coeffs)])] + zs[1:]
         pairs = _pairs_formed(monkeypatch, "_bracket_in_mode", slice(1, 3))
+        factor = field = lambda X: X
     g = bracket_closure(zs, "exact")
-    assert len(pairs) == len({frozenset(pair) for pair in pairs})
+    index = {field(X): i for i, X in enumerate(g.basis)}
+    pairs = [(index[factor(a)], index[factor(b)]) for a, b in pairs]
+    # the left factor is a generator, and no unordered pair repeats
+    assert all(a < g.generators for a, _ in pairs)
     assert all(a != b for a, b in pairs)
-    # every unordered pair of distinct basis fields is formed
-    assert len(pairs) == g.dimension * (g.dimension - 1) // 2
+    assert len(pairs) == len({frozenset(pair) for pair in pairs})
+    # [S, S] once, then S with every other basis field: 6 + 4 * 27 brackets,
+    # where bracketing every unordered pair of the basis forms 31 * 30 / 2
+    s = g.generators
+    assert (s, g.dimension) == (4, 31)
+    assert len(pairs) == s * (s - 1) // 2 + s * (g.dimension - s) == 114
 
 
 def test_closure_budget_raises_at_the_same_bracket():
     gens = [mono_field(1, {1: 2}, 1), mono_field(1, {1: 3}, 1)]
-    expected = _outcome(_closure_by_all_pairs, gens, "exact", None, 20)
-    assert expected[0] is BudgetExceededError
-    assert _outcome(bracket_closure, gens, "exact", degree_budget=20) == expected
+    assert _closure_against_all_pairs(gens, "exact", None, 20) is BudgetExceededError
 
 
 @pytest.mark.parametrize("mode, order", [("exact", None), ("jet", 20000)])

@@ -7,12 +7,15 @@ closes the result under the bracket, so agreement checks both the ideal
 argument and the skip rules.
 """
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+
+from conftest import random_field
 
 from germcalc import lie
 from germcalc.families import build_chain_algebra, build_nilpotent_example
@@ -209,6 +212,33 @@ def test_central_series_from_the_generators_jet_closure(homogeneous):
     assert len(levels) > 3
     assert_same_series(levels, _all_pairs_central_series(g))
     assert_same_series(levels, reference_central_series(g))
+
+
+def _derived_series_of_the_basis(g: LieAlgebraSpan) -> list[LieAlgebraSpan]:
+    """The derived series of g's basis as a span that records no generators."""
+    return derived_series(LieAlgebraSpan(g.dim, g.mode, g.basis, g.order, closed=True))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_derived_series_first_step_from_the_generators_nilpotent_family(n):
+    # g^(1) = [g, g] = [S, g] when g records its generators S
+    _, _, zs = build_nilpotent_example(n)
+    g = bracket_closure(zs, "exact")
+    assert g.generators == n < g.dimension
+    levels = derived_series(g)
+    assert len(levels) == n + 1
+    assert_same_series(levels, _derived_series_of_the_basis(g))
+
+
+def test_derived_series_first_step_from_the_generators_random_jet_closure():
+    rng = random.Random(17)
+    gens = [random_field(rng, 2, 3) for _ in range(3)]
+    g = bracket_closure(gens, "jet", 6)
+    assert g.generators == 3 < g.dimension
+    assert not all(_is_weight_homogeneous(X) for X in g.basis)
+    levels = derived_series(g)
+    assert len(levels) > 2
+    assert_same_series(levels, _derived_series_of_the_basis(g))
 
 
 def _is_weight_homogeneous(X: VectorField) -> bool:
