@@ -10,9 +10,12 @@ excluded from deterministic serializations.
 from __future__ import annotations
 
 import json
+import os
 import random
+import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 
 from .diffeos import FormalDiffeo, evaluate_word, word_depth
@@ -20,6 +23,7 @@ from .fields import VectorField, is_first_integral, nilpotency_degree_a
 from .laurent import LaurentPoly
 from .lie import (
     NON_TERMINATING,
+    LieAlgebraSpan,
     bracket_closure,
     derived_series,
     kappa_sequence,
@@ -224,7 +228,7 @@ def verify_solvable_family(n: int, jet_order: int | None = None) -> Verification
     chain_spaces = [levels[0]] + [build_chain_algebra(n, j, jet_order) for j in range(1, top + 1)]
     for j, (Gj, level) in enumerate(zip(chain_spaces, levels)):
         claim.check(
-            Gj.contains_span(level) if Gj.basis else level.is_zero(),
+            within_monomial_support(Gj, level),
             f"derived term {j} leaves the chain space {j}",
         )
     # monomial-scaled copies downstairs
@@ -252,6 +256,21 @@ def verify_solvable_family(n: int, jet_order: int | None = None) -> Verification
     claim.parameters["soluble_length"] = length
     claim.parameters["kappa"] = list(kappa)
     return claim.report()
+
+
+def within_monomial_support(span: LieAlgebraSpan, other: LieAlgebraSpan) -> bool:
+    """``span.contains_span(other)`` for a span whose basis fields are
+    distinct monomial fields x^a d_i, as every chain space's is: such a
+    span holds a field exactly when each of the field's terms is one of
+    those monomials, so no echelon is built."""
+    support = set().union(*map(_support, span.basis))
+    return all(_support(X) <= support for X in other.basis)
+
+
+def _support(X: VectorField) -> set[int]:
+    """The keys of ``X.sparse()``, without its values."""
+    n = X.dim
+    return {key * n + i for i, c in enumerate(X.coeffs) for key in c.numerators()[0]}
 
 
 # -- the nilpotent family -----------------------------------------------------------
@@ -455,7 +474,28 @@ def verify_group_witness_fixture(name: str, claim_id: str) -> VerificationReport
 # -- global length-bound sanity ----------------------------------------------------------
 
 
-def verify_length_bounds(reports: list[VerificationReport]) -> VerificationReport:
+def sample_planar_depth2_words() -> list[bool]:
+    """Whether each of four seeded depth-2 derived words of the planar family
+    (k_param = 5, jet order 8) vanishes.
+
+    The family is unipotent in dimension 2, so its derived length is at most
+    3, and its commutator group is abelian, so every depth-2 derived word
+    [[a, b], [c, d]] must be the identity.  ``verify_length_bounds`` reads
+    the answers.
+    """
+    rng = random.Random(11)
+    order = 8
+    ident = FormalDiffeo.identity(2, order)
+    vanished = []
+    for _ in range(4):
+        a, b, c, d = (random_intro_member(rng, 5, order) for _ in range(4))
+        vanished.append(a.commutator(b).commutator(c.commutator(d)) == ident)
+    return vanished
+
+
+def verify_length_bounds(
+    reports: list[VerificationReport], planar: list[bool] | None = None
+) -> VerificationReport:
     """Every example the engine builds has to respect the applicable global
     bound: 2n for connected solvable, 2n-1 for unipotent solvable, n for
     nilpotent.  A violation anywhere fails the suite.
@@ -466,7 +506,8 @@ def verify_length_bounds(reports: list[VerificationReport]) -> VerificationRepor
     A chain report without a length (its series did not terminate) fails the
     bound.  The ``heavy`` parameter is true exactly when a
     ``solvable-chain-n3`` report is among them, so the n = 3 chain was
-    bound-checked too.
+    bound-checked too.  ``planar`` holds the answers of
+    ``sample_planar_depth2_words``, which is drawn here when not given.
     """
     heavy = any(r.claim_id == "solvable-chain-n3" for r in reports)
     claim = _Claim("length-bounds", {"heavy": heavy})
@@ -493,36 +534,167 @@ def verify_length_bounds(reports: list[VerificationReport]) -> VerificationRepor
                 all(Z.is_formal() and Z.is_nilpotent() for Z in zs),
                 f"family n={n} is not generated by nilpotent formal fields",
             )
-    # planar family: unipotent in dimension 2, so derived length <= 3;
-    # its commutator group is abelian, so sampled depth-2 derived words vanish
-    rng = random.Random(11)
-    order = 8
-    ident = FormalDiffeo.identity(2, order)
-    for _ in range(4):
-        a, b, c, d = (random_intro_member(rng, 5, order) for _ in range(4))
-        claim.check(
-            a.commutator(b).commutator(c.commutator(d)) == ident,
-            "planar family has a nontrivial depth-2 derived word",
-        )
+    # planar family: sampled depth-2 derived words must vanish
+    if planar is None:
+        planar = sample_planar_depth2_words()
+    for vanished in planar:
+        claim.check(vanished, "planar family has a nontrivial depth-2 derived word")
     return claim.report()
 
 
 # -- the full suite -------------------------------------------------------------------
 
+# In-process time of length-bounds in ms, which the parent runs after every
+# unit; see _verification_units for the others.
+_LENGTH_BOUNDS_MS = 2.5
+
+
+def _verification_units(seed: int, heavy_solvable_n3: bool) -> list[tuple]:
+    """The independent work of ``verify all`` as (ms, call) units: the
+    claims in report order, then the planar sample that
+    length-bounds reads.  The ms are each unit's in-process time (seed 0,
+    2-vCPU Xeon KVM guest, Python 3.11.7); they only deal the units over
+    processes, so a stale figure costs balance, never a different report."""
+    units = [
+        (ms, partial(verify_intro_nilpotency, k, k + 3, 6, seed))
+        for k, ms in ((3, 4.1), (4, 7.1), (5, 12.0))
+    ]
+    units += [(0.2, partial(verify_solvable_family, 1, 6))]
+    units += [(2.8, partial(verify_solvable_family, 2, 12))]
+    if heavy_solvable_n3:
+        units.append((700.0, partial(verify_solvable_family, 3)))
+    units += [
+        (ms, partial(verify_nilpotent_example, n)) for n, ms in ((2, 0.5), (3, 1.9), (4, 8.0))
+    ]
+    units += [
+        (ms, partial(verify_group_witness_fixture, f"group_witness_n{n}.txt", f"group-witness-n{n}"))
+        for n, ms in ((1, 1.1), (2, 5.8))
+    ]
+    units.append((5.4, sample_planar_depth2_words))
+    return units
+
+
+def _deal(costs: list[float], workers: int) -> list[list[int]]:
+    """Unit indices in ``workers`` shares of about equal cost: heaviest unit
+    first, each onto the share with the least cost so far.  Share 0, the
+    calling process's, starts with the cost of length-bounds.  Each share
+    lists its units in report order."""
+    shares: list[list[int]] = [[] for _ in range(workers)]
+    loads = [_LENGTH_BOUNDS_MS] + [0.0] * (workers - 1)
+    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
+        s = loads.index(min(loads))
+        shares[s].append(i)
+        loads[s] += costs[i]
+    return [sorted(share) for share in shares]
+
+
+def _run_share(units: list[tuple], share) -> list:
+    return [units[i][1]() for i in share]
+
+
+def _run_child(units: list[tuple], share: list[int], fd: int):
+    """In a forked child: run ``share`` and write ``pickle.dumps(("ok",
+    results))`` or ``("err", exception)`` to the pipe ``fd``, then leave
+    with ``os._exit``, never returning into the caller's stack.  An
+    exception that would not unpickle is sent as a RuntimeError naming it."""
+    import pickle
+
+    status = 1
+    try:
+        try:
+            payload = ("ok", _run_share(units, share))
+        except BaseException as exc:
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+            payload = ("err", exc)
+        with open(fd, "wb") as pipe:
+            pipe.write(pickle.dumps(payload))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _run_units(units: list[tuple], workers: int) -> list:
+    """The results of ``units`` in unit order, computed in ``workers``
+    processes.
+
+    The shares of ``_deal`` past the first each run in a child made with
+    ``os.fork``; this process runs share 0 and then reads each child's pipe.
+    A child's exception is raised again here with its type and message, and
+    a child that ends without writing raises RuntimeError.  Every child is
+    reaped before this returns or raises, and killed first when this
+    process raises."""
+    if workers <= 1:
+        return _run_share(units, range(len(units)))
+    import pickle
+    import signal
+
+    shares = _deal([ms for ms, _ in units], workers)
+    results = [None] * len(units)
+    children = []  # (pid, read end, share)
+    try:
+        for share in shares[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                os.close(r)
+                _run_child(units, share, w)
+            os.close(w)
+            children.append((pid, r, share))
+        for i, value in zip(shares[0], _run_share(units, shares[0])):
+            results[i] = value
+        for pid, r, share in children:
+            with open(r, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            if not data:
+                raise RuntimeError(f"verification worker {pid} ended without a result")
+            tag, value = pickle.loads(data)
+            if tag == "err":
+                raise value
+            for i, v in zip(share, value):
+                results[i] = v
+        return results
+    except BaseException:
+        for pid, _, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, r, _ in children:
+            os.close(r)
+            os.waitpid(pid, 0)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or 1 without ``os.fork`` or
+    ``os.sched_getaffinity``, and while another thread runs: a forked child
+    could block on a lock that thread held."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    threading = sys.modules.get("threading")
+    if threading is not None and threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
 
 def run_all_verifications(
-    seed: int = 0, heavy_solvable_n3: bool = False
+    seed: int = 0, heavy_solvable_n3: bool = False, _workers: int | None = None
 ) -> list[VerificationReport]:
-    reports = []
-    for k in (3, 4, 5):
-        reports.append(verify_intro_nilpotency(k, k + 3, sample_count=6, seed=seed))
-    reports.append(verify_solvable_family(1, 6))
-    reports.append(verify_solvable_family(2, 12))
-    if heavy_solvable_n3:
-        reports.append(verify_solvable_family(3))
-    for n in (2, 3, 4):
-        reports.append(verify_nilpotent_example(n))
-    reports.append(verify_group_witness_fixture("group_witness_n1.txt", "group-witness-n1"))
-    reports.append(verify_group_witness_fixture("group_witness_n2.txt", "group-witness-n2"))
-    reports.append(verify_length_bounds(reports))
+    """Every claim of ``verify all``, then length-bounds, in report order.
+
+    The claims and the planar sample are independent, so they are dealt over
+    ``min(usable CPUs, units)`` processes (``_run_units``); with one usable
+    CPU (see ``_usable_cpus``) they run in this process.  Reports are the same either
+    way, except for ``elapsed``, which each claim measures in the process
+    that ran it.  ``_workers`` overrides the process count."""
+    units = _verification_units(seed, heavy_solvable_n3)
+    workers = _usable_cpus() if _workers is None else _workers
+    *reports, planar = _run_units(units, min(workers, len(units)))
+    reports.append(verify_length_bounds(reports, planar))
     return reports
