@@ -182,6 +182,12 @@ class VectorField:
                     out[key * n + i] = (re * scale, im * scale)
         return out
 
+    def support(self) -> set[int]:
+        """The keys of ``sparse()``: the field's terms, without their
+        coefficients."""
+        n = self.dim
+        return {key * n + i for i, c in enumerate(self.coeffs) for key in c.numerators()[0]}
+
 
 def is_first_integral(g: LaurentPoly, fields: Iterable[VectorField]) -> bool:
     """True iff every field kills g."""

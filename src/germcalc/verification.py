@@ -228,7 +228,7 @@ def verify_solvable_family(n: int, jet_order: int | None = None) -> Verification
     chain_spaces = [levels[0]] + [build_chain_algebra(n, j, jet_order) for j in range(1, top + 1)]
     for j, (Gj, level) in enumerate(zip(chain_spaces, levels)):
         claim.check(
-            within_monomial_support(Gj, level),
+            _within_monomial_support(Gj, level),
             f"derived term {j} leaves the chain space {j}",
         )
     # monomial-scaled copies downstairs
@@ -258,19 +258,13 @@ def verify_solvable_family(n: int, jet_order: int | None = None) -> Verification
     return claim.report()
 
 
-def within_monomial_support(span: LieAlgebraSpan, other: LieAlgebraSpan) -> bool:
+def _within_monomial_support(span: LieAlgebraSpan, other: LieAlgebraSpan) -> bool:
     """``span.contains_span(other)`` for a span whose basis fields are
     distinct monomial fields x^a d_i, as every chain space's is: such a
     span holds a field exactly when each of the field's terms is one of
     those monomials, so no echelon is built."""
-    support = set().union(*map(_support, span.basis))
-    return all(_support(X) <= support for X in other.basis)
-
-
-def _support(X: VectorField) -> set[int]:
-    """The keys of ``X.sparse()``, without its values."""
-    n = X.dim
-    return {key * n + i for i, c in enumerate(X.coeffs) for key in c.numerators()[0]}
+    support = set().union(*(X.support() for X in span.basis))
+    return all(X.support() <= support for X in other.basis)
 
 
 # -- the nilpotent family -----------------------------------------------------------
@@ -494,7 +488,7 @@ def sample_planar_depth2_words() -> list[bool]:
 
 
 def verify_length_bounds(
-    reports: list[VerificationReport], planar: list[bool] | None = None
+    reports: list[VerificationReport], planar: list[bool]
 ) -> VerificationReport:
     """Every example the engine builds has to respect the applicable global
     bound: 2n for connected solvable, 2n-1 for unipotent solvable, n for
@@ -507,7 +501,7 @@ def verify_length_bounds(
     bound.  The ``heavy`` parameter is true exactly when a
     ``solvable-chain-n3`` report is among them, so the n = 3 chain was
     bound-checked too.  ``planar`` holds the answers of
-    ``sample_planar_depth2_words``, which is drawn here when not given.
+    ``sample_planar_depth2_words``.
     """
     heavy = any(r.claim_id == "solvable-chain-n3" for r in reports)
     claim = _Claim("length-bounds", {"heavy": heavy})
@@ -535,8 +529,6 @@ def verify_length_bounds(
                 f"family n={n} is not generated by nilpotent formal fields",
             )
     # planar family: sampled depth-2 derived words must vanish
-    if planar is None:
-        planar = sample_planar_depth2_words()
     for vanished in planar:
         claim.check(vanished, "planar family has a nontrivial depth-2 derived word")
     return claim.report()
@@ -547,6 +539,10 @@ def verify_length_bounds(
 # In-process time of length-bounds in ms, which the parent runs after every
 # unit; see _verification_units for the others.
 _LENGTH_BOUNDS_MS = 2.5
+
+# The most processes verify all runs in: two is the count whose speed-up was
+# measured (2-vCPU KVM guest); a wider fan-out is unmeasured.
+_MAX_WORKERS = 2
 
 
 def _verification_units(seed: int, heavy_solvable_n3: bool) -> list[tuple]:
@@ -684,17 +680,16 @@ def _usable_cpus() -> int:
 
 
 def run_all_verifications(
-    seed: int = 0, heavy_solvable_n3: bool = False, _workers: int | None = None
+    seed: int = 0, heavy_solvable_n3: bool = False
 ) -> list[VerificationReport]:
     """Every claim of ``verify all``, then length-bounds, in report order.
 
     The claims and the planar sample are independent, so they are dealt over
-    ``min(usable CPUs, units)`` processes (``_run_units``); with one usable
-    CPU (see ``_usable_cpus``) they run in this process.  Reports are the same either
-    way, except for ``elapsed``, which each claim measures in the process
-    that ran it.  ``_workers`` overrides the process count."""
+    ``min(usable CPUs, _MAX_WORKERS)`` processes (``_run_units``); with one
+    usable CPU (see ``_usable_cpus``) they run in this process.  Reports are
+    the same either way, except for ``elapsed``, which each claim measures
+    in the process that ran it."""
     units = _verification_units(seed, heavy_solvable_n3)
-    workers = _usable_cpus() if _workers is None else _workers
-    *reports, planar = _run_units(units, min(workers, len(units)))
+    *reports, planar = _run_units(units, min(_usable_cpus(), _MAX_WORKERS))
     reports.append(verify_length_bounds(reports, planar))
     return reports

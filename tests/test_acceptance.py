@@ -43,6 +43,7 @@ from germcalc.families import (
     expected_nilpotency_class,
 )
 from germcalc.verification import (
+    sample_planar_depth2_words,
     verify_group_witness_fixture,
     verify_intro_nilpotency,
     verify_nilpotent_example,
@@ -237,7 +238,7 @@ def test_criterion_9_theorem_bounds():
     """Every constructed example respects the applicable global bound."""
     reports = [verify_solvable_family(1, 6), verify_solvable_family(2, 12)]
     reports += [verify_nilpotent_example(n) for n in (2, 3, 4)]
-    r = verify_length_bounds(reports)
+    r = verify_length_bounds(reports, sample_planar_depth2_words())
     assert r.status == "pass", r.witness
     _ok("9 (global length bounds)")
 

@@ -20,7 +20,6 @@ from germcalc.verification import (
     sample_planar_depth2_words,
     verify_length_bounds,
     verify_solvable_family,
-    within_monomial_support,
 )
 
 
@@ -32,9 +31,11 @@ def no_child_left():
 
 
 @pytest.mark.parametrize("seed", [0, 18])
-def test_two_workers_give_the_in_process_reports(seed):
-    one = run_all_verifications(seed, _workers=1)
-    two = run_all_verifications(seed, _workers=2)
+def test_two_workers_give_the_in_process_reports(monkeypatch, seed):
+    monkeypatch.setattr(verification, "_usable_cpus", lambda: 1)
+    one = run_all_verifications(seed)
+    monkeypatch.setattr(verification, "_usable_cpus", lambda: 2)
+    two = run_all_verifications(seed)
     assert [r.claim_id for r in two] == [r.claim_id for r in one]
     assert reports_to_json(two) == reports_to_json(one)
     assert all(r.elapsed > 0 for r in two)
@@ -51,6 +52,21 @@ def test_one_process_while_another_thread_runs():
         release.set()
         thread.join(30)
     assert not thread.is_alive()
+
+
+def test_at_most_two_processes(monkeypatch):
+    counts = []
+    run_units = verification._run_units
+
+    def counting(units, workers):
+        counts.append(workers)
+        return run_units(units, workers)
+
+    monkeypatch.setattr(verification, "_run_units", counting)
+    for cpus in (1, 2, 8):
+        monkeypatch.setattr(verification, "_usable_cpus", lambda: cpus)
+        run_all_verifications(0)
+    assert counts == [1, 2, 2]
 
 
 def test_every_unit_is_dealt_once():
@@ -96,10 +112,10 @@ def test_child_error_raises_in_the_parent(monkeypatch, capsys, exc, code):
     monkeypatch.setattr(
         verification, "verify_group_witness_fixture", _raise_in_child(os.getpid(), exc)
     )
-    with pytest.raises(type(exc)) as raised:
-        run_all_verifications(0, _workers=2)
-    assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
     monkeypatch.setattr(verification, "_usable_cpus", lambda: 2)
+    with pytest.raises(type(exc)) as raised:
+        run_all_verifications(0)
+    assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
     assert cli.main(["verify", "all"]) == code
     assert str(exc) in capsys.readouterr().err
 
@@ -161,7 +177,7 @@ def test_support_containment_agrees_with_the_echelon(n, order):
     for G in spaces:
         for level in levels:
             expected = G.contains_span(level) if G.basis else level.is_zero()
-            assert within_monomial_support(G, level) == expected
+            assert verification._within_monomial_support(G, level) == expected
             outcomes.add(expected)
     assert outcomes == {True, False}
 
@@ -173,7 +189,7 @@ def test_support_containment_rejects_one_term_outside():
     outside = next(X for X in G0.basis if not G2.contains_field(X))
     field = VectorField([a + b for a, b in zip(inside.coeffs, outside.coeffs)])
     span = LieAlgebraSpan(n, "jet", (field,), order)
-    assert not within_monomial_support(G2, span)
+    assert not verification._within_monomial_support(G2, span)
     assert not G2.contains_span(span)
-    assert within_monomial_support(G0, span) and G0.contains_span(span)
-    assert within_monomial_support(G2, LieAlgebraSpan(n, "jet", (inside,), order))
+    assert verification._within_monomial_support(G0, span) and G0.contains_span(span)
+    assert verification._within_monomial_support(G2, LieAlgebraSpan(n, "jet", (inside,), order))

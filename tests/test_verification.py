@@ -17,6 +17,7 @@ from germcalc.verification import (
     load_witness_fixture,
     reports_to_json,
     reports_to_text,
+    sample_planar_depth2_words,
     verify_group_length_witness,
     verify_group_witness_fixture,
     verify_intro_nilpotency,
@@ -211,7 +212,11 @@ def test_witness_failure_when_all_trivial():
 def test_length_bounds():
     reports = [verify_solvable_family(1, 6), verify_solvable_family(2, 12)]
     reports += [verify_nilpotent_example(n) for n in (2, 3, 4)]
-    assert verify_length_bounds(reports).status == "pass"
+    assert verify_length_bounds(reports, sample_planar_depth2_words()).status == "pass"
+
+
+# a planar sample in which every depth-2 derived word vanished
+PLANAR = [True] * 4
 
 
 def _chain_report(n, length):
@@ -226,24 +231,24 @@ def _nilpotent_report(n, length):
 
 
 def test_length_bounds_fail_on_reported_lengths():
-    r = verify_length_bounds([_chain_report(1, 2), _chain_report(2, 5)])
+    r = verify_length_bounds([_chain_report(1, 2), _chain_report(2, 5)], PLANAR)
     assert r.status == "fail"
     assert r.witness == "chain algebra n=2 exceeds the solvable bound"
     # a chain report without a length (series did not terminate) fails too
-    assert verify_length_bounds([_chain_report(1, None)]).status == "fail"
-    r = verify_length_bounds([_nilpotent_report(2, 4)])
+    assert verify_length_bounds([_chain_report(1, None)], PLANAR).status == "fail"
+    r = verify_length_bounds([_nilpotent_report(2, 4)], PLANAR)
     assert r.witness == "nilpotent family n=2: length 4 > 2; nilpotent family n=2: length 4 > 3"
-    r = verify_length_bounds([_nilpotent_report(3, "non-terminating")])
+    r = verify_length_bounds([_nilpotent_report(3, "non-terminating")], PLANAR)
     assert r.witness == "nilpotent family n=3 not solvable"
 
 
 def test_length_bounds_heavy_iff_n3_chain_reported():
     chains = [_chain_report(n, 2 * n) for n in (1, 2)]
-    r = verify_length_bounds(chains)
+    r = verify_length_bounds(chains, PLANAR)
     assert r.status == "pass" and r.parameters == {"heavy": False}
-    r = verify_length_bounds(chains + [_chain_report(3, 6)])
+    r = verify_length_bounds(chains + [_chain_report(3, 6)], PLANAR)
     assert r.status == "pass" and r.parameters == {"heavy": True}
-    r = verify_length_bounds(chains + [_chain_report(3, 7)])
+    r = verify_length_bounds(chains + [_chain_report(3, 7)], PLANAR)
     assert r.status == "fail" and r.parameters == {"heavy": True}
 
 
