@@ -79,12 +79,6 @@ def _add_common_options(parser: argparse.ArgumentParser, suppress: bool, fmt: st
     parser.add_argument("--seed", type=int, default=default(0))
     parser.add_argument("--degree-budget", type=int, default=default(256))
     parser.add_argument(
-        "--heavy-solvable-n3",
-        action="store_true",
-        default=default(False),
-        help="opt in to the three-variable solvable-chain verification (very slow)",
-    )
-    parser.add_argument(
         "--timings",
         action="store_true",
         default=default(False),
@@ -278,16 +272,12 @@ def _run(args) -> int:
 def _run_verify(args):
     target = args.target
     if target == "all":
-        return run_all_verifications(args.seed, args.heavy_solvable_n3)
+        return run_all_verifications(args.seed)
     if target == "intro":
         k = args.k_param
         return [verify_intro_nilpotency(k, k + 3, seed=args.seed)]
     if target == "solvable":
         n = args.n if args.n is not None else 2
-        if n >= 3 and not args.heavy_solvable_n3:
-            raise ValueError(
-                "three-variable solvable verification requires --heavy-solvable-n3"
-            )
         return [verify_solvable_family(n)]
     if target == "nilpotent":
         n = args.n if args.n is not None else 3

@@ -578,10 +578,6 @@ class LaurentPoly:
     def __hash__(self):
         return hash((self.dim, self._d, frozenset(self._t.items())))
 
-    def sorted_terms(self):
-        """Terms in graded-lex order (canonical display order)."""
-        return list(self.terms.items())
-
     def __repr__(self):
         return f"LaurentPoly({self.dim}, {dict(self.terms)!r})"
 

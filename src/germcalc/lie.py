@@ -212,6 +212,12 @@ def bracket_closure(
     )
 
 
+_NOT_CLOSED = (
+    "the span is not closed under the bracket; "
+    "pass its bracket_closure to the series functions"
+)
+
+
 def _require_algebra(g: LieAlgebraSpan) -> None:
     """Raise ValueError unless g is closed under the bracket of its mode.
 
@@ -226,10 +232,7 @@ def _require_algebra(g: LieAlgebraSpan) -> None:
         for Y in g.basis[i + 1:]:
             Z = _bracket_in_mode(g, X, Y)
             if not Z.is_zero() and not ech.contains(Z.sparse()):
-                raise ValueError(
-                    "the span is not closed under the bracket; "
-                    "pass its bracket_closure to the series functions"
-                )
+                raise ValueError(_NOT_CLOSED)
 
 
 # -- derived and central series ----------------------------------------------
@@ -505,29 +508,31 @@ def _bracket_span(
     return span, entries
 
 
-def _series(
-    g: LieAlgebraSpan, first: list | None, outer: list | None, max_steps: int, name: str
-) -> list[LieAlgebraSpan]:
+def _series(g: LieAlgebraSpan, first: list | None, outer: list | None) -> list[LieAlgebraSpan]:
     """g, [first, g], [outer, [first, g]], ... (with ``first`` and ``outer``
-    as ``outer`` in ``_bracket_span``) until a zero term or two consecutive
-    terms of equal dimension."""
+    as ``outer`` in ``_bracket_span``) until a zero term or a term that is
+    not smaller than the one before.  Each term of a Lie algebra's series
+    lies in the one before, so a larger term means g was marked closed
+    without being closed: ValueError, as from ``_require_algebra``."""
     levels = [g]
     entries = None
     while not levels[-1].is_zero():
         nxt, entries = _bracket_span(levels[-1], entries, first if len(levels) == 1 else outer)
-        stable = nxt.dimension == levels[-1].dimension
+        grown = nxt.dimension - levels[-1].dimension
         levels.append(nxt)
-        if stable:
-            return levels
-        if len(levels) > max_steps:
-            raise BudgetExceededError(f"{name} series exceeded the step budget")
+        if grown > 0:
+            raise ValueError(_NOT_CLOSED)
+        if grown == 0:
+            break
     return levels
 
 
-def derived_series(g: LieAlgebraSpan, max_steps: int = 64) -> list[LieAlgebraSpan]:
+def derived_series(g: LieAlgebraSpan) -> list[LieAlgebraSpan]:
     """g = g^(0), g^(1), ...  Stops at the zero span, or with two equal
     consecutive spans when the series stabilizes nonzero (the caller reads
-    that tail as non-terminating at this jet order).
+    that tail as non-terminating at this jet order).  Each term lies in the
+    one before, so its dimension falls at every step until the series
+    stops: it has at most dim g + 1 terms.
 
     g must be a Lie algebra (closed under the bracket of its mode), for
     example the result of ``bracket_closure``; the series of a span that is
@@ -541,12 +546,13 @@ def derived_series(g: LieAlgebraSpan, max_steps: int = 64) -> list[LieAlgebraSpa
     """
     _require_algebra(g)
     first = None if g.generators is None else _graded(g.basis[:g.generators])
-    return _series(g, first, None, max_steps, "derived")
+    return _series(g, first, None)
 
 
-def central_series(g: LieAlgebraSpan, max_steps: int = 256) -> list[LieAlgebraSpan]:
+def central_series(g: LieAlgebraSpan) -> list[LieAlgebraSpan]:
     """g = C^0, C^1 = [g, C^0], ...  Same precondition (g a Lie algebra) and
-    termination contract as derived_series.
+    termination contract as derived_series, and likewise at most dim g + 1
+    terms, since each C^(j+1) = [g, C^j] lies in C^j.
 
     For any generating set S of g, C^(j+1) = [S, C^j]: C^j is spanned by
     the brackets [s_1, [s_2, ..., [s_m, s_(m+1)]]] with m >= j and every
@@ -557,7 +563,7 @@ def central_series(g: LieAlgebraSpan, max_steps: int = 256) -> list[LieAlgebraSp
     """
     _require_algebra(g)
     outer = _graded(g.basis if g.generators is None else g.basis[:g.generators])
-    return _series(g, outer, outer, max_steps, "central")
+    return _series(g, outer, outer)
 
 
 def _series_length(levels: Sequence[LieAlgebraSpan]):

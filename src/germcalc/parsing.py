@@ -362,7 +362,7 @@ def format_poly(p: LaurentPoly) -> str:
     if p.is_zero():
         return "0"
     parts = []
-    for exps, coeff in p.sorted_terms():
+    for exps, coeff in p.terms.items():
         term = _format_term(exps, coeff)
         if not parts:
             parts.append(term)

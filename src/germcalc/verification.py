@@ -170,6 +170,10 @@ def verify_intro_nilpotency(
                         exps[1] >= j + 2,
                         f"depth-{j} translation has a term of degree {exps[1]} < {j + 2}",
                     )
+                    claim.check(
+                        exps[1] <= k_param,
+                        f"depth-{j} translation has a term of degree {exps[1]} > {k_param}",
+                    )
                 if j == k_param - 2 and witness is None and not q.is_zero():
                     witness = c
             else:
@@ -545,7 +549,7 @@ _LENGTH_BOUNDS_MS = 2.5
 _MAX_WORKERS = 2
 
 
-def _verification_units(seed: int, heavy_solvable_n3: bool) -> list[tuple]:
+def _verification_units(seed: int) -> list[tuple]:
     """The independent work of ``verify all`` as (ms, call) units: the
     claims in report order, then the planar sample that
     length-bounds reads.  The ms are each unit's in-process time (seed 0,
@@ -557,8 +561,6 @@ def _verification_units(seed: int, heavy_solvable_n3: bool) -> list[tuple]:
     ]
     units += [(0.2, partial(verify_solvable_family, 1, 6))]
     units += [(2.8, partial(verify_solvable_family, 2, 12))]
-    if heavy_solvable_n3:
-        units.append((700.0, partial(verify_solvable_family, 3)))
     units += [
         (ms, partial(verify_nilpotent_example, n)) for n, ms in ((2, 0.5), (3, 1.9), (4, 8.0))
     ]
@@ -679,9 +681,7 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def run_all_verifications(
-    seed: int = 0, heavy_solvable_n3: bool = False
-) -> list[VerificationReport]:
+def run_all_verifications(seed: int = 0) -> list[VerificationReport]:
     """Every claim of ``verify all``, then length-bounds, in report order.
 
     The claims and the planar sample are independent, so they are dealt over
@@ -689,7 +689,7 @@ def run_all_verifications(
     usable CPU (see ``_usable_cpus``) they run in this process.  Reports are
     the same either way, except for ``elapsed``, which each claim measures
     in the process that ran it."""
-    units = _verification_units(seed, heavy_solvable_n3)
+    units = _verification_units(seed)
     *reports, planar = _run_units(units, min(_usable_cpus(), _MAX_WORKERS))
     reports.append(verify_length_bounds(reports, planar))
     return reports

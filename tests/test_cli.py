@@ -52,6 +52,32 @@ def test_series_commands_close_the_generators(capsys):
     assert out.strip() == "soluble-length: 3"
 
 
+def test_central_series_runs_past_256_terms(capsys):
+    # x1^2 d1 and x1^3 d1 generate x1^j d1 for j = 2..260: C^j is spanned
+    # by x1^(j+3) d1, ..., x1^260 d1, so the class is 258 (259 terms after g)
+    code, out, _ = run(
+        capsys,
+        "nilpotency-class", "--dim", "1", "--order", "260", "--mode", "jet",
+        "--gens", "x1^2 d1; x1^3 d1",
+    )
+    assert code == EXIT_OK
+    assert out.strip() == "nilpotency-class: 258"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--heavy-solvable-n3", "verify", "solvable", "--n", "3"],
+        ["verify", "solvable", "--n", "3", "--heavy-solvable-n3"],
+    ],
+)
+def test_heavy_solvable_flag_is_an_unknown_option(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_PARSE_ERROR
+    assert "unrecognized arguments: --heavy-solvable-n3" in capsys.readouterr().err
+
+
 def test_jet_mode_rejects_non_formal_generators(capsys):
     code, _, err = run(
         capsys,
@@ -132,21 +158,14 @@ def test_verify_intro_rejects_small_k_param(capsys, k_param):
     assert len(err.splitlines()) == 1 and err.startswith("error:") and "k_param" in err
 
 
-def test_verify_solvable_n3_requires_opt_in(capsys):
-    code, _, err = run(capsys, "verify", "solvable", "--n", "3")
-    assert code == EXIT_PRECONDITION and "heavy" in err
-
-
 def test_verify_solvable_n3_matches_the_committed_report(capsys):
-    code, out, _ = run(
-        capsys, "--heavy-solvable-n3", "verify", "solvable", "--n", "3", "--format", "json"
-    )
+    code, out, _ = run(capsys, "verify", "solvable", "--n", "3", "--format", "json")
     assert code == EXIT_OK
     assert out == (Path(__file__).parent / "data" / "solvable_n3.json").read_text()
 
 
 def test_verify_solvable_n4_exceeds_the_budget_at_once(capsys):
-    code, out, err = run(capsys, "--heavy-solvable-n3", "verify", "solvable", "--n", "4")
+    code, out, err = run(capsys, "verify", "solvable", "--n", "4")
     assert code == EXIT_BUDGET and out == ""
     assert "1456882 generators" in err
 

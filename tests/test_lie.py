@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from germcalc.lie import (
     soluble_length,
     span_reduce,
 )
+from germcalc.parsing import parse_fields
 from germcalc.scalars import Scalar
 from germcalc.families import build_nilpotent_example, build_chain_algebra
 from germcalc.verification import _triangular_coefficients
@@ -675,6 +677,27 @@ def test_series_reject_an_unclosed_span():
         with pytest.raises(ValueError, match="not closed"):
             series(span)
     assert soluble_length(bracket_closure(gens, "jet", 10)) == 3
+
+
+def test_series_reject_a_span_falsely_marked_closed():
+    # the span of these four fields is not closed at jet order 5, so its
+    # "series" would grow (4, 6, 12, ... and 4, 6, 18, ...)
+    fields = parse_fields(
+        "x1^2 d1 + x2^2 d2; x1*x2 d1 + x1^2 d2; x2^2 d1 + x1*x2 d2; x1^2 d2 + x2^3 d1", 2
+    )
+    span = replace(span_reduce(fields, "jet", 5), closed=True)
+    assert span.closed
+    for series in (derived_series, central_series):
+        with pytest.raises(ValueError, match="not closed"):
+            series(span)
+
+
+def test_central_series_runs_to_its_end():
+    # x1^2 d1 and x1^3 d1 generate x1^j d1 for j = 2..260, of dimension 259;
+    # C^j is spanned by x1^(j+3) d1, ..., x1^260 d1, so the class is 258
+    g = bracket_closure([mono_field(1, {1: 2}, 1), mono_field(1, {1: 3}, 1)], "jet", 260)
+    assert g.dimension == 259
+    assert nilpotency_class(g) == 258
 
 
 def test_closed_spans_are_marked():

@@ -70,18 +70,17 @@ def test_at_most_two_processes(monkeypatch):
 
 
 def test_every_unit_is_dealt_once():
-    for heavy in (False, True):
-        units = verification._verification_units(0, heavy)
-        costs = [ms for ms, _ in units]
-        for workers in range(1, len(units) + 1):
-            shares = verification._deal(costs, workers)
-            assert len(shares) == workers
-            assert sorted(i for share in shares for i in share) == list(range(len(units)))
-            assert all(share == sorted(share) for share in shares)
+    units = verification._verification_units(0)
+    costs = [ms for ms, _ in units]
+    for workers in range(1, len(units) + 1):
+        shares = verification._deal(costs, workers)
+        assert len(shares) == workers
+        assert sorted(i for share in shares for i in share) == list(range(len(units)))
+        assert all(share == sorted(share) for share in shares)
 
 
 def test_two_shares_balance_within_fifteen_percent():
-    units = verification._verification_units(0, False)
+    units = verification._verification_units(0)
     costs = [ms for ms, _ in units]
     parent, child = verification._deal(costs, 2)
     loads = (

@@ -49,6 +49,22 @@ def test_intro_reproducibility():
     assert a.witness == b.witness and a.status == b.status
 
 
+def test_intro_fails_on_a_translation_term_above_k_param(monkeypatch):
+    # Q is supported in degrees j + 2 .. k_param: a y^(k_param + 1) term
+    # added to every commutator breaks the upper end
+    commutator = FormalDiffeo.commutator
+    y5 = LaurentPoly.monomial(2, {2: 5})
+
+    def shifted(a, b):
+        c = commutator(a, b)
+        return FormalDiffeo((c.components[0] + y5, c.components[1]), c.order)
+
+    monkeypatch.setattr(FormalDiffeo, "commutator", shifted)
+    r = verify_intro_nilpotency(4, 7, sample_count=2, seed=0)
+    assert r.status == "fail"
+    assert "depth-1 translation has a term of degree 5 > 4" in r.witness
+
+
 def test_intro_rejects_low_order():
     with pytest.raises(ValueError):
         verify_intro_nilpotency(4, 5)
