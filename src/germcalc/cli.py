@@ -6,7 +6,8 @@ reports.  Output is deterministic for a fixed (command, config, seed): JSON
 reports omit wall-clock timing unless --timings is passed.
 
 Exit codes: 0 success; 1 a verification failed or was unstable; 2 parse
-error; 3 precondition violation; 4 budget exhausted.
+error; 3 precondition violation; 4 budget exhausted; 141 (128 + SIGPIPE)
+stdout was closed before the output was written, as by ``| head -1``.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_PARSE_ERROR = 2
 EXIT_PRECONDITION = 3
 EXIT_BUDGET = 4
+EXIT_BROKEN_PIPE = 141
 
 
 def _add_common_options(parser: argparse.ArgumentParser, suppress: bool, fmt: str):
@@ -298,7 +300,13 @@ def main(argv=None) -> int:
     parser = _build_parser(os.environ.get("GERMCALC_FORMAT", "text"))
     args = parser.parse_args(argv)
     try:
-        return _run(args)
+        status = _run(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader is gone: the interpreter's flush at exit goes to /dev/null
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR

@@ -285,6 +285,10 @@ def verify_nilpotent_example(n: int) -> VerificationReport:
     """
     claim = _Claim(f"nilpotent-family-n{n}", {"n": n})
     us, xs, zs = build_nilpotent_example(n)
+    claim.check(
+        all(Z.is_formal() and Z.is_nilpotent() for Z in zs),
+        f"family n={n} is not generated by nilpotent formal fields",
+    )
     # (1) the X family commutes
     for a in range(n):
         for b in range(a + 1, n):
@@ -527,11 +531,6 @@ def verify_length_bounds(
             if solvable:
                 claim.check(length <= n, f"nilpotent family n={n}: length {length} > {n}")
                 claim.check(length <= 2 * n - 1, f"nilpotent family n={n}: length {length} > {2 * n - 1}")
-            _, _, zs = build_nilpotent_example(n)
-            claim.check(
-                all(Z.is_formal() and Z.is_nilpotent() for Z in zs),
-                f"family n={n} is not generated by nilpotent formal fields",
-            )
     # planar family: sampled depth-2 derived words must vanish
     for vanished in planar:
         claim.check(vanished, "planar family has a nontrivial depth-2 derived word")
@@ -540,58 +539,35 @@ def verify_length_bounds(
 
 # -- the full suite -------------------------------------------------------------------
 
-# In-process time of length-bounds in ms, which the parent runs after every
-# unit; see _verification_units for the others.
-_LENGTH_BOUNDS_MS = 2.5
-
-# The most processes verify all runs in: two is the count whose speed-up was
-# measured (2-vCPU KVM guest); a wider fan-out is unmeasured.
-_MAX_WORKERS = 2
-
 
 def _verification_units(seed: int) -> list[tuple]:
-    """The independent work of ``verify all`` as (ms, call) units: the
-    claims in report order, then the planar sample that
-    length-bounds reads.  The ms are each unit's in-process time (seed 0,
-    2-vCPU Xeon KVM guest, Python 3.11.7); they only deal the units over
-    processes, so a stale figure costs balance, never a different report."""
+    """The independent work of ``verify all`` as (in_child, call) units: the
+    claims in report order, then the planar sample that length-bounds reads.
+
+    With two processes, the units marked in_child run in a forked child, and
+    the others, then length-bounds, in the calling process.  The split is
+    fixed here from the in-process time of each share, run once in a fresh
+    process (seed 0, medians of 15, 2-vCPU Xeon KVM guest, Python 3.11.7):
+    20 ms for the child's and 21 ms for the caller's with length-bounds.  A
+    stale split costs balance, never a different report."""
     units = [
-        (ms, partial(verify_intro_nilpotency, k, k + 3, 6, seed))
-        for k, ms in ((3, 4.1), (4, 7.1), (5, 12.0))
+        (True, partial(verify_intro_nilpotency, 3, 6, 6, seed)),
+        (False, partial(verify_intro_nilpotency, 4, 7, 6, seed)),
+        (True, partial(verify_intro_nilpotency, 5, 8, 6, seed)),
+        (False, partial(verify_solvable_family, 1, 6)),
+        (True, partial(verify_solvable_family, 2, 12)),
     ]
-    units += [(0.2, partial(verify_solvable_family, 1, 6))]
-    units += [(2.8, partial(verify_solvable_family, 2, 12))]
+    units += [(False, partial(verify_nilpotent_example, n)) for n in (2, 3, 4)]
     units += [
-        (ms, partial(verify_nilpotent_example, n)) for n, ms in ((2, 0.5), (3, 1.9), (4, 8.0))
+        (True, partial(verify_group_witness_fixture, f"group_witness_n{n}.txt", f"group-witness-n{n}"))
+        for n in (1, 2)
     ]
-    units += [
-        (ms, partial(verify_group_witness_fixture, f"group_witness_n{n}.txt", f"group-witness-n{n}"))
-        for n, ms in ((1, 1.1), (2, 5.8))
-    ]
-    units.append((5.4, sample_planar_depth2_words))
+    units.append((False, sample_planar_depth2_words))
     return units
 
 
-def _deal(costs: list[float], workers: int) -> list[list[int]]:
-    """Unit indices in ``workers`` shares of about equal cost: heaviest unit
-    first, each onto the share with the least cost so far.  Share 0, the
-    calling process's, starts with the cost of length-bounds.  Each share
-    lists its units in report order."""
-    shares: list[list[int]] = [[] for _ in range(workers)]
-    loads = [_LENGTH_BOUNDS_MS] + [0.0] * (workers - 1)
-    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
-        s = loads.index(min(loads))
-        shares[s].append(i)
-        loads[s] += costs[i]
-    return [sorted(share) for share in shares]
-
-
-def _run_share(units: list[tuple], share) -> list:
-    return [units[i][1]() for i in share]
-
-
-def _run_child(units: list[tuple], share: list[int], fd: int):
-    """In a forked child: run ``share`` and write ``pickle.dumps(("ok",
+def _run_child(calls: list, fd: int):
+    """In a forked child: run ``calls`` and write ``pickle.dumps(("ok",
     results))`` or ``("err", exception)`` to the pipe ``fd``, then leave
     with ``os._exit``, never returning into the caller's stack.  An
     exception that would not unpickle is sent as a RuntimeError naming it."""
@@ -600,7 +576,7 @@ def _run_child(units: list[tuple], share: list[int], fd: int):
     status = 1
     try:
         try:
-            payload = ("ok", _run_share(units, share))
+            payload = ("ok", [call() for call in calls])
         except BaseException as exc:
             try:
                 pickle.loads(pickle.dumps(exc))
@@ -614,82 +590,76 @@ def _run_child(units: list[tuple], share: list[int], fd: int):
         os._exit(status)
 
 
-def _run_units(units: list[tuple], workers: int) -> list:
-    """The results of ``units`` in unit order, computed in ``workers``
-    processes.
+def _run_units(units: list[tuple], fork: bool) -> list:
+    """The results of the (in_child, call) ``units`` in unit order.
 
-    The shares of ``_deal`` past the first each run in a child made with
-    ``os.fork``; this process runs share 0 and then reads each child's pipe.
-    A child's exception is raised again here with its type and message, and
-    a child that ends without writing raises RuntimeError.  Every child is
-    reaped before this returns or raises, and killed first when this
-    process raises."""
-    if workers <= 1:
-        return _run_share(units, range(len(units)))
+    Without ``fork`` every unit runs in this process.  With it, the units
+    marked in_child run in one child made with ``os.fork``; this process
+    runs the others and then reads the child's pipe.  A child's exception
+    is raised again here with its type and message, and a child that ends
+    without writing raises RuntimeError.  The child is reaped before this
+    returns or raises, and killed first when this process raises."""
+    if not fork:
+        return [call() for _, call in units]
     import pickle
     import signal
 
-    shares = _deal([ms for ms, _ in units], workers)
+    here = [i for i, (in_child, _) in enumerate(units) if not in_child]
+    there = [i for i, (in_child, _) in enumerate(units) if in_child]
     results = [None] * len(units)
-    children = []  # (pid, read end, share)
+    r, w = os.pipe()
     try:
-        for share in shares[1:]:
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(r)
-                os.close(w)
-                raise
-            if pid == 0:
-                os.close(r)
-                _run_child(units, share, w)
-            os.close(w)
-            children.append((pid, r, share))
-        for i, value in zip(shares[0], _run_share(units, shares[0])):
-            results[i] = value
-        for pid, r, share in children:
-            with open(r, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            if not data:
-                raise RuntimeError(f"verification worker {pid} ended without a result")
-            tag, value = pickle.loads(data)
-            if tag == "err":
-                raise value
-            for i, v in zip(share, value):
-                results[i] = v
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        os.close(r)
+        _run_child([units[i][1] for i in there], w)
+    try:
+        os.close(w)
+        for i in here:
+            results[i] = units[i][1]()
+        with open(r, "rb", closefd=False) as pipe:
+            data = pipe.read()
+        if not data:
+            raise RuntimeError(f"verification worker {pid} ended without a result")
+        tag, value = pickle.loads(data)
+        if tag == "err":
+            raise value
+        for i, v in zip(there, value):
+            results[i] = v
         return results
     except BaseException:
-        for pid, _, _ in children:
-            os.kill(pid, signal.SIGKILL)
+        os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        for pid, r, _ in children:
-            os.close(r)
-            os.waitpid(pid, 0)
+        os.close(r)
+        os.waitpid(pid, 0)
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on, or 1 without ``os.fork`` or
-    ``os.sched_getaffinity``, and while another thread runs: a forked child
-    could block on a lock that thread held."""
+def _can_fork() -> bool:
+    """Whether ``verify all`` forks a child: only when this process may use
+    two or more CPUs, has ``os.fork`` and ``os.sched_getaffinity``, and runs
+    no other thread (a forked child could block on a lock that thread
+    held)."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
+        return False
     threading = sys.modules.get("threading")
     if threading is not None and threading.active_count() > 1:
-        return 1
-    return len(os.sched_getaffinity(0))
+        return False
+    return len(os.sched_getaffinity(0)) >= 2
 
 
 def run_all_verifications(seed: int = 0) -> list[VerificationReport]:
     """Every claim of ``verify all``, then length-bounds, in report order.
 
-    The claims and the planar sample are independent, so they are dealt over
-    ``min(usable CPUs, _MAX_WORKERS)`` processes (``_run_units``); with one
-    usable CPU (see ``_usable_cpus``) they run in this process.  Reports are
-    the same either way, except for ``elapsed``, which each claim measures
-    in the process that ran it."""
-    units = _verification_units(seed)
-    *reports, planar = _run_units(units, min(_usable_cpus(), _MAX_WORKERS))
+    The claims and the planar sample are independent, so they run in two
+    processes, split as ``_verification_units`` marks them, when
+    ``_can_fork`` allows, and in this process otherwise.  Reports are the
+    same either way, except for ``elapsed``, which each claim measures in
+    the process that ran it."""
+    *reports, planar = _run_units(_verification_units(seed), _can_fork())
     reports.append(verify_length_bounds(reports, planar))
     return reports

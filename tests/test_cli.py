@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from germcalc.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_BUDGET,
     EXIT_OK,
     EXIT_PARSE_ERROR,
@@ -128,6 +132,23 @@ def test_kappa_json(capsys):
     )
     assert code == EXIT_OK
     assert json.loads(out) == {"kappa": [1, 1, 0]}
+
+
+def test_closed_stdout_ends_quietly():
+    # the jet matrix is far longer than a pipe buffer, so the writer meets
+    # the closed pipe
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = ["jet-matrix", "--dim", "3", "--order", "12", "--diffeo", "(x1 + x2^2, x2, x3)"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "germcalc.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"result:\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(60) == EXIT_BROKEN_PIPE
+    assert err == b""
 
 
 def test_exit_codes(capsys):

@@ -1,6 +1,6 @@
-"""The process runner of ``verify all``: forked shares give the reports of
-an in-process run, errors cross the process boundary with their type and
-message, and no child outlives a run."""
+"""The process runner of ``verify all``: a forked child's share gives the
+reports of an in-process run, errors cross the process boundary with their
+type and message, and no child outlives a run."""
 
 import os
 import threading
@@ -32,62 +32,43 @@ def no_child_left():
 
 @pytest.mark.parametrize("seed", [0, 18])
 def test_two_workers_give_the_in_process_reports(monkeypatch, seed):
-    monkeypatch.setattr(verification, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(verification, "_can_fork", lambda: False)
     one = run_all_verifications(seed)
-    monkeypatch.setattr(verification, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(verification, "_can_fork", lambda: True)
     two = run_all_verifications(seed)
     assert [r.claim_id for r in two] == [r.claim_id for r in one]
     assert reports_to_json(two) == reports_to_json(one)
     assert all(r.elapsed > 0 for r in two)
 
 
-def test_one_process_while_another_thread_runs():
-    assert verification._usable_cpus() == len(os.sched_getaffinity(0))
+@pytest.mark.parametrize("cpus, fork", [({0}, False), ({0, 1}, True), (set(range(8)), True)])
+def test_can_fork_needs_two_cpus(monkeypatch, cpus, fork):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    assert verification._can_fork() is fork
+
+
+def test_one_process_while_another_thread_runs(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert verification._can_fork()
     release = threading.Event()
     thread = threading.Thread(target=release.wait, args=(30,))
     thread.start()
     try:
-        assert verification._usable_cpus() == 1
+        assert not verification._can_fork()
     finally:
         release.set()
         thread.join(30)
     assert not thread.is_alive()
 
 
-def test_at_most_two_processes(monkeypatch):
-    counts = []
-    run_units = verification._run_units
-
-    def counting(units, workers):
-        counts.append(workers)
-        return run_units(units, workers)
-
-    monkeypatch.setattr(verification, "_run_units", counting)
-    for cpus in (1, 2, 8):
-        monkeypatch.setattr(verification, "_usable_cpus", lambda: cpus)
-        run_all_verifications(0)
-    assert counts == [1, 2, 2]
-
-
-def test_every_unit_is_dealt_once():
+def test_each_unit_runs_where_its_mark_says():
+    parent = os.getpid()
     units = verification._verification_units(0)
-    costs = [ms for ms, _ in units]
-    for workers in range(1, len(units) + 1):
-        shares = verification._deal(costs, workers)
-        assert len(shares) == workers
-        assert sorted(i for share in shares for i in share) == list(range(len(units)))
-        assert all(share == sorted(share) for share in shares)
-
-
-def test_two_shares_balance_within_fifteen_percent():
-    units = verification._verification_units(0)
-    costs = [ms for ms, _ in units]
-    parent, child = verification._deal(costs, 2)
-    loads = (
-        verification._LENGTH_BOUNDS_MS + sum(costs[i] for i in parent),
-        sum(costs[i] for i in child),
-    )
-    assert max(loads) <= 1.15 * min(loads)
+    marks = [in_child for in_child, _ in units]
+    assert True in marks and False in marks
+    located = [(in_child, lambda call=call: (os.getpid(), call())) for in_child, call in units]
+    pids = [pid for pid, _ in verification._run_units(located, True)]
+    assert [pid != parent for pid in pids] == marks
 
 
 def _raise_in_child(parent, exc):
@@ -107,11 +88,11 @@ def _raise_in_child(parent, exc):
     ],
 )
 def test_child_error_raises_in_the_parent(monkeypatch, capsys, exc, code):
-    # both witness claims land in the child's share when two processes run
+    # both witness claims are marked for the child
     monkeypatch.setattr(
         verification, "verify_group_witness_fixture", _raise_in_child(os.getpid(), exc)
     )
-    monkeypatch.setattr(verification, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(verification, "_can_fork", lambda: True)
     with pytest.raises(type(exc)) as raised:
         run_all_verifications(0)
     assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
@@ -122,9 +103,9 @@ def test_child_error_raises_in_the_parent(monkeypatch, capsys, exc, code):
 def test_child_error_that_would_not_unpickle_arrives_named():
     # ParseError's constructor takes the text and position, not its message
     exc = ParseError("unexpected character '@'", "x1 @", 3)
-    units = [(10.0, _raise_in_child(os.getpid(), exc)), (1.0, int)]
+    units = [(True, _raise_in_child(os.getpid(), exc)), (False, int)]
     with pytest.raises(RuntimeError) as raised:
-        verification._run_units(units, 2)
+        verification._run_units(units, True)
     assert str(raised.value) == f"ParseError: {exc}"
 
 
@@ -137,7 +118,7 @@ def test_child_that_ends_without_writing_raises():
         os._exit(0)
 
     with pytest.raises(RuntimeError, match="ended without a result"):
-        verification._run_units([(10.0, die), (1.0, int)], 2)
+        verification._run_units([(True, die), (False, int)], True)
 
 
 def test_parent_error_kills_the_children():
@@ -146,13 +127,13 @@ def test_parent_error_kills_the_children():
 
     t0 = time.monotonic()
     with pytest.raises(ValueError, match="the parent's share failed"):
-        verification._run_units([(10.0, partial(time.sleep, 60)), (1.0, fail)], 2)
+        verification._run_units([(True, partial(time.sleep, 60)), (False, fail)], True)
     assert time.monotonic() - t0 < 30
 
 
 def test_results_come_back_in_unit_order():
-    units = [(float(ms), partial(pow, ms, 2)) for ms in range(1, 8)]
-    assert verification._run_units(units, 3) == [ms * ms for ms in range(1, 8)]
+    units = [(k % 2 == 0, partial(pow, k, 2)) for k in range(1, 8)]
+    assert verification._run_units(units, True) == [k * k for k in range(1, 8)]
 
 
 def test_length_bounds_reads_the_planar_sample():

@@ -143,6 +143,17 @@ def test_nilpotent_example_n2():
     assert r.parameters["nilpotency_class"] == 2
 
 
+def test_nilpotent_family_with_a_non_nilpotent_generator_fails(monkeypatch):
+    us, xs, zs = build_nilpotent_example(2)
+    x1 = LaurentPoly.variable(2, 1)
+    # x2^2 d1 + x1 d1 has linear part with a nonzero eigenvalue
+    bad = VectorField([zs[0].coeffs[0] + x1, zs[0].coeffs[1]])
+    monkeypatch.setattr(verification, "build_nilpotent_example", lambda n: (us, xs, [bad, zs[1]]))
+    r = verify_nilpotent_example(2)
+    assert r.status == "fail"
+    assert "family n=2 is not generated by nilpotent formal fields" in r.witness.split("; ")
+
+
 def _nilpotent_levels(n):
     _, xs, zs = build_nilpotent_example(n)
     return xs, derived_series(bracket_closure(zs, "exact"))
