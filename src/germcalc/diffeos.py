@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -337,20 +336,55 @@ def log_diffeo(phi: FormalDiffeo) -> VectorField:
 # -- commutator words ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WordLeaf:
+class _WordNode:
+    """An immutable word node: equal to a node of its own type with equal
+    fields, hashed by its fields, and shown with them by name."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({shown})"
+
+
+class WordLeaf(_WordNode):
     """A generator reference, optionally inverted."""
 
-    index: int
-    inverse: bool = False
+    __slots__ = ("index", "inverse")
+
+    def __init__(self, index: int, inverse: bool = False):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "inverse", inverse)
 
 
-@dataclass(frozen=True)
-class WordComm:
+class WordComm(_WordNode):
     """The group-commutator node [left, right]."""
 
-    left: "CommutatorWord"
-    right: "CommutatorWord"
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: "CommutatorWord", right: "CommutatorWord"):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
 CommutatorWord = WordLeaf | WordComm

@@ -22,31 +22,7 @@ from .lie import LieAlgebraSpan
 from .scalars import Scalar
 
 
-# -- small series helpers -----------------------------------------------------
-
-
-def geometric_inverse_power(dim: int, var: int, t: Scalar, power: int, order: int) -> LaurentPoly:
-    """(1 + t*x_var)^(-power) as a series truncated at order: the
-    coefficient of x_var^j is C(power + j - 1, j) * (-t)^j.  Power 0 gives 1;
-    a negative power or order raises ValueError.
-
-    With (-t)^j = w_j / q^order (``_power_numerators``), the numerator of
-    x_var^j over q^order is C(power + j - 1, j) * w_j.
-    """
-    if power < 0:
-        raise ValueError(f"power must be >= 0, got {power}")
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
-    if power == 0:
-        return LaurentPoly.one(dim)
-    powers, den = _power_numerators(t, order)
-    terms = {}
-    for j, (r, i) in enumerate(powers):
-        exps = [0] * dim
-        exps[var - 1] = j
-        c = math.comb(power + j - 1, j)
-        terms[tuple(exps)] = (c * r, c * i)
-    return LaurentPoly.from_numerators(dim, terms, den)
+# -- the planar family with prescribed nilpotency class ------------------------
 
 
 def _power_numerators(t, order: int) -> tuple[list[tuple[int, int]], int]:
@@ -64,17 +40,6 @@ def _power_numerators(t, order: int) -> tuple[list[tuple[int, int]], int]:
         powers.append((re * scale, im * scale))
         re, im = re * a - im * b, re * b + im * a
     return powers, q ** order
-
-
-def moebius_component(dim: int, var: int, lam: Scalar, mu: Scalar, order: int) -> LaurentPoly:
-    """lambda * x_var / (1 + mu * x_var) truncated at order."""
-    if not lam:
-        raise ValueError("the multiplier lambda must be nonzero")
-    x = LaurentPoly.monomial(dim, {var: 1}, lam)
-    return x.mul_truncated(geometric_inverse_power(dim, var, mu, 1, order), order)
-
-
-# -- the planar family with prescribed nilpotency class ------------------------
 
 
 def intro_member(k_param: int, P: LaurentPoly, t: Scalar, order: int) -> FormalDiffeo:

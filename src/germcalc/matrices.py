@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from .scalars import Scalar
-from .spans import FieldEchelon
 
 Matrix = list[list[Scalar]]
 
@@ -115,6 +114,8 @@ def mat_inverse(a: Matrix) -> Matrix:
     when every column of a becomes a pivot, and then the reduced row with
     pivot j is e_j followed by row j of the inverse.
     """
+    from .spans import FieldEchelon
+
     n = mat_dim(a)
     ech = FieldEchelon()
     for i, row in enumerate(a):

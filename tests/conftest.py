@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -90,6 +91,39 @@ def random_unipotent_diffeo(rng, dim, order) -> FormalDiffeo:
                 terms[tuple(e)] = terms.get(tuple(e), Scalar(0)) + s
         comps.append(LaurentPoly(dim, {e: c for e, c in terms.items() if c}))
     return FormalDiffeo(comps, order)
+
+
+def geometric_inverse_power(dim, var, t, power, order) -> LaurentPoly:
+    """(1 + t*x_var)^(-power) truncated at order, from the closed form: the
+    coefficient of x_var^j is C(power + j - 1, j) * (-t)^j.
+
+    Built from Scalars term by term, independently of the numerator
+    arithmetic of ``families.intro_member``.  Power 0 gives 1; a negative
+    power or order raises ValueError.
+    """
+    if power < 0:
+        raise ValueError(f"power must be >= 0, got {power}")
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
+    if power == 0:
+        return LaurentPoly.one(dim)
+    step = -Scalar.of(t)
+    coefficient = Scalar(1)  # (-t)^j
+    terms = {}
+    for j in range(order + 1):
+        exps = [0] * dim
+        exps[var - 1] = j
+        terms[tuple(exps)] = coefficient * math.comb(power + j - 1, j)
+        coefficient = coefficient * step
+    return LaurentPoly(dim, terms)
+
+
+def moebius_component(dim, var, lam, mu, order) -> LaurentPoly:
+    """lambda * x_var / (1 + mu * x_var) truncated at order."""
+    if not lam:
+        raise ValueError("the multiplier lambda must be nonzero")
+    x = LaurentPoly.monomial(dim, {var: 1}, lam)
+    return x.mul_truncated(geometric_inverse_power(dim, var, mu, 1, order), order)
 
 
 def good_monomials(gens, max_depth: int) -> list[VectorField]:

@@ -3,7 +3,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_nilpotent_field, random_scalar, random_unipotent_diffeo
+from conftest import (
+    moebius_component,
+    random_nilpotent_field,
+    random_scalar,
+    random_unipotent_diffeo,
+)
 
 from germcalc.diffeos import (
     FormalDiffeo,
@@ -18,7 +23,6 @@ from germcalc.fields import VectorField
 from germcalc.laurent import LaurentPoly
 from germcalc.matrices import mat_inverse
 from germcalc.scalars import I, Scalar
-from germcalc.families import moebius_component
 
 
 def onevar(terms):
@@ -302,6 +306,68 @@ def test_evaluate_word_inverts_a_repeated_leaf_once(monkeypatch):
     commuted = _counting(monkeypatch, "commutator")
     assert evaluate_word(word, gens) == expected
     assert inverted == [gens[0]]
+    assert len(commuted) == 3
+
+
+def test_word_nodes_compare_by_type_and_fields():
+    assert WordLeaf(0) == WordLeaf(0, False) == WordLeaf(index=0, inverse=False)
+    assert hash(WordLeaf(0)) == hash(WordLeaf(0, False))
+    assert WordLeaf(0) != WordLeaf(0, True) and WordLeaf(0) != WordLeaf(1)
+    comm = WordComm(WordLeaf(0), WordLeaf(1, True))
+    assert comm == WordComm(WordLeaf(0), WordLeaf(1, inverse=True))
+    assert hash(comm) == hash(WordComm(WordLeaf(0), WordLeaf(1, True)))
+    assert comm != WordComm(WordLeaf(1, True), WordLeaf(0))
+    # a leaf is never a node, nor the tuple of its fields
+    assert WordLeaf(0) != WordComm(WordLeaf(0), WordLeaf(0))
+    assert WordComm(WordLeaf(0), WordLeaf(0)) != WordLeaf(0)
+    assert WordLeaf(0) != (0, False)
+
+
+def test_word_nodes_are_immutable():
+    leaf, comm = WordLeaf(0), WordComm(WordLeaf(0), WordLeaf(1))
+    for node, name, value in ((leaf, "index", 1), (leaf, "inverse", True),
+                              (comm, "left", leaf), (leaf, "other", 0)):
+        with pytest.raises(AttributeError):
+            setattr(node, name, value)
+    with pytest.raises(AttributeError):
+        del leaf.index
+    assert (leaf.index, leaf.inverse) == (0, False)
+    assert comm.left == WordLeaf(0)
+
+
+def test_word_node_repr_pickle_and_copy():
+    import copy
+    import pickle
+
+    comm = WordComm(WordLeaf(0), WordLeaf(1, inverse=True))
+    assert repr(WordLeaf(0)) == "WordLeaf(index=0, inverse=False)"
+    assert repr(comm) == (
+        "WordComm(left=WordLeaf(index=0, inverse=False), right=WordLeaf(index=1, inverse=True))"
+    )
+    assert pickle.loads(pickle.dumps(comm)) == comm
+    assert copy.deepcopy(comm) == comm
+
+
+@pytest.mark.parametrize("name", ["group_witness_n1.txt", "group_witness_n2.txt"])
+def test_witness_words_round_trip_through_text(name):
+    from germcalc.parsing import format_word, parse_word
+    from germcalc.verification import load_witness_fixture
+
+    words = load_witness_fixture(name).words
+    assert words
+    for word in words:
+        assert parse_word(format_word(word)) == word
+
+
+def test_evaluate_word_shares_equal_but_distinct_subwords(monkeypatch):
+    x = LaurentPoly.variable(1, 1)
+    gens = [FormalDiffeo([x * 2 + x ** 2], 6), FormalDiffeo([x + x ** 3], 6)]
+    first, second = WordComm(WordLeaf(0), WordLeaf(1)), WordComm(WordLeaf(0), WordLeaf(1))
+    assert first is not second and first == second
+    word = WordComm(first, WordComm(second, WordLeaf(0)))
+    expected = _evaluate_unshared(word, gens)
+    commuted = _counting(monkeypatch, "commutator")
+    assert evaluate_word(word, gens) == expected
     assert len(commuted) == 3
 
 

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import geometric_inverse_power, moebius_component
+
 from germcalc import families
 from germcalc.fields import BudgetExceededError
 
@@ -19,9 +21,7 @@ from germcalc.families import (
     chain_exponent,
     expected_a_value,
     expected_nilpotency_class,
-    geometric_inverse_power,
     intro_member,
-    moebius_component,
     nilpotent_seed_functions,
     chain_summands,
 )
@@ -104,15 +104,21 @@ SERIES_TS = [
 
 
 def test_geometric_series_match_the_scalar_formula():
-    # the coefficient of x_var^j is C(p + j - 1, j) * (-t)^j, and the
-    # Moebius map lambda*x/(1 + mu*x) has lambda * (-mu)^(j - 1) at x^j
+    # intro_member's numerators w_j / q^order are the powers (-t)^j, the
+    # coefficient of x_var^j in (1 + t*x)^(-p) is C(p + j - 1, j) * (-t)^j,
+    # and the Moebius map lambda*x/(1 + mu*x) has lambda * (-mu)^(j - 1) at x^j
     lam = Scalar(Fraction(-3, 2), 1)
-    for dim in (1, 2, 3):
-        for var in range(1, dim + 1):
-            for t in SERIES_TS:
-                powers = [Scalar(1)]
-                for _ in range(12):
-                    powers.append(powers[-1] * -t)
+    for t in SERIES_TS:
+        powers = [Scalar(1)]
+        for _ in range(12):
+            powers.append(powers[-1] * -t)
+        for order in range(13):
+            numerators, den = families._power_numerators(t, order)
+            assert [Scalar(Fraction(re, den), Fraction(im, den)) for re, im in numerators] == (
+                powers[:order + 1]
+            ), (t, order)
+        for dim in (1, 2, 3):
+            for var in range(1, dim + 1):
                 for order in range(1, 13):
                     assert geometric_inverse_power(dim, var, t, 0, order) == LaurentPoly.one(dim)
                     for p in range(1, 7):
