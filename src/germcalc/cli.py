@@ -172,20 +172,12 @@ def _emit(payload: dict, fmt: str):
                 print(f"{key}: {value}")
 
 
-def _parse_matrix(text: str):
-    rows = parse_matrix(text)
-    if any(len(r) != len(rows) for r in rows):
-        raise ValueError("matrix rows must form a square matrix")
-    return rows
-
-
 def _span_from_args(args) -> "object":
     """The Lie algebra generated by --gens: the series commands need a
     closed algebra, not just the span of the generators."""
     gens = parse_fields(args.gens, args.dim)
-    mode = args.mode
-    order = args.order if mode == "jet" else None
-    return bracket_closure(gens, mode, order, args.degree_budget)
+    order = args.order if args.mode == "jet" else None
+    return bracket_closure(gens, order, args.degree_budget)
 
 
 def _series_payload(levels) -> list[int]:
@@ -236,7 +228,7 @@ def _run(args) -> int:
         return EXIT_OK
     if cmd == "jordan-chevalley":
         if args.matrix:
-            m = _parse_matrix(args.matrix)
+            m = parse_matrix(args.matrix)
         else:
             m = to_jet_matrix(parse_diffeo(args.diffeo, args.dim, args.order)).matrix
         s, u = jordan_chevalley(m)
@@ -276,8 +268,7 @@ def _run_verify(args):
     if target == "all":
         return run_all_verifications(args.seed)
     if target == "intro":
-        k = args.k_param
-        return [verify_intro_nilpotency(k, k + 3, seed=args.seed)]
+        return [verify_intro_nilpotency(args.k_param, seed=args.seed)]
     if target == "solvable":
         n = args.n if args.n is not None else 2
         return [verify_solvable_family(n)]
@@ -286,13 +277,7 @@ def _run_verify(args):
         return [verify_nilpotent_example(n)]
     if target == "witness":
         n = args.n if args.n is not None else 2
-        if n not in (1, 2):
-            raise ValueError("witness fixtures are shipped for n = 1 and n = 2")
-        return [
-            verify_group_witness_fixture(
-                f"group_witness_n{n}.txt", f"group-witness-n{n}"
-            )
-        ]
+        return [verify_group_witness_fixture(n)]
     raise ValueError(f"unknown verify target {target!r}")
 
 

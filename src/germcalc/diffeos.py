@@ -27,12 +27,7 @@ from .laurent import (
     linear_combination,
     validate_order,
 )
-from .matrices import (
-    identity as mat_identity,
-    is_nilpotent_matrix,
-    mat_inverse,
-    mat_sub,
-)
+from .matrices import is_unipotent_matrix, mat_inverse
 from .scalars import Scalar
 
 
@@ -105,7 +100,7 @@ class FormalDiffeo:
 
     def is_unipotent(self) -> bool:
         """True iff the linear part minus the identity is nilpotent."""
-        return is_nilpotent_matrix(mat_sub(self.linear_part(), mat_identity(self.dim)))
+        return is_unipotent_matrix(self.linear_part())
 
     def is_tangent_to_identity(self) -> bool:
         """True iff the linear part is the identity: component i has the

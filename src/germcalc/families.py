@@ -192,14 +192,19 @@ def chain_summands(dim: int, index: int) -> list[tuple[str, int]]:
 CHAIN_GENERATOR_BUDGET = 5000
 
 
-def _chain_generator_count(dim: int, summands, order: int) -> int:
-    """How many generators ``chain_space_generators`` returns for the
-    summands, counted without building them: for j < dim, U_j has the
-    monomials of degree 2..order and V_j those of degree 1..order-1 in the
-    dim - j variables after x_j; V_dim has one, and so has U_dim from
-    order 2."""
+def chain_space_size(dim: int, index: int, order: int) -> int:
+    """How many generators ``build_chain_algebra(dim, index, order)`` has,
+    counted without building them: for j < dim, U_j has the monomials of
+    degree 2..order and V_j those of degree 1..order-1 in the dim - j
+    variables after x_j; V_dim has one, and so has U_dim from order 2.
+
+    Dropping the index by one appends a summand (``chain_summands``), so
+    the basis of every chain space is a prefix of the basis of chain space
+    0: ``build_chain_algebra(dim, index, order).basis`` is
+    ``build_chain_algebra(dim, 0, order).basis[:chain_space_size(dim,
+    index, order)]``."""
     total = 0
-    for kind, j in summands:
+    for kind, j in chain_summands(dim, index):
         m = dim - j
         if m == 0:
             total += 1 if kind == "V" or order >= 2 else 0
@@ -220,20 +225,19 @@ def build_chain_algebra(dim: int, index: int, order: int) -> LieAlgebraSpan:
     if dim < 1:
         raise ValueError("the solvable chain needs dimension >= 1")
     validate_order(order)
-    summands = chain_summands(dim, index)
-    count = _chain_generator_count(dim, summands, order)
+    count = chain_space_size(dim, index, order)
     if count > CHAIN_GENERATOR_BUDGET:
         raise BudgetExceededError(
             f"the chain space needs {count} generators at jet order {order}, "
             f"over the budget of {CHAIN_GENERATOR_BUDGET}"
         )
     gens: list[VectorField] = []
-    for kind, j in summands:
+    for kind, j in chain_summands(dim, index):
         gens.extend(chain_space_generators(dim, kind, j, order))
     # No span reduction: the generators are distinct monomial fields (each
     # an exponent and a direction), hence independent, and none has degree
     # above the order, so truncation leaves them as they are.
-    return LieAlgebraSpan(dim, "jet", tuple(gens), order, closed=True)
+    return LieAlgebraSpan(dim, tuple(gens), order, closed=True)
 
 
 def chain_exponent(j: int) -> int:

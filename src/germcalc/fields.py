@@ -200,11 +200,7 @@ def default_a_budget(dim: int) -> int:
     return 3 * 2 ** max(dim - 2, 0) + 8
 
 
-def nilpotency_degree_a(
-    v: LaurentPoly,
-    gens: Sequence[VectorField],
-    budget: int | None = None,
-) -> int:
+def nilpotency_degree_a(v: LaurentPoly, gens: Sequence[VectorField]) -> int:
     """Largest j such that some composition of j generator-derivations does
     not kill v.
 
@@ -213,17 +209,17 @@ def nilpotency_degree_a(
     length-j images, so saturating spans until one is {0} computes the same
     maximum with polynomially many derivation applications.
 
-    Raises BudgetExceededError when the span has not died within ``budget``
-    steps; the engine cannot certify a(v) = infinity, so running out of
-    budget is reported distinctly from every finite answer.
+    Raises BudgetExceededError when the span has not died within
+    ``default_a_budget(v.dim)`` steps; the engine cannot certify
+    a(v) = infinity, so running out of budget is reported distinctly from
+    every finite answer.
     """
     for X in gens:
         if X.dim != v.dim:
             raise ValueError("generator dimension disagrees with the function")
     if v.is_zero():
         raise ValueError("a(v) is defined for nonzero v only")
-    if budget is None:
-        budget = default_a_budget(v.dim)
+    budget = default_a_budget(v.dim)
     from .spans import SparseEchelon
 
     current = [v]

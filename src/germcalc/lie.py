@@ -1,13 +1,13 @@
 """Lie-algebra structure computations for spans of vector fields.
 
-Two computation modes:
+A span's jet order says how it computes:
 
-* exact mode keeps coefficients untruncated (brackets of Laurent-polynomial
-  fields stay Laurent-polynomial) and is the default for the finitely
-  generated example algebras; a degree budget turns runaway growth into a
-  loud error instead of a hang,
-* jet(k) mode truncates every coefficient at total degree k and is required
-  for infinite-dimensional inputs.
+* order None (exact) keeps coefficients untruncated (brackets of
+  Laurent-polynomial fields stay Laurent-polynomial) and is the default for
+  the finitely generated example algebras; a degree budget turns runaway
+  growth into a loud error instead of a hang,
+* order k (jet) truncates every coefficient at total degree k and is
+  required for infinite-dimensional inputs.
 
 On top of span reduction and bracket closure this module computes derived and
 descending central series, soluble length and nilpotency class, and the
@@ -52,10 +52,12 @@ DEFAULT_DEGREE_BUDGET = 256
 
 @dataclass(frozen=True)
 class LieAlgebraSpan:
-    """A finite scalar-basis of vector fields with mode metadata.
+    """A finite scalar-basis of vector fields and the jet order it computes at.
 
     The basis is always linearly independent: constructors run span
-    reduction.  In jet mode every coefficient is truncated at the jet order.
+    reduction.  With a jet ``order`` k every coefficient is truncated at
+    total degree k (jet mode); with order None nothing is truncated and
+    ``degree_budget`` bounds the degree of every field (exact mode).
     ``closed`` marks a span known to be closed under the bracket of its mode
     (``bracket_closure`` results, series terms, the chain family); it does
     not take part in equality, and neither does ``generators``: the number
@@ -67,7 +69,6 @@ class LieAlgebraSpan:
     """
 
     dim: int
-    mode: str  # "exact" | "jet"
     basis: tuple[VectorField, ...]
     order: int | None = None
     degree_budget: int = DEFAULT_DEGREE_BUDGET
@@ -77,10 +78,6 @@ class LieAlgebraSpan:
     _marked: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.mode not in ("exact", "jet"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "jet" and self.order is None:
-            raise ValueError("jet mode requires a jet order")
         if self._marked is not self.basis:
             if self._marked is not None:  # a replaced basis: the marks are stale
                 for name, value in (("closed", False), ("generators", None), ("_echelon", None)):
@@ -120,7 +117,7 @@ class LieAlgebraSpan:
     def _prepare(self, X: VectorField) -> VectorField:
         if X.dim != self.dim:
             raise ValueError(f"dimension mismatch: {X.dim} vs {self.dim}")
-        if self.mode == "jet":
+        if self.order is not None:
             # truncation respects brackets only for fields vanishing at 0
             if not X.is_formal():
                 raise ValueError("jet mode needs formal fields (coefficients in m)")
@@ -134,7 +131,6 @@ class LieAlgebraSpan:
 
 def span_reduce(
     fields: Iterable[VectorField],
-    mode: str = "exact",
     order: int | None = None,
     degree_budget: int = DEFAULT_DEGREE_BUDGET,
 ) -> LieAlgebraSpan:
@@ -149,18 +145,18 @@ def span_reduce(
     if not fields:
         raise ValueError("cannot infer dimension from an empty field list")
     dim = dims.pop()
-    span = LieAlgebraSpan(dim, mode, (), order, degree_budget)
+    span = LieAlgebraSpan(dim, (), order, degree_budget)
     ech = SparseEchelon()
     kept = []
     for X in fields:
         Xp = span._prepare(X)
         if ech.insert(Xp.sparse()):
             kept.append(Xp)
-    return LieAlgebraSpan(dim, mode, tuple(kept), order, degree_budget, _echelon=ech)
+    return LieAlgebraSpan(dim, tuple(kept), order, degree_budget, _echelon=ech)
 
 
 def _bracket_in_mode(span: LieAlgebraSpan, X: VectorField, Y: VectorField) -> VectorField:
-    if span.mode == "jet":
+    if span.order is not None:
         return X.bracket(Y, span.order)
     Z = X.bracket(Y)
     if Z.abs_degree() > span.degree_budget:
@@ -172,7 +168,6 @@ def _bracket_in_mode(span: LieAlgebraSpan, X: VectorField, Y: VectorField) -> Ve
 
 def bracket_closure(
     gens: Sequence[VectorField],
-    mode: str = "exact",
     order: int | None = None,
     degree_budget: int = DEFAULT_DEGREE_BUDGET,
 ) -> LieAlgebraSpan:
@@ -191,7 +186,7 @@ def bracket_closure(
     reduced generators lead the basis, each round's kept fields follow, and
     the span records how many generators there are.
     """
-    span = span_reduce(gens, mode, order, degree_budget)
+    span = span_reduce(gens, order, degree_budget)
     ech = span.echelon()
     S = [_entry(X) for X in span.basis]
     graded = all(w is not None for _, w, _, _ in S)
@@ -207,7 +202,7 @@ def bracket_closure(
             break
         basis += (X for X, *_ in frontier)
     return LieAlgebraSpan(
-        span.dim, mode, tuple(basis), order, degree_budget,
+        span.dim, tuple(basis), order, degree_budget,
         closed=True, generators=span.dimension, _echelon=ech,
     )
 
@@ -408,7 +403,7 @@ def _check_bracket(span: LieAlgebraSpan, vec: dict, w: int, u: tuple, v: tuple) 
     degree read from the exponents of its terms x^(u+v+e_k), and ValueError
     when the weight or a term leaves the packed key range."""
     n = span.dim
-    if span.mode == "exact":
+    if span.order is None:
         s = list(map(add, u, v))
         total = sum(map(abs, s))
         degree = max(total - abs(s[k]) + abs(s[k] + 1) for k in {key % n for key in vec})
@@ -430,7 +425,7 @@ def _weight_brackets(span: LieAlgebraSpan, left: list, right: list | None,
     closure passes None: its rows keep basis order, and ``_check_bracket``
     bounds each bracket it forms."""
     n = span.dim
-    limit = span.order + 1 if span.mode == "jet" else None
+    limit = None if span.order is None else span.order + 1
     kept = []
     for i, (_, wx, dx, hx) in enumerate(left):
         for _, wy, dy, hy in (left[i + 1:] if right is None else right):
@@ -457,7 +452,7 @@ def _field_brackets(span: LieAlgebraSpan, left: list, right: list | None,
                     ech: SparseEchelon) -> list[VectorField]:
     """The pairs of ``_weight_brackets`` for fields that are not all
     weight-homogeneous, formed by ``_bracket_in_mode``: the kept brackets."""
-    limit = span.order + 1 if span.mode == "jet" else None
+    limit = None if span.order is None else span.order + 1
     kept = []
     for i, (X, _, dx, _) in enumerate(left):
         for Y, _, dy, _ in (left[i + 1:] if right is None else right):
@@ -484,7 +479,7 @@ def _bracket_span(
     left, others = (right, None) if outer is None else (outer, right)
     ech = SparseEchelon()
     if all(w is not None for _, w, _, _ in left) and all(w is not None for _, w, _, _ in right):
-        if ideal.mode == "jet" and fresh:
+        if ideal.order is not None and fresh:
             # checked once, as VectorField.bracket checks its factors; the
             # brackets of polynomial fields that later levels read stay
             # polynomial
@@ -502,7 +497,7 @@ def _bracket_span(
         kept = _field_brackets(ideal, left, others, ech)
     # [g, I] is an ideal of g, hence a subalgebra
     span = LieAlgebraSpan(
-        ideal.dim, ideal.mode, tuple(kept), ideal.order, ideal.degree_budget,
+        ideal.dim, tuple(kept), ideal.order, ideal.degree_budget,
         closed=True, _echelon=ech,
     )
     return span, entries

@@ -34,6 +34,7 @@ from .families import (
     build_nilpotent_example,
     build_chain_algebra,
     chain_composition_value,
+    chain_space_size,
     chain_exponent,
     default_solvable_order,
     expected_a_value,
@@ -127,20 +128,20 @@ class _Claim:
 
 
 def verify_intro_nilpotency(
-    k_param: int, jet_order: int, sample_count: int = 8, seed: int = 0
+    k_param: int, sample_count: int = 8, seed: int = 0
 ) -> VerificationReport:
     """Sampled verification that the planar family has nilpotency class
     k_param - 1 with the expected shape at every intermediate depth.
 
-    Checks, on seeded random members: every depth-j iterated commutator for
-    1 <= j <= k_param-2 has the form (x + Q(y), y) with Q supported in
-    degrees j+2 .. k_param; some depth-(k_param-2) commutator is nontrivial;
-    every depth-(k_param-1) commutator is the identity jet.
+    Checks, on seeded random members at jet order k_param + 3: every
+    depth-j iterated commutator for 1 <= j <= k_param-2 has the form
+    (x + Q(y), y) with Q supported in degrees j+2 .. k_param; some
+    depth-(k_param-2) commutator is nontrivial; every depth-(k_param-1)
+    commutator is the identity jet.
     """
     if k_param < 2:
         raise ValueError(f"the family parameter k_param must be >= 2, got {k_param}")
-    if jet_order < k_param + 2:
-        raise ValueError("jet order must be at least k_param + 2")
+    jet_order = k_param + 3
     claim = _Claim(
         f"intro-nilpotency-k{k_param}",
         {"k_param": k_param, "jet_order": jet_order, "samples": sample_count, "seed": seed},
@@ -227,24 +228,19 @@ def verify_solvable_family(n: int, jet_order: int | None = None) -> Verification
         claim.check(value <= bound, f"kappa_{j} = {value} > {bound}")
         if value < bound:
             missed.append(f"kappa_{j} = {value} < {bound}")
-    # containment in the chain spaces, each built once (levels[0] is G_0)
-    top = min(2 * n, len(levels) - 1)
-    chain_spaces = [levels[0]] + [build_chain_algebra(n, j, jet_order) for j in range(1, top + 1)]
-    for j, (Gj, level) in enumerate(zip(chain_spaces, levels)):
-        claim.check(
-            _within_monomial_support(Gj, level),
-            f"derived term {j} leaves the chain space {j}",
-        )
+    # containment in the chain spaces G_j, the prefixes of G_0's basis
+    sizes = [chain_space_size(n, j, jet_order) for j in range(min(2 * n, len(levels) - 1) + 1)]
+    for j, (size, needed) in enumerate(zip(sizes, _chain_prefixes(g0, levels[:len(sizes)]))):
+        claim.check(needed <= size, f"derived term {j} leaves the chain space {j}")
     # monomial-scaled copies downstairs
     xn = LaurentPoly.monomial(n, {n: 1})
-    for j in range(2, len(chain_spaces)):
+    for j in range(2, len(sizes)):
         c = chain_exponent(j)
         if c >= jet_order:
             continue
         mono = xn ** c
-        Gj = chain_spaces[j]
         checked = 0
-        for X in Gj.basis:
+        for X in g0.basis[:sizes[j]]:
             scaled = VectorField([co.mul_truncated(mono, jet_order) for co in X.coeffs])
             if scaled.is_zero():
                 continue
@@ -262,13 +258,20 @@ def verify_solvable_family(n: int, jet_order: int | None = None) -> Verification
     return claim.report()
 
 
-def _within_monomial_support(span: LieAlgebraSpan, other: LieAlgebraSpan) -> bool:
-    """``span.contains_span(other)`` for a span whose basis fields are
-    distinct monomial fields x^a d_i, as every chain space's is: such a
-    span holds a field exactly when each of the field's terms is one of
-    those monomials, so no echelon is built."""
-    support = set().union(*(X.support() for X in span.basis))
-    return all(X.support() <= support for X in other.basis)
+def _chain_prefixes(g0: LieAlgebraSpan, spans) -> list[int]:
+    """How many leading basis fields of the chain space G_0 each span needs.
+
+    Every chain-space field is a single monomial term x^a d_i, so a span of
+    such fields holds a field exactly when each of its terms is one of
+    them: G_j, the first ``chain_space_size(n, j, order)`` fields of G_0,
+    holds a span exactly when that size is at least its count here.  A term
+    outside G_0 counts past its end.  No echelon is built."""
+    positions = {key: i for i, X in enumerate(g0.basis) for key in X.support()}
+    outside = len(positions)
+    return [
+        1 + max((positions.get(key, outside) for X in span.basis for key in X.support()), default=-1)
+        for span in spans
+    ]
 
 
 # -- the nilpotent family -----------------------------------------------------------
@@ -331,7 +334,7 @@ def verify_nilpotent_example(n: int) -> VerificationReport:
             f"chain composite at k={k} is not a nonzero constant",
         )
     # lengths of the generated algebra (exact mode)
-    g = bracket_closure(zs, "exact")
+    g = bracket_closure(zs)
     levels = derived_series(g)
     length = soluble_length(g, levels)
     claim.check(length == n, f"soluble length {length} != {n}")
@@ -466,9 +469,14 @@ def verify_group_length_witness(
     return claim.report()
 
 
-def verify_group_witness_fixture(name: str, claim_id: str) -> VerificationReport:
+def verify_group_witness_fixture(n: int) -> VerificationReport:
+    """The claim group-witness-n{n}: ``verify_group_length_witness`` on the
+    shipped fixture group_witness_n{n}.txt, for n = 1 or 2."""
+    if n not in (1, 2):
+        raise ValueError("witness fixtures are shipped for n = 1 and n = 2")
+    name = f"group_witness_n{n}.txt"
     fx = load_witness_fixture(name)
-    report = verify_group_length_witness(fx.generators, fx.depth, fx.words, claim_id)
+    report = verify_group_length_witness(fx.generators, fx.depth, fx.words, f"group-witness-n{n}")
     report.parameters.update({"fixture": name, "dim": fx.dim, "jet_order": fx.order})
     return report
 
@@ -551,17 +559,14 @@ def _verification_units(seed: int) -> list[tuple]:
     20 ms for the child's and 21 ms for the caller's with length-bounds.  A
     stale split costs balance, never a different report."""
     units = [
-        (True, partial(verify_intro_nilpotency, 3, 6, 6, seed)),
-        (False, partial(verify_intro_nilpotency, 4, 7, 6, seed)),
-        (True, partial(verify_intro_nilpotency, 5, 8, 6, seed)),
+        (True, partial(verify_intro_nilpotency, 3, 6, seed)),
+        (False, partial(verify_intro_nilpotency, 4, 6, seed)),
+        (True, partial(verify_intro_nilpotency, 5, 6, seed)),
         (False, partial(verify_solvable_family, 1, 6)),
         (True, partial(verify_solvable_family, 2, 12)),
     ]
     units += [(False, partial(verify_nilpotent_example, n)) for n in (2, 3, 4)]
-    units += [
-        (True, partial(verify_group_witness_fixture, f"group_witness_n{n}.txt", f"group-witness-n{n}"))
-        for n in (1, 2)
-    ]
+    units += [(True, partial(verify_group_witness_fixture, n)) for n in (1, 2)]
     units.append((False, sample_planar_depth2_words))
     return units
 

@@ -61,7 +61,7 @@ def test_criterion_1_nilpotent_family_lengths():
     t0 = time.monotonic()
     for n, expected_class in ((2, 2), (3, 5), (4, 11)):
         _, _, zs = build_nilpotent_example(n)
-        g = bracket_closure(zs, "exact")
+        g = bracket_closure(zs)
         assert soluble_length(g) == n
         assert nilpotency_class(g) == expected_class
         assert expected_class == expected_nilpotency_class(n)
@@ -141,7 +141,7 @@ def test_criterion_5_kappa_sequences():
     assert kappa_sequence(build_chain_algebra(1, 0, 6)).strict_two_step_drop()
     for n in (2, 3, 4):
         _, _, zs = build_nilpotent_example(n)
-        g = bracket_closure(zs, "exact")
+        g = bracket_closure(zs)
         seq = kappa_sequence(g)
         assert seq.strict_two_step_drop()
         # all-nilpotent family with full generic rank: kappa(1) < n
@@ -154,7 +154,7 @@ def test_criterion_5_kappa_sequences():
 def test_criterion_6_intro_family():
     """Class k-1 at jet order k+3 for k = 3, 4, 5, seed-pinned samples."""
     for k in (3, 4, 5):
-        r = verify_intro_nilpotency(k, k + 3, sample_count=6, seed=0)
+        r = verify_intro_nilpotency(k, sample_count=6, seed=0)
         assert r.status == "pass", r.witness
         assert r.witness is not None
     _ok("6 (planar family nilpotency classes)")
@@ -246,10 +246,10 @@ def test_criterion_9_theorem_bounds():
 def test_criterion_10_group_witnesses():
     """Fixture words certify soluble length >= 2 (n=1) and >= 4 (n=2), and
     every witness evaluates tangent to the identity."""
-    r1 = verify_group_witness_fixture("group_witness_n1.txt", "group-witness-n1")
+    r1 = verify_group_witness_fixture(1)
     assert r1.status == "pass", r1.witness
     assert r1.parameters["depth"] == 1
-    r2 = verify_group_witness_fixture("group_witness_n2.txt", "group-witness-n2")
+    r2 = verify_group_witness_fixture(2)
     assert r2.status == "pass", r2.witness
     assert r2.parameters["depth"] == 3
     _ok("10 (group-length witness certificates)")

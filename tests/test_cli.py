@@ -170,6 +170,14 @@ def test_matrix_parse_error_reports_its_column_in_the_operand(capsys):
     assert "unexpected character '@' at line 1, column 10" in err
 
 
+@pytest.mark.parametrize("matrix", ["1,2", "1,2;3"])
+def test_jordan_chevalley_rejects_a_matrix_that_is_not_square(capsys, matrix):
+    # one row of two entries, and a ragged pair of rows
+    code, out, err = run(capsys, "jordan-chevalley", "--matrix", matrix)
+    assert code == EXIT_PRECONDITION
+    assert out == "" and err == "error: matrix is not square\n"
+
+
 @pytest.mark.parametrize("k_param", ["1", "0"])
 def test_verify_intro_rejects_small_k_param(capsys, k_param):
     # the planar family needs k_param >= 2
@@ -183,6 +191,21 @@ def test_verify_solvable_n3_matches_the_committed_report(capsys):
     code, out, _ = run(capsys, "verify", "solvable", "--n", "3", "--format", "json")
     assert code == EXIT_OK
     assert out == (Path(__file__).parent / "data" / "solvable_n3.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["intro", "--k-param", "4"], "verify_intro_k4.json"),
+        (["solvable", "--n", "2"], "verify_solvable_n2.json"),
+        (["witness", "--n", "2"], "verify_witness_n2.json"),
+    ],
+)
+def test_single_target_verify_matches_the_committed_report(capsys, argv, name):
+    # each target at its default order and sample count
+    code, out, _ = run(capsys, "verify", *argv, "--format", "json")
+    assert code == EXIT_OK
+    assert out == (Path(__file__).parent / "data" / name).read_text()
 
 
 def test_verify_solvable_n4_exceeds_the_budget_at_once(capsys):

@@ -19,6 +19,7 @@ from germcalc.families import (
     build_chain_algebra,
     chain_composition_value,
     chain_exponent,
+    chain_space_size,
     expected_a_value,
     expected_nilpotency_class,
     intro_member,
@@ -309,10 +310,24 @@ def test_chain_generator_count_matches_the_generators():
                     len(families.chain_space_generators(dim, kind, j, order))
                     for kind, j in summands
                 )
-                assert families._chain_generator_count(dim, summands, order) == built
+                assert chain_space_size(dim, index, order) == built
     # the n = 3 claim at its default order stays under the budget
-    assert families._chain_generator_count(3, chain_summands(3, 0), 41) == 1842
+    assert chain_space_size(3, 0, 41) == 1842
     assert 1842 <= families.CHAIN_GENERATOR_BUDGET
+
+
+@pytest.mark.parametrize("order", [1, 2, 6, 12])
+def test_chain_spaces_are_prefixes_of_chain_space_zero(order):
+    for dim in range(1, 4):
+        g0 = build_chain_algebra(dim, 0, order)
+        sizes = [chain_space_size(dim, index, order) for index in range(2 * dim + 1)]
+        for index, size in enumerate(sizes):
+            assert build_chain_algebra(dim, index, order).basis == g0.basis[:size]
+        # index 1 adds U_n = x_n^2 d_n to index 2, a field of degree 2; at
+        # order 1 only V_n = x_n d_n is left
+        assert sizes[1] - sizes[2] == (order >= 2)
+        if order == 1:
+            assert sizes == [1] + [0] * (2 * dim)
 
 
 def test_chain_algebra_over_budget_fails_before_building(monkeypatch):
@@ -356,7 +371,7 @@ def test_chain_algebra_is_its_monomial_generators_unreduced():
             summands = chain_summands(dim, index)
             for order in range(1, 13):
                 g = build_chain_algebra(dim, index, order)
-                assert g.closed and g.mode == "jet" and g.order == order
+                assert g.closed and g.order == order
                 gens = [
                     X for kind, j in summands
                     for X in families.chain_space_generators(dim, kind, j, order)
@@ -368,7 +383,7 @@ def test_chain_algebra_is_its_monomial_generators_unreduced():
                 ]
                 assert list(g.basis) == [X for X in summed if not X.is_zero()]
                 if gens:
-                    assert g.basis == span_reduce(gens, "jet", order).basis
+                    assert g.basis == span_reduce(gens, order).basis
                 else:
                     assert g.is_zero()
 

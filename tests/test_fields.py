@@ -3,6 +3,7 @@ import pytest
 from germcalc.fields import (
     BudgetExceededError,
     VectorField,
+    default_a_budget,
     is_first_integral,
     nilpotency_degree_a,
 )
@@ -126,8 +127,8 @@ def test_nilpotency_degree_family_values():
 def test_nilpotency_degree_budget():
     x = LaurentPoly.variable(1, 1)
     X = VectorField([x])  # x d/dx never kills powers of x
-    with pytest.raises(BudgetExceededError):
-        nilpotency_degree_a(x, [X], budget=5)
+    with pytest.raises(BudgetExceededError, match=f"step budget {default_a_budget(1)};"):
+        nilpotency_degree_a(x, [X])
 
 
 def test_is_first_integral():

@@ -57,6 +57,20 @@ def test_span_reduce_jet_mode_counts_monomials():
     assert gens.dimension == count_u + count_v
 
 
+def test_a_span_is_exact_exactly_when_it_has_no_order():
+    _, _, zs = build_nilpotent_example(3)
+    g = bracket_closure(zs)
+    assert g.order is None and g.dimension == 9
+    assert kappa_sequence(g).jet_order is None
+    assert max(X.abs_degree() for X in g.basis) == 6
+    # at jet order 5 the degree-6 field is truncated away
+    h = bracket_closure(zs, 5)
+    assert h.order == 5 and h.dimension == 8
+    assert max(X.abs_degree() for X in h.basis) == 5
+    assert kappa_sequence(h).jet_order == 5
+    assert h != g
+
+
 def test_bracket_closure_single_field():
     X = mono_field(1, {1: 2}, 1)
     assert bracket_closure([X]).dimension == 1
@@ -64,7 +78,7 @@ def test_bracket_closure_single_field():
 
 def test_bracket_closure_commuting_family():
     _, xs, _ = build_nilpotent_example(4)
-    span = bracket_closure(xs, "exact")
+    span = bracket_closure(xs)
     assert span.dimension == 4
 
 
@@ -77,17 +91,17 @@ def test_bracket_closure_planar_pair():
         (LaurentPoly.monomial(2, {1: 1, 2: 1}, 4), 1),
         (LaurentPoly.monomial(2, {2: 2}), 2),
     )
-    g = bracket_closure([Z1, Z2], "exact")
+    g = bracket_closure([Z1, Z2])
     assert g.dimension == 4
-    oracle = span_reduce(good_monomials([Z1, Z2], 8), "exact")
+    oracle = span_reduce(good_monomials([Z1, Z2], 8))
     assert oracle.dimension == g.dimension
     assert g.contains_span(oracle) and oracle.contains_span(g)
 
 
 def test_bracket_closure_order_independent():
     _, _, zs = build_nilpotent_example(3)
-    g1 = bracket_closure(zs, "exact")
-    g2 = bracket_closure(list(reversed(zs)), "exact")
+    g1 = bracket_closure(zs)
+    g2 = bracket_closure(list(reversed(zs)))
     assert g1.dimension == g2.dimension
     assert g1.contains_span(g2) and g2.contains_span(g1)
 
@@ -97,14 +111,14 @@ def test_degree_budget_guard():
     X = mono_field(1, {1: 2}, 1)
     Y = mono_field(1, {1: 3}, 1)
     with pytest.raises(BudgetExceededError):
-        bracket_closure([X, Y], "exact", degree_budget=10)
+        bracket_closure([X, Y], degree_budget=10)
 
 
-def _closure_by_all_pairs(gens, mode="exact", order=None, degree_budget=lie.DEFAULT_DEGREE_BUDGET):
+def _closure_by_all_pairs(gens, order=None, degree_budget=lie.DEFAULT_DEGREE_BUDGET):
     """Oracle: the plain saturation loop, which brackets each new field with
     the whole current basis, itself and the other new fields included, in
     both orders, through the general ``VectorField.bracket``."""
-    span = span_reduce(gens, mode, order, degree_budget)
+    span = span_reduce(gens, order, degree_budget)
     ech = span.echelon()
     basis = list(span.basis)
     frontier = list(basis)
@@ -112,7 +126,7 @@ def _closure_by_all_pairs(gens, mode="exact", order=None, degree_budget=lie.DEFA
         new = []
         for X in frontier:
             for Y in basis:
-                if mode == "jet":
+                if order is not None:
                     Z = X.bracket(Y, order)
                 else:
                     Z = X.bracket(Y)
@@ -127,7 +141,7 @@ def _closure_by_all_pairs(gens, mode="exact", order=None, degree_budget=lie.DEFA
     return tuple(basis)
 
 
-def _closure_against_all_pairs(gens, mode="exact", order=None, degree_budget=lie.DEFAULT_DEGREE_BUDGET):
+def _closure_against_all_pairs(gens, order=None, degree_budget=lie.DEFAULT_DEGREE_BUDGET):
     """Check ``bracket_closure`` against the oracle and return the oracle's
     basis, or the type of its error.
 
@@ -137,17 +151,17 @@ def _closure_against_all_pairs(gens, mode="exact", order=None, degree_budget=lie
     raise the same exception type where the oracle raises.
     """
     try:
-        expected = _closure_by_all_pairs(gens, mode, order, degree_budget)
+        expected = _closure_by_all_pairs(gens, order, degree_budget)
     except (BudgetExceededError, ValueError) as exc:
         with pytest.raises((BudgetExceededError, ValueError)) as info:
-            bracket_closure(gens, mode, order, degree_budget)
+            bracket_closure(gens, order, degree_budget)
         assert info.type is type(exc)
         return type(exc)
-    g = bracket_closure(gens, mode, order, degree_budget)
-    oracle = LieAlgebraSpan(g.dim, mode, expected, order, degree_budget)
+    g = bracket_closure(gens, order, degree_budget)
+    oracle = LieAlgebraSpan(g.dim, expected, order, degree_budget)
     assert g.dimension == oracle.dimension
     assert g.contains_span(oracle) and oracle.contains_span(g)
-    assert g.basis[:g.generators] == span_reduce(gens, mode, order, degree_budget).basis
+    assert g.basis[:g.generators] == span_reduce(gens, order, degree_budget).basis
     return expected
 
 
@@ -172,7 +186,7 @@ def _random_homogeneous_field(rng, dim, polynomial):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_closure_matches_all_pairs_on_the_nilpotent_family(n):
     _, _, zs = build_nilpotent_example(n)
-    _closure_against_all_pairs(zs, "exact")
+    _closure_against_all_pairs(zs)
 
 
 @pytest.mark.parametrize("homogeneous", [True, False])
@@ -192,7 +206,7 @@ def test_closure_matches_all_pairs_on_random_generators(mode, homogeneous):
             gens = [random_field(rng, dim, 3, formal=jet) for _ in range(rng.randint(1, 3))]
         if all(X.is_zero() for X in gens):
             continue
-        args = (gens, mode, order if jet else None, 12)
+        args = (gens, order if jet else None, 12)
         expected = _closure_against_all_pairs(*args)
         outcomes.add(expected if isinstance(expected, type) else len(expected))
     assert len(outcomes) >= 3, outcomes
@@ -207,8 +221,8 @@ def test_closure_matches_all_pairs_on_mixed_combinations():
         return VectorField([sum((X.coeffs[i] for X in fields), LaurentPoly.zero(3)) for i in range(3)])
 
     gens = [plus(z1, z2), plus(z2, z3), z3]
-    assert len(_closure_against_all_pairs(gens, "exact")) == 9
-    assert bracket_closure([z1, z2, z3], "exact").dimension == 9
+    assert len(_closure_against_all_pairs(gens)) == 9
+    assert bracket_closure([z1, z2, z3]).dimension == 9
 
 
 def _pairs_formed(monkeypatch, name, factors):
@@ -243,7 +257,7 @@ def test_closure_brackets_with_the_generators_only(monkeypatch, homogeneous):
         zs = [VectorField([a + b for a, b in zip(zs[0].coeffs, zs[1].coeffs)])] + zs[1:]
         pairs = _pairs_formed(monkeypatch, "_bracket_in_mode", slice(1, 3))
         factor = field = lambda X: X
-    g = bracket_closure(zs, "exact")
+    g = bracket_closure(zs)
     index = {field(X): i for i, X in enumerate(g.basis)}
     pairs = [(index[factor(a)], index[factor(b)]) for a, b in pairs]
     # the left factor is a generator, and no unordered pair repeats
@@ -259,18 +273,18 @@ def test_closure_brackets_with_the_generators_only(monkeypatch, homogeneous):
 
 def test_closure_budget_raises_at_the_same_bracket():
     gens = [mono_field(1, {1: 2}, 1), mono_field(1, {1: 3}, 1)]
-    assert _closure_against_all_pairs(gens, "exact", None, 20) is BudgetExceededError
+    assert _closure_against_all_pairs(gens, None, 20) is BudgetExceededError
 
 
-@pytest.mark.parametrize("mode, order", [("exact", None), ("jet", 20000)])
-def test_closure_weight_out_of_key_range_raises(mode, order):
+@pytest.mark.parametrize("order", [None, 20000], ids=["exact-None", "jet-20000"])
+def test_closure_weight_out_of_key_range_raises(order):
     # [x1^10000 d1, x1^9000 d1] = -1000 x1^18999 d1: the exponent leaves the
     # packed range, which the general bracket's product rejects too
     gens = [mono_field(1, {1: 10000}, 1), mono_field(1, {1: 9000}, 1)]
     with pytest.raises(ValueError, match="outside the supported range"):
-        bracket_closure(gens, mode, order, degree_budget=10 ** 6)
+        bracket_closure(gens, order, degree_budget=10 ** 6)
     with pytest.raises(ValueError, match="outside the supported range"):
-        _closure_by_all_pairs(gens, mode, order, degree_budget=10 ** 6)
+        _closure_by_all_pairs(gens, order, degree_budget=10 ** 6)
 
 
 def test_good_monomials_basics():
@@ -285,7 +299,7 @@ def test_good_monomials_basics():
 def test_good_monomials_span_central_series():
     # good monomials of degree >= j+1 span the j-th central term
     _, _, zs = build_nilpotent_example(3)
-    g = bracket_closure(zs, "exact")
+    g = bracket_closure(zs)
     levels = central_series(g)
     by_depth = {}
     n_class = len(levels) - 1
@@ -296,7 +310,7 @@ def test_good_monomials_span_central_series():
     for j, level in enumerate(levels[:-1]):
         # monomials of degree >= j+1: drop the first j levels' degrees
         monos = [m for d in range(j, n_class) for m in _fresh(level_sets, d)]
-        oracle = span_reduce(monos, "exact")
+        oracle = span_reduce(monos)
         assert oracle.dimension == level.dimension
         assert level.contains_span(oracle)
 
@@ -313,7 +327,7 @@ def _fresh(level_sets, depth_index):
 
 def test_derived_series_abelian():
     _, xs, _ = build_nilpotent_example(3)
-    g = span_reduce(xs, "exact")
+    g = span_reduce(xs)
     levels = derived_series(g)
     assert [lv.dimension for lv in levels] == [3, 0]
     assert soluble_length(g) == 1
@@ -333,14 +347,14 @@ def test_central_series_non_terminating_marker():
 
 def test_nilpotency_class_abelian():
     _, xs, _ = build_nilpotent_example(3)
-    g = span_reduce(xs, "exact")
+    g = span_reduce(xs)
     assert nilpotency_class(g) == 1
 
 
 def test_zero_algebra_lengths():
     from germcalc.lie import LieAlgebraSpan
 
-    zero = LieAlgebraSpan(2, "exact", ())
+    zero = LieAlgebraSpan(2, ())
     assert soluble_length(zero) == 0
     assert nilpotency_class(zero) == 0
 
@@ -545,7 +559,7 @@ def test_generic_rank_with_planted_zero_fields(fields, data):
 def test_generic_rank_of_zero_fields(monkeypatch):
     calls = _counting_fallback(monkeypatch)
     assert generic_rank([VectorField.zero(2)] * 3) == 0
-    assert generic_rank(span_reduce([VectorField.zero(2)], "exact")) == 0
+    assert generic_rank(span_reduce([VectorField.zero(2)])) == 0
     # rank 1 with two nonzero columns: the elimination decides, zero rows included
     zero = VectorField.zero(2)
     fields = [zero, _field(2, {(1, 0): 1}, {(0, 1): 1}), zero, _field(2, {(2, 0): 1}, {(1, 1): 1})]
@@ -572,14 +586,14 @@ def test_rank_at_point_evaluates_each_column_once_on_the_chain(monkeypatch):
 
 
 def test_kappa_sequence_one_variable():
-    g = span_reduce([mono_field(1, {1: 2}, 1)], "exact")
+    g = span_reduce([mono_field(1, {1: 2}, 1)])
     ks = kappa_sequence(g)
     assert ks.values == (1, 0)
 
 
 def test_kappa_sequence_nilpotent_family():
     _, _, zs = build_nilpotent_example(2)
-    g = bracket_closure(zs, "exact")
+    g = bracket_closure(zs)
     assert kappa_sequence(g).values == (2, 1, 0)
 
 
@@ -659,7 +673,7 @@ def test_intro_family_lie_counterpart_class():
         logs = [
             log_diffeo(random_intro_member(rng, k_param, order)) for _ in range(8)
         ]
-        g = bracket_closure([X for X in logs if not X.is_zero()], "jet", order)
+        g = bracket_closure([X for X in logs if not X.is_zero()], order)
         assert nilpotency_class(g) == k_param - 1
 
 
@@ -672,11 +686,11 @@ def test_series_reject_an_unclosed_span():
     # x1^2 d1 and x1^3 d1 generate x1^j d1 for j = 2..10, of soluble length
     # 3; their span alone is not closed and would give 1
     gens = [mono_field(1, {1: 2}, 1), mono_field(1, {1: 3}, 1)]
-    span = span_reduce(gens, "jet", 10)
+    span = span_reduce(gens, 10)
     for series in (derived_series, central_series, soluble_length, nilpotency_class, kappa_sequence):
         with pytest.raises(ValueError, match="not closed"):
             series(span)
-    assert soluble_length(bracket_closure(gens, "jet", 10)) == 3
+    assert soluble_length(bracket_closure(gens, 10)) == 3
 
 
 def test_series_reject_a_span_falsely_marked_closed():
@@ -685,7 +699,7 @@ def test_series_reject_a_span_falsely_marked_closed():
     fields = parse_fields(
         "x1^2 d1 + x2^2 d2; x1*x2 d1 + x1^2 d2; x2^2 d1 + x1*x2 d2; x1^2 d2 + x2^3 d1", 2
     )
-    span = replace(span_reduce(fields, "jet", 5), closed=True)
+    span = replace(span_reduce(fields, 5), closed=True)
     assert span.closed
     for series in (derived_series, central_series):
         with pytest.raises(ValueError, match="not closed"):
@@ -695,17 +709,17 @@ def test_series_reject_a_span_falsely_marked_closed():
 def test_central_series_runs_to_its_end():
     # x1^2 d1 and x1^3 d1 generate x1^j d1 for j = 2..260, of dimension 259;
     # C^j is spanned by x1^(j+3) d1, ..., x1^260 d1, so the class is 258
-    g = bracket_closure([mono_field(1, {1: 2}, 1), mono_field(1, {1: 3}, 1)], "jet", 260)
+    g = bracket_closure([mono_field(1, {1: 2}, 1), mono_field(1, {1: 3}, 1)], 260)
     assert g.dimension == 259
     assert nilpotency_class(g) == 258
 
 
 def test_closed_spans_are_marked():
     _, _, zs = build_nilpotent_example(2)
-    g = bracket_closure(zs, "exact")
+    g = bracket_closure(zs)
     assert g.closed
     assert all(level.closed for level in derived_series(g) + central_series(g))
-    assert not span_reduce(zs, "exact").closed
+    assert not span_reduce(zs).closed
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -714,4 +728,4 @@ def test_chain_algebras_are_closed(n):
         g = build_chain_algebra(n, index, 5)
         assert g.closed
         if g.basis:
-            assert bracket_closure(list(g.basis), "jet", 5).dimension == g.dimension
+            assert bracket_closure(list(g.basis), 5).dimension == g.dimension

@@ -10,8 +10,9 @@ from functools import partial
 import pytest
 
 from germcalc import cli, verification
-from germcalc.families import build_chain_algebra
+from germcalc.families import build_chain_algebra, chain_space_size
 from germcalc.fields import BudgetExceededError, VectorField
+from germcalc.laurent import LaurentPoly
 from germcalc.lie import LieAlgebraSpan, derived_series
 from germcalc.parsing import ParseError
 from germcalc.verification import (
@@ -151,13 +152,16 @@ def test_length_bounds_reads_the_planar_sample():
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("order", [6, 12, 18])
 def test_support_containment_agrees_with_the_echelon(n, order):
-    levels = derived_series(build_chain_algebra(n, 0, order))
-    spaces = [build_chain_algebra(n, j, order) for j in range(min(2 * n, len(levels) - 1) + 1)]
+    g0 = build_chain_algebra(n, 0, order)
+    levels = derived_series(g0)
+    needed = verification._chain_prefixes(g0, levels)
     outcomes = set()
-    for G in spaces:
-        for level in levels:
+    for j in range(min(2 * n, len(levels) - 1) + 1):
+        G = build_chain_algebra(n, j, order)
+        size = chain_space_size(n, j, order)
+        for level, count in zip(levels, needed):
             expected = G.contains_span(level) if G.basis else level.is_zero()
-            assert verification._within_monomial_support(G, level) == expected
+            assert (count <= size) == expected
             outcomes.add(expected)
     assert outcomes == {True, False}
 
@@ -168,8 +172,10 @@ def test_support_containment_rejects_one_term_outside():
     inside = G2.basis[0]
     outside = next(X for X in G0.basis if not G2.contains_field(X))
     field = VectorField([a + b for a, b in zip(inside.coeffs, outside.coeffs)])
-    span = LieAlgebraSpan(n, "jet", (field,), order)
-    assert not verification._within_monomial_support(G2, span)
-    assert not G2.contains_span(span)
-    assert verification._within_monomial_support(G0, span) and G0.contains_span(span)
-    assert verification._within_monomial_support(G2, LieAlgebraSpan(n, "jet", (inside,), order))
+    x1d1 = VectorField.from_terms(n, (LaurentPoly.variable(n, 1), 1))  # in no chain space
+    span, within, stray = (LieAlgebraSpan(n, (X,), order) for X in (field, inside, x1d1))
+    needed, needed_within, needed_stray = verification._chain_prefixes(G0, [span, within, stray])
+    assert needed > G2.dimension and not G2.contains_span(span)
+    assert needed <= G0.dimension and G0.contains_span(span)
+    assert needed_within <= G2.dimension and G2.contains_span(within)
+    assert needed_stray > G0.dimension and not G0.contains_span(stray)

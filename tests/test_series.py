@@ -40,13 +40,13 @@ def _closed_bracket_span(g: LieAlgebraSpan, pairs) -> LieAlgebraSpan:
     brackets = []
     for X, Y in pairs:
         Z = X.bracket(Y)
-        if g.mode == "jet":
+        if g.order is not None:
             Z = Z.truncate(g.order)
         if not Z.is_zero():
             brackets.append(Z)
     if not brackets:
-        return LieAlgebraSpan(g.dim, g.mode, (), g.order, g.degree_budget)
-    return bracket_closure(brackets, g.mode, g.order, g.degree_budget)
+        return LieAlgebraSpan(g.dim, (), g.order, g.degree_budget)
+    return bracket_closure(brackets, g.order, g.degree_budget)
 
 
 def _same_span(a: LieAlgebraSpan, b: LieAlgebraSpan) -> bool:
@@ -162,7 +162,7 @@ def test_chain_central_series_matches_reference():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_nilpotent_family_series_match_reference(n):
     _, _, zs = build_nilpotent_example(n)
-    g = bracket_closure(zs, "exact")
+    g = bracket_closure(zs)
     derived = derived_series(g)
     assert_same_series(derived, reference_derived_series(g))
     assert soluble_length(g, derived) == soluble_length(g) == n
@@ -177,7 +177,7 @@ def _all_pairs_central_series(g: LieAlgebraSpan) -> list[LieAlgebraSpan]:
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_central_series_from_the_generators_nilpotent_family(n):
     _, _, zs = build_nilpotent_example(n)
-    g = bracket_closure(zs, "exact")
+    g = bracket_closure(zs)
     assert g.generators == n < g.dimension
     assert g.basis[:n] == span_reduce(zs).basis
     assert_same_series(central_series(g), _all_pairs_central_series(g))
@@ -185,7 +185,7 @@ def test_central_series_from_the_generators_nilpotent_family(n):
 
 def test_replace_drops_the_marks_of_another_basis():
     _, _, zs = build_nilpotent_example(3)
-    g = bracket_closure(zs, "exact")
+    g = bracket_closure(zs)
     g.contains_field(g.basis[0])  # builds the echelon before the replace
     h = replace(g, basis=g.basis[1:])
     assert h.contains_field(g.basis[0]) is False
@@ -194,7 +194,7 @@ def test_replace_drops_the_marks_of_another_basis():
     same = replace(g, generators=None)
     assert same.closed is True and same.generators is None
     assert same._echelon is g._echelon
-    fresh = LieAlgebraSpan(3, "exact", g.basis[1:], closed=True, generators=2)
+    fresh = LieAlgebraSpan(3, g.basis[1:], closed=True, generators=2)
     assert fresh.closed is True and fresh.generators == 2
     assert replace(fresh, degree_budget=10).closed is True
 
@@ -206,7 +206,7 @@ def test_central_series_from_the_generators_jet_closure(homogeneous):
         gens[0] = VectorField.from_terms(
             2, (LaurentPoly.monomial(2, {1: 1}), 1), (LaurentPoly.monomial(2, {2: 2}), 1)
         )
-    g = bracket_closure(gens, "jet", 7)
+    g = bracket_closure(gens, 7)
     assert g.generators == 3 < g.dimension
     levels = central_series(g)
     assert len(levels) > 3
@@ -216,14 +216,14 @@ def test_central_series_from_the_generators_jet_closure(homogeneous):
 
 def _derived_series_of_the_basis(g: LieAlgebraSpan) -> list[LieAlgebraSpan]:
     """The derived series of g's basis as a span that records no generators."""
-    return derived_series(LieAlgebraSpan(g.dim, g.mode, g.basis, g.order, closed=True))
+    return derived_series(LieAlgebraSpan(g.dim, g.basis, g.order, closed=True))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_derived_series_first_step_from_the_generators_nilpotent_family(n):
     # g^(1) = [g, g] = [S, g] when g records its generators S
     _, _, zs = build_nilpotent_example(n)
-    g = bracket_closure(zs, "exact")
+    g = bracket_closure(zs)
     assert g.generators == n < g.dimension
     levels = derived_series(g)
     assert len(levels) == n + 1
@@ -233,7 +233,7 @@ def test_derived_series_first_step_from_the_generators_nilpotent_family(n):
 def test_derived_series_first_step_from_the_generators_random_jet_closure():
     rng = random.Random(17)
     gens = [random_field(rng, 2, 3) for _ in range(3)]
-    g = bracket_closure(gens, "jet", 6)
+    g = bracket_closure(gens, 6)
     assert g.generators == 3 < g.dimension
     assert not all(_is_weight_homogeneous(X) for X in g.basis)
     levels = derived_series(g)
@@ -260,7 +260,7 @@ def test_inhomogeneous_jet_span_matches_reference():
         mono_field(2, {2: 2}, 2),
         mono_field(2, {1: 1, 2: 1}, 2, 3),
     ]
-    g = bracket_closure(gens, "jet", 6)
+    g = bracket_closure(gens, 6)
     assert not all(_is_weight_homogeneous(X) for X in g.basis)
     assert_same_series(derived_series(g), reference_derived_series(g))
     assert_same_series(central_series(g), reference_central_series(g))
@@ -295,7 +295,7 @@ def test_kappa_sequence_calls_derived_series_through_the_module(monkeypatch):
 
 def test_jet_mode_rejects_non_formal_fields():
     with pytest.raises(ValueError):
-        span_reduce([mono_field(1, {}, 1)], "jet", 4)
+        span_reduce([mono_field(1, {}, 1)], 4)
     g = build_chain_algebra(1, 0, 4)
     with pytest.raises(ValueError):
         g.contains_field(mono_field(1, {}, 1))
@@ -318,7 +318,7 @@ def monomial_generators(draw):
 
 def monomial_algebras():
     """The jet-mode closure of ``monomial_generators``."""
-    return monomial_generators().map(lambda case: bracket_closure(case[0], "jet", case[1]))
+    return monomial_generators().map(lambda case: bracket_closure(case[0], case[1]))
 
 
 @settings(max_examples=30, deadline=None)
@@ -351,8 +351,8 @@ def mixed_generators(draw):
 @given(mixed_generators())
 def test_invariants_ignore_generator_order_and_repeats(case):
     gens, shuffled, order = case
-    g = bracket_closure(gens, "jet", order)
-    h = bracket_closure(shuffled, "jet", order)
+    g = bracket_closure(gens, order)
+    h = bracket_closure(shuffled, order)
     assert g.dimension == h.dimension and g.contains_span(h)
     assert soluble_length(h) == soluble_length(g)
     assert nilpotency_class(h) == nilpotency_class(g)
@@ -474,6 +474,6 @@ def test_graded_series_rejects_negative_exponents_in_jet_mode():
     # a span marked closed is trusted, so only the per-level check sees the
     # Laurent term x1^2 x2^-1 d1
     X = mono_field(2, {1: 2, 2: -1}, 1)
-    g = LieAlgebraSpan(2, "jet", (X, mono_field(2, {2: 1}, 2)), 4, closed=True)
+    g = LieAlgebraSpan(2, (X, mono_field(2, {2: 1}, 2)), 4, closed=True)
     with pytest.raises(ValueError, match="negative exponents"):
         derived_series(g)

@@ -144,7 +144,7 @@ def test_span_echelon_is_kept_and_private():
     gens = [
         X for kind, j in chain_summands(2, 0) for X in chain_space_generators(2, kind, j, 6)
     ]
-    g = span_reduce(gens, "jet", 6)  # span_reduce keeps the echelon it built
+    g = span_reduce(gens, 6)  # span_reduce keeps the echelon it built
     assert g._echelon is not None and g._echelon.dim == g.dimension
     x1, x2 = LaurentPoly.variable(2, 1), LaurentPoly.variable(2, 2)
     candidates = [VectorField([a, b]) for a in (x1, x2, x1 * x2) for b in (x1, x2, 0 * x1)]
@@ -169,7 +169,7 @@ def test_laurent_keys_order_and_span():
             for e in c.terms
         )
         assert [k % 2 for k in keys] == [i for _, i in expected]
-    span = span_reduce([X, Y, X], "exact")
+    span = span_reduce([X, Y, X])
     assert span.basis == (X, Y)
     combo = VectorField(
         [a * Scalar(1, 1) + b * Fraction(-3, 7) for a, b in zip(X.coeffs, Y.coeffs)]
@@ -231,7 +231,7 @@ def test_nilpotent_closure_bases_match_field_elimination(monkeypatch, n):
     _, _, zs = build_nilpotent_example(n)
 
     def compute():
-        g = bracket_closure(zs, "exact")
+        g = bracket_closure(zs)
         return [level.basis for level in central_series(g)]
 
     fast, slow = with_field_elimination(monkeypatch, compute)

@@ -28,7 +28,7 @@ from germcalc.verification import (
 
 
 def test_intro_report_passes():
-    r = verify_intro_nilpotency(3, 6, sample_count=4, seed=7)
+    r = verify_intro_nilpotency(3, sample_count=4, seed=7)
     assert r.status == "pass"
     assert r.witness is not None
     assert r.parameters["k_param"] == 3
@@ -37,15 +37,15 @@ def test_intro_report_passes():
 def test_intro_abelian_case():
     # k_param = 2: every sampled commutator must be the identity; there is no
     # intermediate depth to witness, so the claim cannot fail on shape
-    r = verify_intro_nilpotency(2, 5, sample_count=4, seed=3)
+    r = verify_intro_nilpotency(2, sample_count=4, seed=3)
     # the depth-0 witness is any nontrivial member; depth-1 commutators must
     # all be the identity
     assert r.status == "pass"
 
 
 def test_intro_reproducibility():
-    a = verify_intro_nilpotency(4, 7, sample_count=4, seed=11)
-    b = verify_intro_nilpotency(4, 7, sample_count=4, seed=11)
+    a = verify_intro_nilpotency(4, sample_count=4, seed=11)
+    b = verify_intro_nilpotency(4, sample_count=4, seed=11)
     assert a.witness == b.witness and a.status == b.status
 
 
@@ -60,14 +60,9 @@ def test_intro_fails_on_a_translation_term_above_k_param(monkeypatch):
         return FormalDiffeo((c.components[0] + y5, c.components[1]), c.order)
 
     monkeypatch.setattr(FormalDiffeo, "commutator", shifted)
-    r = verify_intro_nilpotency(4, 7, sample_count=2, seed=0)
+    r = verify_intro_nilpotency(4, sample_count=2, seed=0)
     assert r.status == "fail"
     assert "depth-1 translation has a term of degree 5 > 4" in r.witness
-
-
-def test_intro_rejects_low_order():
-    with pytest.raises(ValueError):
-        verify_intro_nilpotency(4, 5)
 
 
 def test_solvable_family_n1():
@@ -156,7 +151,7 @@ def test_nilpotent_family_with_a_non_nilpotent_generator_fails(monkeypatch):
 
 def _nilpotent_levels(n):
     _, xs, zs = build_nilpotent_example(n)
-    return xs, derived_series(bracket_closure(zs, "exact"))
+    return xs, derived_series(bracket_closure(zs))
 
 
 def _add(X, Y):
@@ -211,11 +206,15 @@ def test_witness_fixture_loading():
 
 
 def test_witness_reports():
-    r1 = verify_group_witness_fixture("group_witness_n1.txt", "group-witness-n1")
+    r1 = verify_group_witness_fixture(1)
     assert r1.status == "pass"
-    r2 = verify_group_witness_fixture("group_witness_n2.txt", "group-witness-n2")
+    r2 = verify_group_witness_fixture(2)
     assert r2.status == "pass"
     assert "->" in r2.witness
+    assert r2.claim_id == "group-witness-n2"
+    assert r2.parameters["fixture"] == "group_witness_n2.txt"
+    with pytest.raises(ValueError, match="shipped for n = 1 and n = 2"):
+        verify_group_witness_fixture(3)
 
 
 def test_witness_depth_enforcement():
