@@ -123,7 +123,7 @@ class FormalDiffeo:
     def compose(self, other: "FormalDiffeo") -> "FormalDiffeo":
         """self o other."""
         self._check_compatible(other)
-        image = SubstitutionCache.trusted(other.components, self.order).image
+        image = SubstitutionCache(other.components, self.order).image
         return FormalDiffeo._trusted(self.dim, self.order, [image(c) for c in self.components])
 
     def invert(self) -> "FormalDiffeo":
@@ -148,7 +148,7 @@ class FormalDiffeo:
         d = 2  # the error of psi starts at degree >= d
         while d <= k:
             t = min(k, 2 * d - 2)
-            image = SubstitutionCache.trusted(psi, t).image
+            image = SubstitutionCache(psi, t).image
             err = [image(comp) - x for comp, x in zip(self.components, xs)]
             if any(err):
                 new_psi = []
@@ -192,8 +192,8 @@ class FormalDiffeo:
         lin_inv = None  # x -> L^-1 x, when L != I
         if not g.is_tangent_to_identity():
             lin = _linear_components(mat_inverse(g.linear_part()))
-            lin_inv = SubstitutionCache.trusted(lin, k).image
-        image = SubstitutionCache.trusted(g.components, k).image
+            lin_inv = SubstitutionCache(lin, k).image
+        image = SubstitutionCache(g.components, k).image
         terms = [[(1, x)] for x in xs]  # x_i and the E_d of component i
         for d in range(m, k + 1):
             parts = [r.degree_part(d) for r in rest]
@@ -311,7 +311,7 @@ def log_diffeo(phi: FormalDiffeo) -> VectorField:
     if not phi.is_unipotent():
         raise ValueError("log is defined for unipotent diffeomorphisms only")
     n, k = phi.dim, phi.order
-    image = SubstitutionCache.trusted(phi.components, k).image
+    image = SubstitutionCache(phi.components, k).image
     cap = math.comb(n + k, n)  # jet dimension + 1
     coeffs = []
     for i in range(1, n + 1):

@@ -702,7 +702,17 @@ def substitute(g: LaurentPoly, phi: Sequence[LaurentPoly], order: int) -> Lauren
         raise ValueError("substitution target has negative exponents")
     if len(phi) != g.dim:
         raise ValueError(f"expected {g.dim} substitution components, got {len(phi)}")
-    return SubstitutionCache(phi, order).image(g)
+    if not phi:
+        raise ValueError("empty substitution tuple")
+    out_dim = phi[0].dim
+    for i, comp in enumerate(phi, start=1):
+        if comp.dim != out_dim:
+            raise ValueError("substitution components have mixed dimensions")
+        if not comp.is_polynomial():
+            raise ValueError(f"substitution component {i} has negative exponents")
+        if comp.constant_term():
+            raise ValueError(f"substitution component {i} has a nonzero constant term")
+    return SubstitutionCache([comp.truncate(order) for comp in phi], order).image(g)
 
 
 class SubstitutionCache:
@@ -715,30 +725,11 @@ class SubstitutionCache:
     """
 
     def __init__(self, phi, order: int):
-        phi = tuple(phi)
-        if not phi:
-            raise ValueError("empty substitution tuple")
-        out_dim = phi[0].dim
-        for i, comp in enumerate(phi, start=1):
-            if comp.dim != out_dim:
-                raise ValueError("substitution components have mixed dimensions")
-            if not comp.is_polynomial():
-                raise ValueError(f"substitution component {i} has negative exponents")
-            if comp.constant_term():
-                raise ValueError(f"substitution component {i} has a nonzero constant term")
-        self._start(tuple(comp.truncate(order) for comp in phi), order)
-
-    @classmethod
-    def trusted(cls, phi, order: int) -> "SubstitutionCache":
-        """The cache of components that are valid by construction, without
-        the checks and truncation: polynomials in m of one dimension and of
-        degree <= order, such as a FormalDiffeo's components at its order."""
-        cache = _new(cls)
-        cache._start(tuple(phi), order)
-        return cache
-
-    def _start(self, phi: tuple, order: int):
-        self.phi = phi
+        """The cache of ``phi``, whose components must be polynomials in m
+        of one dimension and of degree <= order, such as a FormalDiffeo's
+        components at its order; ``substitute`` checks and truncates
+        arbitrary ones."""
+        self.phi = phi = tuple(phi)
         self.order = order
         self.out_dim = phi[0].dim
         self._layout = _LAYOUTS[len(phi)]

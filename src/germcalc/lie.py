@@ -31,7 +31,9 @@ class NonTerminatingMarker:
 
     In jet mode the engine cannot distinguish a genuinely non-solvable (or
     non-nilpotent) algebra from an under-truncated one, so the marker says
-    exactly that: non-terminating at this jet order.
+    exactly that: non-terminating at this jet order.  In exact mode nothing
+    is truncated, so a stable nonzero term is definite: the algebra is not
+    solvable (or not nilpotent).
     """
 
     _instance = None
@@ -755,14 +757,18 @@ def kappa_sequence(
 ) -> KappaSequence:
     """Generic rank of every derived-series term.  g must be a Lie algebra
     and its series must terminate at the working jet order; ``levels`` is
-    that series when the caller has already built it."""
+    that series when the caller has already built it.  A series that does
+    not terminate raises ValueError for an exact span, which is then not
+    solvable, and BudgetExceededError for a jet span."""
     if levels is None:
         levels = derived_series(g)
     else:
         _require_algebra(g)
     if not levels[-1].is_zero():
+        if g.order is None:
+            raise ValueError("the algebra is not solvable; kappa undefined")
         raise BudgetExceededError(
-            "derived series does not terminate at this jet order; kappa undefined"
+            f"derived series does not terminate at jet order {g.order}; kappa undefined"
         )
     return KappaSequence(
         tuple(generic_rank(level) if level.basis else 0 for level in levels),

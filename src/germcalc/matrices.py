@@ -7,6 +7,7 @@ classical O(n^3)/O(n^4) algorithms are the right tool.
 
 from __future__ import annotations
 
+from math import factorial
 from typing import Sequence
 
 from .scalars import Scalar
@@ -140,14 +141,7 @@ def matrix_exp_nilpotent(a: Matrix) -> Matrix:
             return result
         if j > n:
             raise ValueError("matrix_exp_nilpotent: input is not nilpotent")
-        result = mat_add(result, mat_scale(term, Scalar(1) / Scalar.rational(_factorial(j))))
-
-
-def _factorial(j: int) -> int:
-    out = 1
-    for t in range(2, j + 1):
-        out *= t
-    return out
+        result = mat_add(result, mat_scale(term, Scalar(1) / Scalar.rational(factorial(j))))
 
 
 # -- univariate polynomials over Scalar (ascending coefficient lists) --------

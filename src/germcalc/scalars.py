@@ -125,6 +125,4 @@ class Scalar:
         return format_scalar(self)
 
 
-ZERO = Scalar(0)
-ONE = Scalar(1)
 I = Scalar(0, 1)

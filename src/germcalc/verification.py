@@ -571,77 +571,64 @@ def _verification_units(seed: int) -> list[tuple]:
     return units
 
 
-def _run_child(calls: list, fd: int):
-    """In a forked child: run ``calls`` and write ``pickle.dumps(("ok",
-    results))`` or ``("err", exception)`` to the pipe ``fd``, then leave
-    with ``os._exit``, never returning into the caller's stack.  An
-    exception that would not unpickle is sent as a RuntimeError naming it."""
-    import pickle
-
-    status = 1
-    try:
-        try:
-            payload = ("ok", [call() for call in calls])
-        except BaseException as exc:
-            try:
-                pickle.loads(pickle.dumps(exc))
-            except Exception:
-                exc = RuntimeError(f"{type(exc).__name__}: {exc}")
-            payload = ("err", exc)
-        with open(fd, "wb") as pipe:
-            pipe.write(pickle.dumps(payload))
-        status = 0
-    finally:
-        os._exit(status)
-
-
 def _run_units(units: list[tuple], fork: bool) -> list:
     """The results of the (in_child, call) ``units`` in unit order.
 
-    Without ``fork`` every unit runs in this process.  With it, the units
-    marked in_child run in one child made with ``os.fork``; this process
-    runs the others and then reads the child's pipe.  A child's exception
-    is raised again here with its type and message, and a child that ends
-    without writing raises RuntimeError.  The child is reaped before this
-    returns or raises, and killed first when this process raises."""
-    if not fork:
-        return [call() for _, call in units]
-    import pickle
-    import signal
-
-    here = [i for i, (in_child, _) in enumerate(units) if not in_child]
+    This process runs the units not marked in_child first.  With ``fork``,
+    one child made with ``os.fork`` runs the marked units meanwhile and
+    writes ``pickle.dumps(results)`` to a pipe only when every call has
+    returned; otherwise it leaves with status 1 and writes nothing.  When no
+    child delivered, this process runs the marked units itself, so a unit
+    that raised in the child raises here as itself.  The units are
+    deterministic, so where one ran changes no result.  The child is reaped
+    before this returns or raises, and killed first when this process
+    raises."""
     there = [i for i, (in_child, _) in enumerate(units) if in_child]
     results = [None] * len(units)
-    r, w = os.pipe()
+    data = b""
+    if fork:
+        import pickle
+        import signal
+
+        r, w = os.pipe()
+        try:
+            pid = os.fork()
+        except BaseException:
+            os.close(r)
+            os.close(w)
+            raise
+        if pid == 0:
+            status = 1
+            try:
+                os.close(r)
+                payload = pickle.dumps([units[i][1]() for i in there])
+                with open(w, "wb") as pipe:
+                    pipe.write(payload)
+                status = 0
+            finally:
+                os._exit(status)
     try:
-        pid = os.fork()
+        if fork:
+            os.close(w)
+        for i, (in_child, call) in enumerate(units):
+            if not in_child:
+                results[i] = call()
+        if fork:
+            with open(r, "rb", closefd=False) as pipe:
+                data = pipe.read()
     except BaseException:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid == 0:
-        os.close(r)
-        _run_child([units[i][1] for i in there], w)
-    try:
-        os.close(w)
-        for i in here:
-            results[i] = units[i][1]()
-        with open(r, "rb", closefd=False) as pipe:
-            data = pipe.read()
-        if not data:
-            raise RuntimeError(f"verification worker {pid} ended without a result")
-        tag, value = pickle.loads(data)
-        if tag == "err":
-            raise value
-        for i, v in zip(there, value):
-            results[i] = v
-        return results
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
+        if fork:
+            os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        os.close(r)
-        os.waitpid(pid, 0)
+        if fork:
+            os.close(r)
+            if os.waitpid(pid, 0)[1]:
+                data = b""  # a child that failed or was killed delivered nothing
+    delivered = pickle.loads(data) if data else [units[i][1]() for i in there]
+    for i, value in zip(there, delivered):
+        results[i] = value
+    return results
 
 
 def _can_fork() -> bool:

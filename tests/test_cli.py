@@ -134,6 +134,20 @@ def test_kappa_json(capsys):
     assert json.loads(out) == {"kappa": [1, 1, 0]}
 
 
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        # sl2 is exact: its stable nonzero term proves it is not solvable
+        (["--dim", "1", "--gens", "1 d1; x1 d1; x1^2 d1"], EXIT_PRECONDITION, "not solvable"),
+        (["--dim", "2", "--mode", "jet", "--order", "3", "--gens", "x1 d2; x2 d1"],
+         EXIT_BUDGET, "at jet order 3"),
+    ],
+)
+def test_kappa_of_a_series_that_does_not_terminate(capsys, argv, code, message):
+    result, _, err = run(capsys, "kappa", *argv)
+    assert result == code and message in err
+
+
 def test_closed_stdout_ends_quietly():
     # the jet matrix is far longer than a pipe buffer, so the writer meets
     # the closed pipe

@@ -1,6 +1,7 @@
 """The process runner of ``verify all``: a forked child's share gives the
-reports of an in-process run, errors cross the process boundary with their
-type and message, and no child outlives a run."""
+reports of an in-process run, a share no child delivered runs in the caller,
+so errors keep their type on any number of CPUs, and no child outlives a
+run."""
 
 import os
 import threading
@@ -72,10 +73,8 @@ def test_each_unit_runs_where_its_mark_says():
     assert [pid != parent for pid in pids] == marks
 
 
-def _raise_in_child(parent, exc):
+def _raise(exc):
     def unit(*args):
-        if os.getpid() == parent:
-            raise AssertionError("the unit ran in the parent")
         raise exc
 
     return unit
@@ -90,9 +89,7 @@ def _raise_in_child(parent, exc):
 )
 def test_child_error_raises_in_the_parent(monkeypatch, capsys, exc, code):
     # both witness claims are marked for the child
-    monkeypatch.setattr(
-        verification, "verify_group_witness_fixture", _raise_in_child(os.getpid(), exc)
-    )
+    monkeypatch.setattr(verification, "verify_group_witness_fixture", _raise(exc))
     monkeypatch.setattr(verification, "_can_fork", lambda: True)
     with pytest.raises(type(exc)) as raised:
         run_all_verifications(0)
@@ -102,24 +99,30 @@ def test_child_error_raises_in_the_parent(monkeypatch, capsys, exc, code):
 
 
 def test_child_error_that_would_not_unpickle_arrives_named():
-    # ParseError's constructor takes the text and position, not its message
+    # ParseError's constructor takes the text and position, not its message,
+    # so it could not cross the pipe; the caller raises it from its own run
     exc = ParseError("unexpected character '@'", "x1 @", 3)
-    units = [(True, _raise_in_child(os.getpid(), exc)), (False, int)]
-    with pytest.raises(RuntimeError) as raised:
-        verification._run_units(units, True)
-    assert str(raised.value) == f"ParseError: {exc}"
+    with pytest.raises(ParseError) as raised:
+        verification._run_units([(True, _raise(exc)), (False, int)], True)
+    assert raised.value is exc
 
 
-def test_child_that_ends_without_writing_raises():
+def test_child_that_ends_without_writing_gets_its_share_run_here():
     parent = os.getpid()
 
     def die():
-        if os.getpid() == parent:
-            raise AssertionError("the unit ran in the parent")
-        os._exit(0)
+        if os.getpid() != parent:
+            os._exit(0)
+        return "here"
 
-    with pytest.raises(RuntimeError, match="ended without a result"):
-        verification._run_units([(True, die), (False, int)], True)
+    assert verification._run_units([(True, die), (False, int)], True) == ["here", 0]
+
+
+@pytest.mark.parametrize("fork", [False, True])
+def test_when_both_shares_raise_the_callers_error_wins(fork):
+    units = [(True, _raise(BudgetExceededError("child"))), (False, _raise(ValueError("caller")))]
+    with pytest.raises(ValueError, match="caller"):
+        verification._run_units(units, fork)
 
 
 def test_parent_error_kills_the_children():
