@@ -23,6 +23,7 @@ from .fields import BudgetExceededError
 from .jets import field_to_jet_matrix, to_jet_matrix
 from .lie import (
     NON_TERMINATING,
+    _series_error,
     bracket_closure,
     central_series,
     derived_series,
@@ -60,10 +61,10 @@ EXIT_BUDGET = 4
 EXIT_BROKEN_PIPE = 141
 
 
-def _add_common_options(parser: argparse.ArgumentParser, suppress: bool, fmt: str):
+def _add_common_options(parser: argparse.ArgumentParser, suppress: bool):
     """Global options; attached both before and after the subcommand.  The
     after-subcommand copies default to SUPPRESS so they never clobber values
-    given up front; fmt is the default of --format."""
+    given up front."""
 
     def default(value):
         return argparse.SUPPRESS if suppress else value
@@ -75,8 +76,8 @@ def _add_common_options(parser: argparse.ArgumentParser, suppress: bool, fmt: st
         "--format",
         dest="fmt",
         choices=("text", "json"),
-        default=default(fmt),
-        help="output format (env GERMCALC_FORMAT sets the default)",
+        default=default("text"),
+        help="output format",
     )
     parser.add_argument("--seed", type=int, default=default(0))
     parser.add_argument("--degree-budget", type=int, default=default(256))
@@ -89,20 +90,20 @@ def _add_common_options(parser: argparse.ArgumentParser, suppress: bool, fmt: st
 
 
 @functools.cache
-def _build_parser(fmt: str) -> argparse.ArgumentParser:
-    """The command-line parser, with fmt as the default of --format.
+def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser.
 
-    Built once per fmt: a parser costs about 3 ms to build, and rebuilding
-    it on every ``main`` call also raised the peak memory of a process that
-    calls ``main`` hundreds of times by about 0.9 MB.
+    Built once: a parser costs about 3 ms to build, and rebuilding it on
+    every ``main`` call also raised the peak memory of a process that calls
+    ``main`` hundreds of times by about 0.9 MB.
     """
     common = argparse.ArgumentParser(add_help=False)
-    _add_common_options(common, suppress=True, fmt=fmt)
+    _add_common_options(common, suppress=True)
     parser = argparse.ArgumentParser(
         prog="germcalc",
         description="exact computations with formal diffeomorphism germs and vector fields",
     )
-    _add_common_options(parser, suppress=False, fmt=fmt)
+    _add_common_options(parser, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_parser(name, **kwargs):
@@ -246,12 +247,12 @@ def _run(args) -> int:
             _emit({"dimensions": _series_payload(central_series(span))}, args.fmt)
         elif cmd == "kappa":
             _emit({"kappa": list(kappa_sequence(span).values)}, args.fmt)
-        elif cmd == "soluble-length":
-            value = soluble_length(span)
-            _emit({"soluble-length": str(value) if value is NON_TERMINATING else value}, args.fmt)
         else:
-            value = nilpotency_class(span)
-            _emit({"nilpotency-class": str(value) if value is NON_TERMINATING else value}, args.fmt)
+            central = cmd == "nilpotency-class"
+            value = (nilpotency_class if central else soluble_length)(span)
+            if value is NON_TERMINATING:
+                raise _series_error(span, cmd.replace("-", " "), central)
+            _emit({cmd: value}, args.fmt)
         return EXIT_OK
     if cmd == "verify":
         reports = _run_verify(args)
@@ -282,8 +283,7 @@ def _run_verify(args):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser(os.environ.get("GERMCALC_FORMAT", "text"))
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         status = _run(args)
         sys.stdout.flush()

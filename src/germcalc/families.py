@@ -2,8 +2,8 @@
 
 * the planar unipotent family with prescribed nilpotency class
   (x + P(y))/(1+ty)^k in the first slot, a Moebius map in the second,
-* the solvable chain: monomial generating sets for the nested spaces
-  U_1, V_1, ..., U_n, V_n and their partial sums,
+* the solvable chain: the monomial basis of U_1 + V_1 + ... + U_n + V_n,
+  whose prefixes are the nested chain spaces,
 * the commuting meromorphic family u_k / X_k / Z_k whose generated Lie
   algebra realizes soluble length n with nilpotency class 3*2^(n-2)-1.
 
@@ -14,10 +14,11 @@ materialized at a jet order.
 from __future__ import annotations
 
 import math
+from itertools import islice
 
 from .diffeos import FormalDiffeo
 from .fields import BudgetExceededError, VectorField
-from .laurent import _LAYOUTS, LaurentPoly, validate_order
+from .laurent import _LAYOUTS, LaurentPoly, _monomials, validate_order
 from .lie import LieAlgebraSpan
 from .scalars import Scalar
 
@@ -110,82 +111,6 @@ def random_intro_member(rng, k_param: int, order: int) -> FormalDiffeo:
 # -- the solvable chain ---------------------------------------------------------
 
 
-def _monomials_in_tail_vars(dim: int, start_var: int, min_deg: int, max_deg: int):
-    """Exponent vectors supported on x_start_var..x_dim with total degree in
-    [min_deg, max_deg]."""
-    tail = list(range(start_var - 1, dim))
-
-    def rec(pos: int, remaining: int):
-        if pos == len(tail) - 1:
-            yield {tail[pos]: remaining}
-            return
-        for e in range(remaining + 1):
-            for rest in rec(pos + 1, remaining - e):
-                rest = dict(rest)
-                rest[tail[pos]] = e
-                yield rest
-
-    for d in range(min_deg, max_deg + 1):
-        if d == 0:
-            yield (0,) * dim
-            continue
-        for assignment in rec(0, d):
-            vec = [0] * dim
-            for i, e in assignment.items():
-                vec[i] = e
-            yield tuple(vec)
-
-
-def chain_space_generators(dim: int, kind: str, j: int, order: int) -> list[VectorField]:
-    """Monomial generators, up to total degree ``order``, of the j-th summand.
-
-    kind "U": a(x_(j+1),...,x_n) d/dx_j with a in m^2 (for j = n the single
-    field x_n^2 d/dx_n, absent at order 1); kind "V": x_j b(x_(j+1),...,x_n)
-    d/dx_j with b in m (for j = n the single field x_n d/dx_n).
-    """
-    if not 1 <= j <= dim:
-        raise ValueError(f"summand index {j} out of range 1..{dim}")
-    if kind == "U":
-        if j < dim:
-            exponents = _monomials_in_tail_vars(dim, j + 1, 2, order)
-        else:
-            exponents = [{dim: 2}] if order >= 2 else []
-    elif kind == "V":
-        if j < dim:
-            exponents = []
-            for vec in _monomials_in_tail_vars(dim, j + 1, 1, order - 1):
-                full = list(vec)
-                full[j - 1] += 1
-                exponents.append(full)
-        else:
-            exponents = [{dim: 1}]
-    else:
-        raise ValueError(f"unknown summand kind {kind!r}")
-    coeffs = [LaurentPoly.zero(dim)] * dim
-    out = []
-    for exps in exponents:
-        coeffs[j - 1] = LaurentPoly.monomial(dim, exps)
-        out.append(VectorField(coeffs))
-    return out
-
-
-def chain_summands(dim: int, index: int) -> list[tuple[str, int]]:
-    """The (kind, j) summands of the chain space with the given index.
-
-    Index 2n is the zero space; dropping the index by one appends the next
-    summand, alternating U then V: index 2n-1 is U_1, index 2n-2 is
-    U_1 + V_1, down to index 0 = U_1 + V_1 + ... + U_n + V_n.
-    """
-    if not 0 <= index <= 2 * dim:
-        raise ValueError(f"chain index {index} out of range 0..{2 * dim}")
-    count = 2 * dim - index  # how many summands are present
-    out = []
-    for pos in range(count):
-        j = pos // 2 + 1
-        out.append(("U" if pos % 2 == 0 else "V", j))
-    return out
-
-
 # The most monomial generators build_chain_algebra builds; n = 3 at its
 # default jet order 41 needs 1,842, while n = 4 at its default order 161
 # would need 1,456,882.
@@ -198,25 +123,44 @@ def chain_space_size(dim: int, index: int, order: int) -> int:
     degree 2..order and V_j those of degree 1..order-1 in the dim - j
     variables after x_j; V_dim has one, and so has U_dim from order 2.
 
-    Dropping the index by one appends a summand (``chain_summands``), so
-    the basis of every chain space is a prefix of the basis of chain space
-    0: ``build_chain_algebra(dim, index, order).basis`` is
-    ``build_chain_algebra(dim, 0, order).basis[:chain_space_size(dim,
-    index, order)]``."""
+    Chain space 2n is zero, and dropping the index by one appends the next
+    summand of U_1 + V_1 + ... + U_n + V_n, so chain space ``index`` holds
+    the first 2n - index summands."""
+    if not 0 <= index <= 2 * dim:
+        raise ValueError(f"chain index {index} out of range 0..{2 * dim}")
     total = 0
-    for kind, j in chain_summands(dim, index):
-        m = dim - j
-        if m == 0:
-            total += 1 if kind == "V" or order >= 2 else 0
-        elif kind == "U":
-            total += math.comb(m + order, m) - 1 - m
-        else:
-            total += math.comb(m + order - 1, m) - 1
+    for pos in range(2 * dim - index):
+        m = dim - 1 - pos // 2  # the variables after x_j, j = pos // 2 + 1
+        if pos % 2 == 0:  # U_j
+            total += math.comb(m + order, m) - 1 - m if m else int(order >= 2)
+        else:  # V_j
+            total += math.comb(m + order - 1, m) - 1 if m else 1
     return total
 
 
+def _chain_fields(dim: int, order: int):
+    """The monomial fields of chain space 0 up to total degree ``order``,
+    summand by summand: U_j = a(x_(j+1), ..., x_n) d/dx_j with a in m^2 and
+    V_j = x_j b(x_(j+1), ..., x_n) d/dx_j with b in m, for j < n, then
+    U_n = x_n^2 d/dx_n and V_n = x_n d/dx_n.  Within a summand the tails
+    come degree by degree, each degree in ascending lex order."""
+    zero = LaurentPoly.zero(dim)
+    for j in range(dim):  # the direction d/dx_(j+1)
+        m = dim - 1 - j  # the variables after x_(j+1)
+        # (exponent of x_(j+1), lowest tail degree) of U, then of V; with
+        # no variables after x_n the tail is 1, of degree 0
+        for lead, low in ((0, 2), (1, 1)) if m else ((2, 0), (1, 0)):
+            head = (0,) * j + (lead,)
+            for d in range(low, order - lead + 1):
+                for tail in reversed(_monomials(m, d)):
+                    coeffs = [zero] * dim
+                    coeffs[j] = LaurentPoly.monomial(dim, head + tail)
+                    yield VectorField(coeffs)
+
+
 def build_chain_algebra(dim: int, index: int, order: int) -> LieAlgebraSpan:
-    """Jet-mode span generated by all monomial generators of the chain space.
+    """Jet-mode span generated by all monomial generators of the chain space:
+    the first ``chain_space_size(dim, index, order)`` fields of chain space 0.
 
     Every chain space is a Lie algebra in jet mode, so the span is marked
     closed.  Raises BudgetExceededError, before building any generator, when
@@ -231,13 +175,11 @@ def build_chain_algebra(dim: int, index: int, order: int) -> LieAlgebraSpan:
             f"the chain space needs {count} generators at jet order {order}, "
             f"over the budget of {CHAIN_GENERATOR_BUDGET}"
         )
-    gens: list[VectorField] = []
-    for kind, j in chain_summands(dim, index):
-        gens.extend(chain_space_generators(dim, kind, j, order))
     # No span reduction: the generators are distinct monomial fields (each
     # an exponent and a direction), hence independent, and none has degree
     # above the order, so truncation leaves them as they are.
-    return LieAlgebraSpan(dim, tuple(gens), order, closed=True)
+    gens = tuple(islice(_chain_fields(dim, order), count))
+    return LieAlgebraSpan(dim, gens, order, closed=True)
 
 
 def chain_exponent(j: int) -> int:

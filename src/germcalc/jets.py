@@ -8,11 +8,10 @@ actions nilpotent.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
 from math import comb
 
 from .fields import BudgetExceededError
-from .laurent import ExponentVector, LaurentPoly, SubstitutionCache, grlex_key, validate_order
+from .laurent import ExponentVector, LaurentPoly, SubstitutionCache, _monomials, validate_order
 from .matrices import Matrix
 from .scalars import Scalar
 
@@ -27,17 +26,7 @@ JET_MATRIX_BUDGET = 1000
 def jet_basis(dim: int, order: int) -> tuple[ExponentVector, ...]:
     """All monomial exponent vectors of total degree 1..order, graded-lex."""
     validate_order(order)
-    basis: list[ExponentVector] = []
-    for d in range(1, order + 1):
-        exps = []
-        for combo in combinations_with_replacement(range(dim), d):
-            e = [0] * dim
-            for i in combo:
-                e[i] += 1
-            exps.append(tuple(e))
-        exps.sort(key=grlex_key)
-        basis.extend(exps)
-    return tuple(basis)
+    return tuple(e for d in range(1, order + 1) for e in _monomials(dim, d))
 
 
 class JetMatrix:

@@ -54,9 +54,21 @@ def grlex_key(exponents: ExponentVector):
     """Sort key for graded-lex order with x1 > x2 > ... > xn.
 
     Degree-major; within a degree the monomial with the larger x1 exponent
-    comes first.  Used for canonical display order and jet-basis enumeration.
+    comes first.  Used for canonical display order; ``_monomials`` lists each
+    degree in it.
     """
     return (sum(exponents), tuple(-e for e in exponents))
+
+
+def _monomials(dim: int, degree: int) -> list[ExponentVector]:
+    """The exponent vectors of total degree ``degree`` in dim variables, in
+    ``grlex_key`` order: the x1 exponent falls, and the vectors that share
+    it come in the same order in the other variables."""
+    if dim == 0:
+        return [()] if degree == 0 else []
+    if dim == 1:
+        return [(degree,)]
+    return [(e,) + rest for e in range(degree, -1, -1) for rest in _monomials(dim - 1, degree - e)]
 
 
 def validate_order(k: int) -> int:

@@ -569,6 +569,19 @@ def _series_length(levels: Sequence[LieAlgebraSpan]):
     return len(levels) - 1 if levels[-1].is_zero() else NON_TERMINATING
 
 
+def _series_error(g: LieAlgebraSpan, quantity: str, central: bool = False) -> Exception:
+    """The error for a derived (or, with ``central``, lower central) series
+    of g that stabilized nonzero, so that ``quantity`` is undefined: an
+    exact span is then not solvable (not nilpotent), a ValueError, while a
+    jet span may only be truncated too low, a BudgetExceededError."""
+    series, kind = ("central", "nilpotent") if central else ("derived", "solvable")
+    if g.order is None:
+        return ValueError(f"the algebra is not {kind}; {quantity} undefined")
+    return BudgetExceededError(
+        f"{series} series does not terminate at jet order {g.order}; {quantity} undefined"
+    )
+
+
 def soluble_length(g: LieAlgebraSpan, levels: Sequence[LieAlgebraSpan] | None = None):
     """Index of the first zero term of the derived series, or the
     non-terminating marker.  g must be a Lie algebra; ``levels`` is its
@@ -765,11 +778,7 @@ def kappa_sequence(
     else:
         _require_algebra(g)
     if not levels[-1].is_zero():
-        if g.order is None:
-            raise ValueError("the algebra is not solvable; kappa undefined")
-        raise BudgetExceededError(
-            f"derived series does not terminate at jet order {g.order}; kappa undefined"
-        )
+        raise _series_error(g, "kappa")
     return KappaSequence(
         tuple(generic_rank(level) if level.basis else 0 for level in levels),
         g.order,

@@ -134,18 +134,29 @@ def test_kappa_json(capsys):
     assert json.loads(out) == {"kappa": [1, 1, 0]}
 
 
+SL2 = ["--dim", "1", "--gens", "1 d1; x1 d1; x1^2 d1"]
+LINEAR_SL2_AT_3 = ["--dim", "2", "--mode", "jet", "--order", "3", "--gens", "x1 d2; x2 d1"]
+AFFINE = ["--dim", "1", "--gens", "x1 d1; x1^2 d1"]
+
+
 @pytest.mark.parametrize(
     "argv, code, message",
     [
         # sl2 is exact: its stable nonzero term proves it is not solvable
-        (["--dim", "1", "--gens", "1 d1; x1 d1; x1^2 d1"], EXIT_PRECONDITION, "not solvable"),
-        (["--dim", "2", "--mode", "jet", "--order", "3", "--gens", "x1 d2; x2 d1"],
-         EXIT_BUDGET, "at jet order 3"),
+        (["kappa", *SL2], EXIT_PRECONDITION, "not solvable"),
+        (["kappa", *LINEAR_SL2_AT_3], EXIT_BUDGET, "at jet order 3"),
+        (["soluble-length", *SL2], EXIT_PRECONDITION, "not solvable; soluble length"),
+        (["soluble-length", *LINEAR_SL2_AT_3], EXIT_BUDGET, "at jet order 3; soluble length"),
+        # the affine algebra is solvable, but its central series stays at
+        # [g, g] = <x1^2 d1>
+        (["nilpotency-class", *AFFINE], EXIT_PRECONDITION, "not nilpotent; nilpotency class"),
+        (["nilpotency-class", "--mode", "jet", "--order", "5", *AFFINE],
+         EXIT_BUDGET, "central series does not terminate at jet order 5"),
     ],
 )
 def test_kappa_of_a_series_that_does_not_terminate(capsys, argv, code, message):
-    result, _, err = run(capsys, "kappa", *argv)
-    assert result == code and message in err
+    result, out, err = run(capsys, *argv)
+    assert result == code and message in err and out == ""
 
 
 def test_closed_stdout_ends_quietly():
@@ -265,13 +276,6 @@ def test_verify_witness_json_deterministic(capsys):
 def test_verify_nilpotent_text(capsys):
     code, out, _ = run(capsys, "verify", "nilpotent", "--n", "2")
     assert code == EXIT_OK and "nilpotent-family-n2" in out
-
-
-def test_env_var_default_format(capsys, monkeypatch):
-    monkeypatch.setenv("GERMCALC_FORMAT", "json")
-    code, out, _ = run(capsys, "bracket", "--dim", "1", "x1 d1", "x1^2 d1")
-    assert code == EXIT_OK
-    assert json.loads(out) == {"result": "x1^2 d1"}
 
 
 def test_exp_with_time_scalar(capsys):

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -24,7 +25,6 @@ from germcalc.families import (
     expected_nilpotency_class,
     intro_member,
     nilpotent_seed_functions,
-    chain_summands,
 )
 
 
@@ -213,11 +213,15 @@ def test_intro_family_closed_under_composition():
 
 
 def test_chain_summands():
-    assert chain_summands(2, 4) == []
-    assert chain_summands(2, 3) == [("U", 1)]
-    assert chain_summands(2, 0) == [("U", 1), ("V", 1), ("U", 2), ("V", 2)]
-    with pytest.raises(ValueError):
-        chain_summands(2, 5)
+    # index 4 is zero, and each lower index adds one summand: U_1 and V_1
+    # have the five monomials in x2 of degree 2..6 and 1..5, U_2 = x2^2 d2
+    # and V_2 = x2 d2 one each
+    assert [chain_space_size(2, index, 6) for index in range(4, -1, -1)] == [0, 5, 10, 11, 12]
+    for index in (-1, 5):
+        with pytest.raises(ValueError, match=f"chain index {index} out of range 0..4"):
+            chain_space_size(2, index, 6)
+        with pytest.raises(ValueError, match=f"chain index {index} out of range 0..4"):
+            build_chain_algebra(2, index, 6)
 
 
 def test_chain_algebra_one_variable():
@@ -301,15 +305,43 @@ def test_chain_composition_nonzero_constants():
             assert chain_composition_value(n, k, family) == value
 
 
+def _chain_summand_fields(dim, order):
+    """The summands U_1, V_1, ..., U_n, V_n of chain space 0 up to total
+    degree ``order``, straight from their definitions, by brute force over
+    the exponent box [0, order]^dim.  For j < n, x^e d/dx_j lies in U_j when
+    e has no x_1..x_j and degree >= 2, and in V_j when e has no
+    x_1..x_(j-1), x_j to the first power and degree >= 2; U_n is
+    x_n^2 d/dx_n and V_n is x_n d/dx_n.  Each summand lists its fields by
+    degree, then in ascending lex order of the exponents, each field a
+    ``from_terms`` sum of one monomial ``LaurentPoly``."""
+    box = sorted(
+        (e for e in product(range(order + 1), repeat=dim) if sum(e) <= order),
+        key=lambda e: (sum(e), e),
+    )
+    summands = []
+    for j in range(1, dim + 1):
+        u, v = [], []
+        for e in box:
+            if any(e[: j - 1]):
+                continue
+            lead, tail = e[j - 1], sum(e[j:])
+            if j < dim:
+                in_u, in_v = lead == 0 and tail >= 2, lead == 1 and tail >= 1
+            else:
+                in_u, in_v = lead == 2, lead == 1
+            if in_u or in_v:
+                field = VectorField.from_terms(dim, (LaurentPoly(dim, {e: Scalar(1)}), j))
+                (u if in_u else v).append(field)
+        summands += [u, v]
+    return summands
+
+
 def test_chain_generator_count_matches_the_generators():
     for dim in range(1, 4):
-        for index in range(2 * dim + 1):
-            summands = chain_summands(dim, index)
-            for order in range(1, 9):
-                built = sum(
-                    len(families.chain_space_generators(dim, kind, j, order))
-                    for kind, j in summands
-                )
+        for order in range(1, 9):
+            summands = _chain_summand_fields(dim, order)
+            for index in range(2 * dim + 1):
+                built = sum(len(s) for s in summands[: 2 * dim - index])
                 assert chain_space_size(dim, index, order) == built
     # the n = 3 claim at its default order stays under the budget
     assert chain_space_size(3, 0, 41) == 1842
@@ -334,54 +366,23 @@ def test_chain_algebra_over_budget_fails_before_building(monkeypatch):
     def fail(*args):
         raise AssertionError("built a generator")
 
-    monkeypatch.setattr(families, "chain_space_generators", fail)
+    monkeypatch.setattr(families, "_chain_fields", fail)
     monkeypatch.setattr(families, "VectorField", fail)
     with pytest.raises(BudgetExceededError, match="1456882 generators"):
         build_chain_algebra(4, 0, 161)
 
 
-def test_chain_space_generators_reject_an_unknown_kind():
-    # the last summand index is checked too, not read as V
-    for j in (1, 2):
-        with pytest.raises(ValueError, match="unknown summand kind 'W'"):
-            families.chain_space_generators(2, "W", j, 4)
-
-
-def _summed_chain_generators(dim, kind, j, order):
-    """The chain generators built as before, each one ``from_terms`` sum of
-    a monomial ``LaurentPoly``; for j = dim the field x_n^2 d/dx_n came at
-    every order."""
-    if j == dim:
-        exps = {dim: 2} if kind == "U" else {dim: 1}
-        return [VectorField.from_terms(dim, (LaurentPoly.monomial(dim, exps), dim))]
-    out = []
-    low, high, extra = (2, order, 0) if kind == "U" else (1, order - 1, 1)
-    for vec in families._monomials_in_tail_vars(dim, j + 1, low, high):
-        full = list(vec)
-        full[j - 1] += extra
-        out.append(VectorField.from_terms(dim, (LaurentPoly(dim, {tuple(full): Scalar(1)}), j)))
-    return out
-
-
 def test_chain_algebra_is_its_monomial_generators_unreduced():
-    # build_chain_algebra skips span reduction; reducing the generators and
-    # truncating them at the order must change nothing
+    # build_chain_algebra lists the summands' monomial fields and skips span
+    # reduction; reducing them at the order must change nothing
     for dim in range(1, 4):
-        for index in range(2 * dim + 1):
-            summands = chain_summands(dim, index)
-            for order in range(1, 13):
+        for order in range(1, 13):
+            summands = _chain_summand_fields(dim, order)
+            for index in range(2 * dim + 1):
                 g = build_chain_algebra(dim, index, order)
                 assert g.closed and g.order == order
-                gens = [
-                    X for kind, j in summands
-                    for X in families.chain_space_generators(dim, kind, j, order)
-                ]
-                assert g.basis == tuple(gens)
-                summed = [
-                    X.truncate(order) for kind, j in summands
-                    for X in _summed_chain_generators(dim, kind, j, order)
-                ]
-                assert list(g.basis) == [X for X in summed if not X.is_zero()]
+                gens = [X for s in summands[: 2 * dim - index] for X in s]
+                assert list(g.basis) == gens
                 if gens:
                     assert g.basis == span_reduce(gens, order).basis
                 else:

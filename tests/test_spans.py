@@ -12,12 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from germcalc import lie
-from germcalc.families import (
-    build_chain_algebra,
-    build_nilpotent_example,
-    chain_space_generators,
-    chain_summands,
-)
+from germcalc.families import build_chain_algebra, build_nilpotent_example
 from germcalc.fields import VectorField
 from germcalc.laurent import LaurentPoly, grlex_key
 from germcalc.lie import bracket_closure, central_series, derived_series, span_reduce
@@ -141,9 +136,7 @@ def test_copy_shares_rows_but_not_inserts():
 
 
 def test_span_echelon_is_kept_and_private():
-    gens = [
-        X for kind, j in chain_summands(2, 0) for X in chain_space_generators(2, kind, j, 6)
-    ]
+    gens = build_chain_algebra(2, 0, 6).basis
     g = span_reduce(gens, 6)  # span_reduce keeps the echelon it built
     assert g._echelon is not None and g._echelon.dim == g.dimension
     x1, x2 = LaurentPoly.variable(2, 1), LaurentPoly.variable(2, 2)
