@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from itertools import islice
 
-from .diffeos import FormalDiffeo
 from .fields import BudgetExceededError, VectorField
 from .laurent import _LAYOUTS, LaurentPoly, _monomials, validate_order
 from .lie import LieAlgebraSpan
@@ -53,6 +52,9 @@ def intro_member(k_param: int, P: LaurentPoly, t: Scalar, order: int) -> FormalD
     the numerator pden * G_j on x y^j and sum_p P_p G_(s-p) on y^s; the
     second, y/(1 + ty), has w_j on y^(j+1) over q^order.
     """
+    # imported here, so that the chain and the nilpotent family load no group side
+    from .diffeos import FormalDiffeo
+
     validate_order(order)
     if k_param < 2:
         raise ValueError(f"the family parameter must be >= 2, got {k_param}")

@@ -30,12 +30,12 @@ ValueError rather than wrap.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 from operator import or_
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
 
 from .scalars import Scalar
 

@@ -16,7 +16,6 @@ generic rank over the fraction field (kappa).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd, lcm
 from operator import add
 from typing import Iterable, Sequence
@@ -52,7 +51,6 @@ NON_TERMINATING = NonTerminatingMarker()
 DEFAULT_DEGREE_BUDGET = 256
 
 
-@dataclass(frozen=True)
 class LieAlgebraSpan:
     """A finite scalar-basis of vector fields and the jet order it computes at.
 
@@ -66,25 +64,52 @@ class LieAlgebraSpan:
     of leading basis fields known to generate the algebra (set by
     ``bracket_closure``), or None.  ``_echelon`` is the echelon of the basis,
     kept by the constructors that built it and otherwise built on first
-    use.  ``dataclasses.replace`` keeps these three only while the basis is
-    the tuple they were given for, ``_marked``.
+    use.  A span is immutable.
     """
 
-    dim: int
-    basis: tuple[VectorField, ...]
-    order: int | None = None
-    degree_budget: int = DEFAULT_DEGREE_BUDGET
-    closed: bool = field(default=False, compare=False)
-    generators: int | None = field(default=None, compare=False)
-    _echelon: SparseEchelon | None = field(default=None, compare=False, repr=False)
-    _marked: tuple | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("dim", "basis", "order", "degree_budget", "closed", "generators", "_echelon")
 
-    def __post_init__(self):
-        if self._marked is not self.basis:
-            if self._marked is not None:  # a replaced basis: the marks are stale
-                for name, value in (("closed", False), ("generators", None), ("_echelon", None)):
-                    object.__setattr__(self, name, value)
-            object.__setattr__(self, "_marked", self.basis)
+    def __init__(
+        self,
+        dim: int,
+        basis: tuple[VectorField, ...],
+        order: int | None = None,
+        degree_budget: int = DEFAULT_DEGREE_BUDGET,
+        closed: bool = False,
+        generators: int | None = None,
+        _echelon: SparseEchelon | None = None,
+    ):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "degree_budget", degree_budget)
+        object.__setattr__(self, "closed", closed)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "_echelon", _echelon)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LieAlgebraSpan is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("LieAlgebraSpan is immutable")
+
+    def _key(self) -> tuple:
+        return (self.dim, self.basis, self.order, self.degree_budget)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (
+            f"LieAlgebraSpan(dim={self.dim!r}, basis={self.basis!r}, order={self.order!r}, "
+            f"degree_budget={self.degree_budget!r}, closed={self.closed!r}, "
+            f"generators={self.generators!r})"
+        )
 
     @property
     def dimension(self) -> int:
@@ -740,17 +765,36 @@ def generic_rank(fields_or_span) -> int:
     return _bareiss_rank(rows)
 
 
-@dataclass(frozen=True)
 class KappaSequence:
     """The generic ranks kappa(0), kappa(1), ... along the derived series."""
 
-    values: tuple[int, ...]
-    jet_order: int | None
+    __slots__ = ("values", "jet_order")
 
-    def __post_init__(self):
-        vals = self.values
-        if any(vals[i + 1] > vals[i] for i in range(len(vals) - 1)):
-            raise ValueError(f"kappa sequence must be non-increasing: {vals}")
+    def __init__(self, values: tuple[int, ...], jet_order: int | None):
+        if any(values[i + 1] > values[i] for i in range(len(values) - 1)):
+            raise ValueError(f"kappa sequence must be non-increasing: {values}")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "jet_order", jet_order)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("KappaSequence is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("KappaSequence is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.values, self.jet_order) == (other.values, other.jet_order)
+
+    def __hash__(self):
+        return hash((self.values, self.jet_order))
+
+    def __reduce__(self):
+        return KappaSequence, (self.values, self.jet_order)
+
+    def __repr__(self):
+        return f"KappaSequence(values={self.values!r}, jet_order={self.jet_order!r})"
 
     def strict_two_step_drop(self) -> bool:
         """kappa(p+2) < kappa(p) whenever kappa(p) > 0 (indices past the end

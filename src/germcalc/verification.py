@@ -14,7 +14,7 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 from importlib import resources
 
@@ -44,14 +44,40 @@ from .families import (
 from .parsing import format_diffeo, format_word, parse_diffeo, parse_word
 
 
-@dataclass
 class VerificationReport:
-    claim_id: str
-    parameters: dict
-    status: str  # "pass" | "fail" | "unstable"
-    witness: str | None = None
-    elapsed: float = 0.0
-    notes: tuple[str, ...] = ()
+    """The verdict on one claim; equal to a report with equal fields."""
+
+    __slots__ = ("claim_id", "parameters", "status", "witness", "elapsed", "notes")
+
+    def __init__(
+        self,
+        claim_id: str,
+        parameters: dict,
+        status: str,  # "pass" | "fail" | "unstable"
+        witness: str | None = None,
+        elapsed: float = 0.0,
+        notes: tuple[str, ...] = (),
+    ):
+        self.claim_id = claim_id
+        self.parameters = parameters
+        self.status = status
+        self.witness = witness
+        self.elapsed = elapsed
+        self.notes = notes
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # mutable
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"VerificationReport({shown})"
 
     def as_dict(self, include_elapsed: bool = False) -> dict:
         return {
@@ -400,13 +426,12 @@ def _triangular_coefficients(Z: VectorField, xs, inverses) -> list[LaurentPoly]:
 # -- group-level witnesses -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WitnessFixture:
-    dim: int
-    order: int
-    depth: int
-    generators: tuple[FormalDiffeo, ...]
-    words: tuple[object, ...]
+class WitnessFixture(namedtuple("WitnessFixture", "dim order depth generators words")):
+    """A parsed witness fixture: the generators (``FormalDiffeo``) at
+    dimension ``dim`` and jet order ``order``, and the commutator words over
+    them, each of depth at least ``depth``."""
+
+    __slots__ = ()
 
 
 def load_witness_fixture(name: str) -> WitnessFixture:

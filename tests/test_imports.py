@@ -1,6 +1,7 @@
-"""The import graph: ``import germcalc`` loads no submodule, and the group
-side loads none of the Lie machinery.  Each check runs in a fresh
-interpreter, so that no module imported by another test can hide a load."""
+"""The import graph: ``import germcalc`` loads no submodule, the group side
+loads none of the Lie machinery, and the Lie side none of the group side.
+Each check runs in a fresh interpreter, so that no module imported by
+another test can hide a load."""
 
 import json
 import os
@@ -32,6 +33,8 @@ EXPORTS = [name for _, names in SOURCES for name in names]
 
 GROUP_SIDE = ["germcalc", "germcalc.diffeos", "germcalc.fields", "germcalc.laurent",
               "germcalc.matrices", "germcalc.scalars"]
+LIE_SIDE = ["germcalc", "germcalc.families", "germcalc.fields", "germcalc.laurent",
+            "germcalc.lie", "germcalc.scalars", "germcalc.spans"]
 
 
 def run_fresh(code: str):
@@ -71,6 +74,28 @@ def test_exp_log_load_only_the_group_side():
     """)
     assert loaded == GROUP_SIDE
     assert extra == []
+
+
+def test_chain_kappa_loads_only_the_lie_side():
+    loaded, extra = run_fresh(f"""
+        import json, sys
+        from germcalc import families, lie
+
+        assert lie.kappa_sequence(families.build_chain_algebra(3, 0, 4)).values == (3, 3, 2, 0)
+        print(json.dumps([{LOADED}, sorted({{"dataclasses", "inspect"}} & sys.modules.keys())]))
+    """)
+    assert loaded == LIE_SIDE
+    assert extra == []
+
+
+def test_verify_all_loads_no_dataclasses():
+    assert run_fresh("""
+        import json, sys
+        from germcalc import verification
+
+        assert all(r.ok for r in verification.run_all_verifications(0))
+        print(json.dumps(sorted({"dataclasses", "inspect"} & sys.modules.keys())))
+    """) == []
 
 
 def test_all_lists_the_exports():

@@ -1,5 +1,5 @@
+import pickle
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -699,7 +699,7 @@ def test_series_reject_a_span_falsely_marked_closed():
     fields = parse_fields(
         "x1^2 d1 + x2^2 d2; x1*x2 d1 + x1^2 d2; x2^2 d1 + x1*x2 d2; x1^2 d2 + x2^3 d1", 2
     )
-    span = replace(span_reduce(fields, 5), closed=True)
+    span = LieAlgebraSpan(2, span_reduce(fields, 5).basis, 5, closed=True)
     assert span.closed
     for series in (derived_series, central_series):
         with pytest.raises(ValueError, match="not closed"):
@@ -720,6 +720,22 @@ def test_closed_spans_are_marked():
     assert g.closed
     assert all(level.closed for level in derived_series(g) + central_series(g))
     assert not span_reduce(zs).closed
+    # the marks and the echelon take no part in equality
+    g.contains_field(g.basis[0])  # builds the echelon
+    bare = LieAlgebraSpan(g.dim, g.basis, g.order, g.degree_budget)
+    assert (bare.closed, bare.generators, bare._echelon) == (False, None, None)
+    assert g.generators == 2 and g._echelon is not None
+    assert bare == g and hash(bare) == hash(g)
+    assert LieAlgebraSpan(g.dim, g.basis[1:], closed=True, generators=1) != g
+    # spans and kappa sequences are immutable values
+    ks = kappa_sequence(g)
+    for value, name in ((g, "closed"), (g, "basis"), (g, "other"), (ks, "values"), (ks, "other")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    with pytest.raises(AttributeError):
+        del g.generators
+    assert g.closed and g.generators == 2
+    assert pickle.loads(pickle.dumps(ks)) == ks and hash(ks) == hash(kappa_sequence(bare))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

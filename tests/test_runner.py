@@ -4,6 +4,7 @@ so errors keep their type on any number of CPUs, and no child outlives a
 run."""
 
 import os
+import pickle
 import threading
 import time
 from functools import partial
@@ -41,6 +42,8 @@ def test_two_workers_give_the_in_process_reports(monkeypatch, seed):
     assert [r.claim_id for r in two] == [r.claim_id for r in one]
     assert reports_to_json(two) == reports_to_json(one)
     assert all(r.elapsed > 0 for r in two)
+    # a forked child sends its reports back pickled
+    assert pickle.loads(pickle.dumps(two)) == two
 
 
 @pytest.mark.parametrize("cpus, fork", [({0}, False), ({0, 1}, True), (set(range(8)), True)])

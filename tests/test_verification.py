@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -8,7 +7,7 @@ from germcalc.diffeos import FormalDiffeo, WordComm, WordLeaf
 from germcalc.laurent import LaurentPoly
 from germcalc.families import build_nilpotent_example
 from germcalc.fields import VectorField
-from germcalc.lie import KappaSequence, bracket_closure, derived_series
+from germcalc.lie import KappaSequence, LieAlgebraSpan, bracket_closure, derived_series
 from germcalc.verification import (
     VerificationReport,
     _check_first_integral_structure,
@@ -184,7 +183,7 @@ def test_first_integral_structure_fails_on_a_stray_component(n):
     assert _first_integral_failures(n, xs, levels) == []
     # one field of g^(n-1) may only run along X_1; give it an X_n component
     last = levels[n - 1]
-    bent = replace(last, basis=(_add(last.basis[0], xs[n - 1]),) + last.basis[1:])
+    bent = LieAlgebraSpan(last.dim, (_add(last.basis[0], xs[n - 1]),) + last.basis[1:], last.order)
     failures = _first_integral_failures(n, xs, levels[:n - 1] + [bent])
     assert failures == [f"derived term {n - 1} has a component along X{n} > X1"]
 
