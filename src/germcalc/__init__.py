@@ -37,7 +37,6 @@ _EXPORTS = {
     "jet_basis": "jets",
     "to_jet_matrix": "jets",
     "jordan_chevalley": "matrices",
-    "NON_TERMINATING": "lie",
     "KappaSequence": "lie",
     "LieAlgebraSpan": "lie",
     "bracket_closure": "lie",

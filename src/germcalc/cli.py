@@ -22,8 +22,6 @@ from .diffeos import exp_field, log_diffeo
 from .fields import BudgetExceededError
 from .jets import field_to_jet_matrix, to_jet_matrix
 from .lie import (
-    NON_TERMINATING,
-    _series_error,
     bracket_closure,
     central_series,
     derived_series,
@@ -247,12 +245,10 @@ def _run(args) -> int:
             _emit({"dimensions": _series_payload(central_series(span))}, args.fmt)
         elif cmd == "kappa":
             _emit({"kappa": list(kappa_sequence(span).values)}, args.fmt)
+        elif cmd == "soluble-length":
+            _emit({cmd: soluble_length(span)}, args.fmt)
         else:
-            central = cmd == "nilpotency-class"
-            value = (nilpotency_class if central else soluble_length)(span)
-            if value is NON_TERMINATING:
-                raise _series_error(span, cmd.replace("-", " "), central)
-            _emit({cmd: value}, args.fmt)
+            _emit({cmd: nilpotency_class(span)}, args.fmt)
         return EXIT_OK
     if cmd == "verify":
         reports = _run_verify(args)

@@ -25,29 +25,6 @@ from .laurent import _LAYOUTS, LaurentPoly, _normal, evaluate_parts, grlex_key
 from .spans import SparseEchelon
 
 
-class NonTerminatingMarker:
-    """Singleton result for a series that stabilizes without dying.
-
-    In jet mode the engine cannot distinguish a genuinely non-solvable (or
-    non-nilpotent) algebra from an under-truncated one, so the marker says
-    exactly that: non-terminating at this jet order.  In exact mode nothing
-    is truncated, so a stable nonzero term is definite: the algebra is not
-    solvable (or not nilpotent).
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "NON_TERMINATING"
-
-
-NON_TERMINATING = NonTerminatingMarker()
-
 DEFAULT_DEGREE_BUDGET = 256
 
 
@@ -551,8 +528,8 @@ def _series(g: LieAlgebraSpan, first: list | None, outer: list | None) -> list[L
 
 def derived_series(g: LieAlgebraSpan) -> list[LieAlgebraSpan]:
     """g = g^(0), g^(1), ...  Stops at the zero span, or with two equal
-    consecutive spans when the series stabilizes nonzero (the caller reads
-    that tail as non-terminating at this jet order).  Each term lies in the
+    consecutive spans when the series stabilizes nonzero, a tail on which
+    ``soluble_length`` and ``kappa_sequence`` raise.  Each term lies in the
     one before, so its dimension falls at every step until the series
     stops: it has at most dim g + 1 terms.
 
@@ -588,40 +565,41 @@ def central_series(g: LieAlgebraSpan) -> list[LieAlgebraSpan]:
     return _series(g, outer, outer)
 
 
-def _series_length(levels: Sequence[LieAlgebraSpan]):
-    """Index of the first zero term of a series, or the non-terminating
-    marker when the series stabilized nonzero."""
-    return len(levels) - 1 if levels[-1].is_zero() else NON_TERMINATING
-
-
-def _series_error(g: LieAlgebraSpan, quantity: str, central: bool = False) -> Exception:
-    """The error for a derived (or, with ``central``, lower central) series
-    of g that stabilized nonzero, so that ``quantity`` is undefined: an
-    exact span is then not solvable (not nilpotent), a ValueError, while a
-    jet span may only be truncated too low, a BudgetExceededError."""
+def _terminated(
+    g: LieAlgebraSpan, levels: Sequence[LieAlgebraSpan] | None, quantity: str,
+    central: bool = False,
+) -> Sequence[LieAlgebraSpan]:
+    """The derived (with ``central``, lower central) series of g, built
+    unless the caller passes it as ``levels``.  It must end in the zero
+    span, else ``quantity`` is undefined: an exact span is then not solvable
+    (not nilpotent), a ValueError, while a jet span may only be truncated
+    too low, a BudgetExceededError."""
+    if levels is None:
+        levels = central_series(g) if central else derived_series(g)
+    else:
+        _require_algebra(g)
+    if levels[-1].is_zero():
+        return levels
     series, kind = ("central", "nilpotent") if central else ("derived", "solvable")
     if g.order is None:
-        return ValueError(f"the algebra is not {kind}; {quantity} undefined")
-    return BudgetExceededError(
+        raise ValueError(f"the algebra is not {kind}; {quantity} undefined")
+    raise BudgetExceededError(
         f"{series} series does not terminate at jet order {g.order}; {quantity} undefined"
     )
 
 
-def soluble_length(g: LieAlgebraSpan, levels: Sequence[LieAlgebraSpan] | None = None):
-    """Index of the first zero term of the derived series, or the
-    non-terminating marker.  g must be a Lie algebra; ``levels`` is its
-    derived series when the caller has already built it."""
-    if levels is None:
-        levels = derived_series(g)
-    else:
-        _require_algebra(g)
-    return _series_length(levels)
+def soluble_length(g: LieAlgebraSpan) -> int:
+    """Index of the first zero term of the derived series.  g must be a Lie
+    algebra whose derived series terminates: ValueError when an exact span
+    is not solvable, BudgetExceededError when a jet span's series
+    stabilizes nonzero at its order."""
+    return len(_terminated(g, None, "soluble length")) - 1
 
 
-def nilpotency_class(g: LieAlgebraSpan):
-    """First j with C^j g = 0, or the non-terminating marker.  g must be a
-    Lie algebra."""
-    return _series_length(central_series(g))
+def nilpotency_class(g: LieAlgebraSpan) -> int:
+    """First j with C^j g = 0.  g must be a Lie algebra whose lower central
+    series terminates, with the errors of ``soluble_length``."""
+    return len(_terminated(g, None, "nilpotency class", central=True)) - 1
 
 
 # -- generic rank over the fraction field ------------------------------------
@@ -817,13 +795,5 @@ def kappa_sequence(
     that series when the caller has already built it.  A series that does
     not terminate raises ValueError for an exact span, which is then not
     solvable, and BudgetExceededError for a jet span."""
-    if levels is None:
-        levels = derived_series(g)
-    else:
-        _require_algebra(g)
-    if not levels[-1].is_zero():
-        raise _series_error(g, "kappa")
-    return KappaSequence(
-        tuple(generic_rank(level) if level.basis else 0 for level in levels),
-        g.order,
-    )
+    levels = _terminated(g, levels, "kappa")
+    return KappaSequence(tuple(generic_rank(level) for level in levels), g.order)

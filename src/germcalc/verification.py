@@ -22,13 +22,11 @@ from .diffeos import FormalDiffeo, evaluate_word, word_depth
 from .fields import VectorField, is_first_integral, nilpotency_degree_a
 from .laurent import LaurentPoly
 from .lie import (
-    NON_TERMINATING,
     LieAlgebraSpan,
     bracket_closure,
+    central_series,
     derived_series,
     kappa_sequence,
-    nilpotency_class,
-    soluble_length,
 )
 from .families import (
     build_nilpotent_example,
@@ -240,11 +238,11 @@ def verify_solvable_family(n: int, jet_order: int | None = None) -> Verification
     claim = _Claim(f"solvable-chain-n{n}", {"n": n, "jet_order": jet_order})
     g0 = build_chain_algebra(n, 0, jet_order)
     levels = derived_series(g0)
-    length = soluble_length(g0, levels)
-    if length is NON_TERMINATING:
+    if not levels[-1].is_zero():
         # the image of a soluble algebra is soluble
         claim.failures.append(f"derived series stabilizes nonzero at jet order {jet_order}")
         return claim.report()
+    length = len(levels) - 1
     kappa = kappa_sequence(g0, levels).values
     # above a bound of the paper: a failure; below one: the order is too low
     claim.check(length <= 2 * n, f"soluble length {length} > {2 * n}")
@@ -362,15 +360,16 @@ def verify_nilpotent_example(n: int) -> VerificationReport:
     # lengths of the generated algebra (exact mode)
     g = bracket_closure(zs)
     levels = derived_series(g)
-    length = soluble_length(g, levels)
-    claim.check(length == n, f"soluble length {length} != {n}")
-    cls = nilpotency_class(g)
-    claim.check(
-        cls == expected_nilpotency_class(n),
-        f"nilpotency class {cls} != {expected_nilpotency_class(n)}",
-    )
-    claim.parameters["soluble_length"] = length if length is not NON_TERMINATING else "non-terminating"
-    claim.parameters["nilpotency_class"] = cls if cls is not NON_TERMINATING else "non-terminating"
+    for key, name, series, expected in (
+        ("soluble_length", "derived", levels, n),
+        ("nilpotency_class", "central", central_series(g), expected_nilpotency_class(n)),
+    ):
+        if not series[-1].is_zero():
+            claim.failures.append(f"{name} series stabilizes nonzero")
+            continue
+        value = len(series) - 1
+        claim.check(value == expected, f"{key.replace('_', ' ')} {value} != {expected}")
+        claim.parameters[key] = value
     # derived terms decompose as (first integral) * X_k with shrinking k
     _check_first_integral_structure(claim, n, xs, levels)
     return claim.report()
@@ -538,10 +537,10 @@ def verify_length_bounds(
     The lengths are not recomputed: they are the ``soluble_length``
     parameters certified by the ``solvable-chain-n*`` reports (bound 2n) and
     the ``nilpotent-family-n*`` reports (bounds n and 2n-1) in ``reports``.
-    A chain report without a length (its series did not terminate) fails the
-    bound.  The ``heavy`` parameter is true exactly when a
-    ``solvable-chain-n3`` report is among them, so the n = 3 chain was
-    bound-checked too.  ``planar`` holds the answers of
+    A report of either family without a length (its derived series did not
+    terminate) fails the bound.  The ``heavy`` parameter is true exactly
+    when a ``solvable-chain-n3`` report is among them, so the n = 3 chain
+    was bound-checked too.  ``planar`` holds the answers of
     ``sample_planar_depth2_words``.
     """
     heavy = any(r.claim_id == "solvable-chain-n3" for r in reports)
@@ -558,10 +557,9 @@ def verify_length_bounds(
         elif r.claim_id.startswith("nilpotent-family-n"):
             # nilpotent family: bound n as nilpotent, 2n-1 as unipotent
             n = r.parameters["n"]
-            length = r.parameters["soluble_length"]
-            solvable = length != "non-terminating"
-            claim.check(solvable, f"nilpotent family n={n} not solvable")
-            if solvable:
+            length = r.parameters.get("soluble_length")
+            claim.check(length is not None, f"nilpotent family n={n} not solvable")
+            if length is not None:
                 claim.check(length <= n, f"nilpotent family n={n}: length {length} > {n}")
                 claim.check(length <= 2 * n - 1, f"nilpotent family n={n}: length {length} > {2 * n - 1}")
     # planar family: sampled depth-2 derived words must vanish

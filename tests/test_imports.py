@@ -25,9 +25,9 @@ SOURCES = [
                  "evaluate_word", "exp_field", "log_diffeo", "word_depth"]),
     ("jets", ["JetMatrix", "field_to_jet_matrix", "jet_basis", "to_jet_matrix"]),
     ("matrices", ["jordan_chevalley"]),
-    ("lie", ["NON_TERMINATING", "KappaSequence", "LieAlgebraSpan", "bracket_closure",
-             "central_series", "derived_series", "generic_rank", "kappa_sequence",
-             "nilpotency_class", "soluble_length", "span_reduce"]),
+    ("lie", ["KappaSequence", "LieAlgebraSpan", "bracket_closure", "central_series",
+             "derived_series", "generic_rank", "kappa_sequence", "nilpotency_class",
+             "soluble_length", "span_reduce"]),
 ]
 EXPORTS = [name for _, names in SOURCES for name in names]
 
@@ -107,7 +107,7 @@ def test_all_lists_the_exports():
 
 
 def test_each_export_is_its_submodule_attribute():
-    assert len(EXPORTS) == len(set(EXPORTS)) == 31
+    assert len(EXPORTS) == len(set(EXPORTS)) == 30
     assert run_fresh(f"""
         import importlib, json
         import germcalc

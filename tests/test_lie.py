@@ -11,7 +11,6 @@ from germcalc import lie
 from germcalc.fields import BudgetExceededError, VectorField
 from germcalc.laurent import LaurentPoly, evaluate, evaluate_parts
 from germcalc.lie import (
-    NON_TERMINATING,
     LieAlgebraSpan,
     _bareiss_rank,
     bracket_closure,
@@ -340,9 +339,27 @@ def test_derived_series_one_variable_chain():
     assert soluble_length(g) == 2
 
 
-def test_central_series_non_terminating_marker():
-    g = build_chain_algebra(1, 0, 6)
-    assert nilpotency_class(g) is NON_TERMINATING
+@pytest.mark.parametrize(
+    "reader, build, error, message",
+    [
+        # exact spans: a stable nonzero term is definite
+        (soluble_length, lambda: bracket_closure(parse_fields("1 d1; x1 d1; x1^2 d1", 1)),
+         ValueError, "the algebra is not solvable; soluble length undefined"),
+        (nilpotency_class, lambda: bracket_closure(parse_fields("x1 d1; x1^2 d1", 1)),
+         ValueError, "the algebra is not nilpotent; nilpotency class undefined"),
+        # jet spans: the order may only be too low
+        (nilpotency_class, lambda: build_chain_algebra(1, 0, 6), BudgetExceededError,
+         "central series does not terminate at jet order 6; nilpotency class undefined"),
+        (soluble_length, lambda: bracket_closure(parse_fields("x1 d2; x2 d1", 2), 3),
+         BudgetExceededError,
+         "derived series does not terminate at jet order 3; soluble length undefined"),
+    ],
+    ids=["exact-sl2", "exact-affine", "jet-chain", "jet-linear-sl2"],
+)
+def test_series_readers_raise_when_the_series_does_not_terminate(reader, build, error, message):
+    with pytest.raises(error) as info:
+        reader(build())
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_nilpotency_class_abelian():

@@ -145,7 +145,13 @@ def test_nilpotent_family_with_a_non_nilpotent_generator_fails(monkeypatch):
     monkeypatch.setattr(verification, "build_nilpotent_example", lambda n: (us, xs, [bad, zs[1]]))
     r = verify_nilpotent_example(2)
     assert r.status == "fail"
-    assert "family n=2 is not generated by nilpotent formal fields" in r.witness.split("; ")
+    failures = r.witness.split("; ")
+    assert "family n=2 is not generated by nilpotent formal fields" in failures
+    # the algebra stays solvable; its central series names the failure and
+    # leaves no class to report
+    assert r.parameters["soluble_length"] == 2
+    assert "nilpotency_class" not in r.parameters
+    assert "central series stabilizes nonzero" in failures
 
 
 def _nilpotent_levels(n):
@@ -252,7 +258,10 @@ def _chain_report(n, length):
 
 
 def _nilpotent_report(n, length):
-    return VerificationReport(f"nilpotent-family-n{n}", {"n": n, "soluble_length": length}, "pass")
+    params = {"n": n}
+    if length is not None:
+        params["soluble_length"] = length
+    return VerificationReport(f"nilpotent-family-n{n}", params, "pass")
 
 
 def test_length_bounds_fail_on_reported_lengths():
@@ -263,7 +272,8 @@ def test_length_bounds_fail_on_reported_lengths():
     assert verify_length_bounds([_chain_report(1, None)], PLANAR).status == "fail"
     r = verify_length_bounds([_nilpotent_report(2, 4)], PLANAR)
     assert r.witness == "nilpotent family n=2: length 4 > 2; nilpotent family n=2: length 4 > 3"
-    r = verify_length_bounds([_nilpotent_report(3, "non-terminating")], PLANAR)
+    # a nilpotent-family report without a length fails too
+    r = verify_length_bounds([_nilpotent_report(3, None)], PLANAR)
     assert r.witness == "nilpotent family n=3 not solvable"
 
 
