@@ -22,6 +22,7 @@ from .diffeos import exp_field, log_diffeo
 from .fields import BudgetExceededError
 from .jets import field_to_jet_matrix, to_jet_matrix
 from .lie import (
+    DEFAULT_DEGREE_BUDGET,
     bracket_closure,
     central_series,
     derived_series,
@@ -78,7 +79,7 @@ def _add_common_options(parser: argparse.ArgumentParser, suppress: bool):
         help="output format",
     )
     parser.add_argument("--seed", type=int, default=default(0))
-    parser.add_argument("--degree-budget", type=int, default=default(256))
+    parser.add_argument("--degree-budget", type=int, default=default(DEFAULT_DEGREE_BUDGET))
     parser.add_argument(
         "--timings",
         action="store_true",

@@ -4,14 +4,16 @@ A span's jet order says how it computes:
 
 * order None (exact) keeps coefficients untruncated (brackets of
   Laurent-polynomial fields stay Laurent-polynomial) and is the default for
-  the finitely generated example algebras; a degree budget turns runaway
-  growth into a loud error instead of a hang,
+  the finitely generated example algebras; a degree budget on the fields
+  that ``bracket_closure`` keeps turns runaway growth into a loud error
+  instead of a hang,
 * order k (jet) truncates every coefficient at total degree k and is
   required for infinite-dimensional inputs.
 
 On top of span reduction and bracket closure this module computes derived and
 descending central series, soluble length and nilpotency class, and the
-generic rank over the fraction field (kappa).
+generic rank over the fraction field (kappa).  The closure, the series and
+the closedness check all form brackets in one loop, ``_brackets``.
 """
 
 from __future__ import annotations
@@ -33,25 +35,24 @@ class LieAlgebraSpan:
 
     The basis is always linearly independent: constructors run span
     reduction.  With a jet ``order`` k every coefficient is truncated at
-    total degree k (jet mode); with order None nothing is truncated and
-    ``degree_budget`` bounds the degree of every field (exact mode).
-    ``closed`` marks a span known to be closed under the bracket of its mode
-    (``bracket_closure`` results, series terms, the chain family); it does
-    not take part in equality, and neither does ``generators``: the number
-    of leading basis fields known to generate the algebra (set by
-    ``bracket_closure``), or None.  ``_echelon`` is the echelon of the basis,
-    kept by the constructors that built it and otherwise built on first
-    use.  A span is immutable.
+    total degree k (jet mode); with order None nothing is truncated (exact
+    mode).  The keyword-only ``closed`` marks a span known to be closed
+    under the bracket of its mode (``bracket_closure`` results, series
+    terms, the chain family); it does not take part in equality, and neither
+    does ``generators``: the number of leading basis fields known to
+    generate the algebra (set by ``bracket_closure``), or None.
+    ``_echelon`` is the echelon of the basis, kept by the constructors that
+    built it and otherwise built on first use.  A span is immutable.
     """
 
-    __slots__ = ("dim", "basis", "order", "degree_budget", "closed", "generators", "_echelon")
+    __slots__ = ("dim", "basis", "order", "closed", "generators", "_echelon")
 
     def __init__(
         self,
         dim: int,
         basis: tuple[VectorField, ...],
         order: int | None = None,
-        degree_budget: int = DEFAULT_DEGREE_BUDGET,
+        *,
         closed: bool = False,
         generators: int | None = None,
         _echelon: SparseEchelon | None = None,
@@ -59,7 +60,6 @@ class LieAlgebraSpan:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "degree_budget", degree_budget)
         object.__setattr__(self, "closed", closed)
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "_echelon", _echelon)
@@ -71,7 +71,7 @@ class LieAlgebraSpan:
         raise AttributeError("LieAlgebraSpan is immutable")
 
     def _key(self) -> tuple:
-        return (self.dim, self.basis, self.order, self.degree_budget)
+        return (self.dim, self.basis, self.order)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -84,8 +84,7 @@ class LieAlgebraSpan:
     def __repr__(self):
         return (
             f"LieAlgebraSpan(dim={self.dim!r}, basis={self.basis!r}, order={self.order!r}, "
-            f"degree_budget={self.degree_budget!r}, closed={self.closed!r}, "
-            f"generators={self.generators!r})"
+            f"closed={self.closed!r}, generators={self.generators!r})"
         )
 
     @property
@@ -121,23 +120,15 @@ class LieAlgebraSpan:
     def _prepare(self, X: VectorField) -> VectorField:
         if X.dim != self.dim:
             raise ValueError(f"dimension mismatch: {X.dim} vs {self.dim}")
-        if self.order is not None:
-            # truncation respects brackets only for fields vanishing at 0
-            if not X.is_formal():
-                raise ValueError("jet mode needs formal fields (coefficients in m)")
-            return X.truncate(self.order)
-        if X.abs_degree() > self.degree_budget:
-            raise BudgetExceededError(
-                f"field degree {X.abs_degree()} exceeds budget {self.degree_budget}"
-            )
-        return X
+        if self.order is None:
+            return X
+        # truncation respects brackets only for fields vanishing at 0
+        if not X.is_formal():
+            raise ValueError("jet mode needs formal fields (coefficients in m)")
+        return X.truncate(self.order)
 
 
-def span_reduce(
-    fields: Iterable[VectorField],
-    order: int | None = None,
-    degree_budget: int = DEFAULT_DEGREE_BUDGET,
-) -> LieAlgebraSpan:
+def span_reduce(fields: Iterable[VectorField], order: int | None = None) -> LieAlgebraSpan:
     """A maximal linearly independent subset of the given fields, as a span.
 
     Jet mode tests independence of the truncated coefficient vectors.
@@ -149,25 +140,14 @@ def span_reduce(
     if not fields:
         raise ValueError("cannot infer dimension from an empty field list")
     dim = dims.pop()
-    span = LieAlgebraSpan(dim, (), order, degree_budget)
+    span = LieAlgebraSpan(dim, (), order)
     ech = SparseEchelon()
     kept = []
     for X in fields:
         Xp = span._prepare(X)
         if ech.insert(Xp.sparse()):
             kept.append(Xp)
-    return LieAlgebraSpan(dim, tuple(kept), order, degree_budget, _echelon=ech)
-
-
-def _bracket_in_mode(span: LieAlgebraSpan, X: VectorField, Y: VectorField) -> VectorField:
-    if span.order is not None:
-        return X.bracket(Y, span.order)
-    Z = X.bracket(Y)
-    if Z.abs_degree() > span.degree_budget:
-        raise BudgetExceededError(
-            f"bracket degree {Z.abs_degree()} exceeds budget {span.degree_budget}"
-        )
-    return Z
+    return LieAlgebraSpan(dim, tuple(kept), order, _echelon=ech)
 
 
 def bracket_closure(
@@ -182,31 +162,30 @@ def bracket_closure(
     s_i in S, and each one with m >= 2 is [s_1, c] with c such a bracket of
     length m.  So the first round brackets each generator with the ones
     after it ([S, S]), each later round brackets S with the fields the last
-    round kept, and the closure ends with a round that keeps nothing.
-    Brackets of weight-homogeneous generators are homogeneous and are formed
-    in closed form, as in the series.  In jet mode the dimension is bounded
-    by n * dim(m/m^(k+1)), so termination is unconditional; in exact mode
-    the degree budget guards against infinite-dimensional inputs.  The
-    reduced generators lead the basis, each round's kept fields follow, and
-    the span records how many generators there are.
+    round kept, and the closure ends with a round that keeps nothing.  In
+    jet mode the dimension is bounded by n * dim(m/m^(k+1)), so termination
+    is unconditional; in exact mode the degree budget bounds every field the
+    closure keeps, generators included, which guards against
+    infinite-dimensional inputs (a dependent field's terms are terms of
+    fields kept before it).  The reduced generators lead the basis, each
+    round's kept fields follow, and the span records how many generators
+    there are.
     """
-    span = span_reduce(gens, order, degree_budget)
+    span = span_reduce(gens, order)
+    budget = None
+    if order is None:
+        budget = degree_budget
+        for X in span.basis:
+            if X.abs_degree() > budget:
+                raise BudgetExceededError(f"field degree {X.abs_degree()} exceeds budget {budget}")
     ech = span.echelon()
     S = [_entry(X) for X in span.basis]
-    graded = all(w is not None for _, w, _, _ in S)
     basis = list(span.basis)
     frontier = None  # the first round pairs S with itself
-    while True:
-        if graded:
-            frontier = _weight_brackets(span, S, frontier, ech, None)
-        else:
-            frontier = [(Z, None, _lowest_degree(Z), None)
-                        for Z in _field_brackets(span, S, frontier, ech)]
-        if not frontier:
-            break
+    while frontier := _brackets(span, S, frontier, ech, None, budget):
         basis += (X for X, *_ in frontier)
     return LieAlgebraSpan(
-        span.dim, tuple(basis), order, degree_budget,
+        span.dim, tuple(basis), order,
         closed=True, generators=span.dimension, _echelon=ech,
     )
 
@@ -220,18 +199,12 @@ _NOT_CLOSED = (
 def _require_algebra(g: LieAlgebraSpan) -> None:
     """Raise ValueError unless g is closed under the bracket of its mode.
 
-    A span marked closed passes at once; any other span is checked bracket
-    by bracket, since the series of a span that is not closed is not the
-    series of the algebra it generates.
+    A span marked closed passes at once; any other span brackets each pair
+    of its basis fields once, since the series of a span that is not closed
+    is not the series of the algebra it generates.
     """
-    if g.closed:
-        return
-    ech = g._own_echelon()
-    for i, X in enumerate(g.basis):
-        for Y in g.basis[i + 1:]:
-            Z = _bracket_in_mode(g, X, Y)
-            if not Z.is_zero() and not ech.contains(Z.sparse()):
-                raise ValueError(_NOT_CLOSED)
+    if not g.closed and _brackets(g, _graded(g.basis), None, g.echelon(), None):
+        raise ValueError(_NOT_CLOSED)
 
 
 # -- derived and central series ----------------------------------------------
@@ -254,7 +227,8 @@ def _require_algebra(g: LieAlgebraSpan) -> None:
 #   further bracket of weight w is redundant.
 #
 # Weights are integer keys that add as the weights do, so the weight test of
-# a pair is one addition and one lookup.
+# a pair is one addition and one lookup.  Both tests run in the one loop over
+# pairs of basis entries, ``_brackets``, which also serves the closure.
 #
 # The bracket of two weight-homogeneous fields has a closed form.  With
 # X = sum_k a_k x^(u+e_k) d_k of weight u and Y = sum_k b_k x^(v+e_k) d_k of
@@ -263,15 +237,17 @@ def _require_algebra(g: LieAlgebraSpan) -> None:
 #     [X, Y] = sum_k (b_k <a, v> - a_k <b, u>) x^(u+v+e_k) d_k,
 #
 # one term per component, of weight u + v and total degree |u| + |v| + 1.
-# The graded branch forms it straight into the echelon's vector and builds a
-# field only for a bracket the echelon keeps.  The weight data of a kept
+# When every entry has a weight, the loop forms it straight into the
+# echelon's vector and builds a field only for a bracket the echelon keeps;
+# otherwise it calls ``VectorField.bracket``.  The weight data of a kept
 # bracket come from the closed form too, and each level hands them to the
 # next, so ``_weight`` reads only the fields of the first level.  Every
 # bracket of a closed span lies in its span, hence its terms are terms of
-# basis fields of the same weight: exact mode needs no degree-budget check
-# per pair, and no key leaves the packed range (``bracket_closure`` has no
-# such bound, and checks both).  In jet mode the degree break leaves nothing
-# to truncate.
+# basis fields of the same weight: no series term exceeds its algebra's
+# degree, and no key leaves the packed range.  ``bracket_closure`` and the
+# closedness check have no such bound, so they check the range, and an
+# exact closure checks its degree budget.  In jet mode the degree break
+# leaves nothing to truncate.
 
 
 def _lowest_degree(X: VectorField) -> int:
@@ -401,69 +377,64 @@ def _bracket_entry(vec: dict[int, tuple[int, int]], w: int, degree: int, hx: tup
     return _vector_field(vec, den, n), w, degree, (w, u, tuple(nums), den // g)
 
 
-def _check_bracket(span: LieAlgebraSpan, vec: dict, w: int, u: tuple, v: tuple) -> None:
-    """Raise as ``_bracket_in_mode`` would for the closed form vec of weight
-    key w = u + v: BudgetExceededError past exact mode's budget, with the
-    degree read from the exponents of its terms x^(u+v+e_k), and ValueError
-    when the weight or a term leaves the packed key range."""
-    n = span.dim
-    if span.order is None:
+def _check_bracket(n: int, vec: dict, w: int, u: tuple, v: tuple, budget: int | None) -> None:
+    """Raise as ``VectorField.bracket`` and an exact closure's budget would
+    for the closed form vec of weight key w = u + v in n variables:
+    ValueError when the weight or a term leaves the packed key range, and
+    BudgetExceededError past ``budget``, with the degree read from the
+    exponents of its terms x^(u+v+e_k)."""
+    if budget is not None:
         s = list(map(add, u, v))
         total = sum(map(abs, s))
         degree = max(total - abs(s[k]) + abs(s[k] + 1) for k in {key % n for key in vec})
-        if degree > span.degree_budget:
-            raise BudgetExceededError(
-                f"bracket degree {degree} exceeds budget {span.degree_budget}"
-            )
+        if degree > budget:
+            raise BudgetExceededError(f"bracket degree {degree} exceeds budget {budget}")
     layout = _LAYOUTS[n]
     layout.check([w + layout.zero, *(key // n for key in vec)])
 
 
-def _weight_brackets(span: LieAlgebraSpan, left: list, right: list | None,
-                     ech: SparseEchelon, room: dict[int, int] | None) -> list[tuple]:
+def _brackets(span: LieAlgebraSpan, left: list, right: list | None, ech: SparseEchelon,
+              room: dict[int, int] | None, budget: int | None = None) -> list[tuple]:
     """The brackets of each left entry with the entries of ``right``, or
-    with the left entries after it when ``right`` is None, in closed form:
-    the kept ones, in order, as ``_entry`` tuples.  A series passes the
+    with the left entries after it when ``right`` is None: the ones ``ech``
+    keeps, in order, as ``_entry`` tuples.  They are formed in closed form
+    when every entry has a weight, else by ``VectorField.bracket`` (the
+    entries of the kept fields then have none).  A series passes the
     ``room`` of the weight spaces of its term, which holds only weights in
-    the key range that ``_weight`` checks, and rows sorted by degree.  A
-    closure passes None: its rows keep basis order, and ``_check_bracket``
-    bounds each bracket it forms."""
+    the key range that ``_weight`` checks, and rows sorted by degree.  The
+    other callers pass None: their rows may be in any order, and each
+    closed-form bracket is checked by ``_check_bracket``.  An exact closure
+    passes its ``budget``, which bounds the degree of every bracket."""
     n = span.dim
     limit = None if span.order is None else span.order + 1
+    graded = all(w is not None for _, w, _, _ in left) and (
+        right is None or all(w is not None for _, w, _, _ in right))
     kept = []
-    for i, (_, wx, dx, hx) in enumerate(left):
-        for _, wy, dy, hy in (left[i + 1:] if right is None else right):
+    for i, (X, wx, dx, hx) in enumerate(left):
+        for Y, wy, dy, hy in (left[i + 1:] if right is None else right):
             if limit is not None and dx + dy > limit:
                 if room is None:
                     continue
                 break  # the row is sorted by degree
-            w = wx + wy
-            if room is not None and not room.get(w):
+            if room is not None and not room.get(wx + wy):
                 continue
-            vec = _weight_bracket(hx, hy, n)
-            if not vec:
+            if graded:
+                w = wx + wy
+                vec = _weight_bracket(hx, hy, n)
+                if not vec:
+                    continue
+                if room is None:
+                    _check_bracket(n, vec, w, hx[1], hy[1], budget)
+                if ech.insert(vec):
+                    kept.append(_bracket_entry(vec, w, dx + dy - 1, hx, hy, n))
+                    if room is not None:
+                        room[w] -= 1
                 continue
-            if room is None:
-                _check_bracket(span, vec, w, hx[1], hy[1])
-            if ech.insert(vec):
-                kept.append(_bracket_entry(vec, w, dx + dy - 1, hx, hy, n))
-                if room is not None:
-                    room[w] -= 1
-    return kept
-
-
-def _field_brackets(span: LieAlgebraSpan, left: list, right: list | None,
-                    ech: SparseEchelon) -> list[VectorField]:
-    """The pairs of ``_weight_brackets`` for fields that are not all
-    weight-homogeneous, formed by ``_bracket_in_mode``: the kept brackets."""
-    limit = None if span.order is None else span.order + 1
-    kept = []
-    for i, (X, _, dx, _) in enumerate(left):
-        for Y, _, dy, _ in (left[i + 1:] if right is None else right):
-            if limit is None or dx + dy <= limit:
-                Z = _bracket_in_mode(span, X, Y)
-                if not Z.is_zero() and ech.insert(Z.sparse()):
-                    kept.append(Z)
+            Z = X.bracket(Y, span.order)
+            if budget is not None and Z.abs_degree() > budget:
+                raise BudgetExceededError(f"bracket degree {Z.abs_degree()} exceeds budget {budget}")
+            if not Z.is_zero() and ech.insert(Z.sparse()):
+                kept.append((Z, None, _lowest_degree(Z), None))
     return kept
 
 
@@ -475,13 +446,14 @@ def _bracket_span(
     ``ideal``, which holds when ideal is an ideal of a Lie algebra containing
     the outer fields.  ``right`` is ``_graded(ideal.basis)``, or None to
     compute it here.  Returns the span and, when its fields came from the
-    closed form, its ``_graded`` entries for the next level (else None)."""
+    closed form, its ``_graded`` entries for the next level (else None, so
+    that the next level reads weights afresh)."""
     fresh = right is None
     if fresh:
         right = _graded(ideal.basis)
     # [I, I] pairs each field with those after it
     left, others = (right, None) if outer is None else (outer, right)
-    ech = SparseEchelon()
+    room = None  # weight key -> independent fields still missing
     if all(w is not None for _, w, _, _ in left) and all(w is not None for _, w, _, _ in right):
         if ideal.order is not None and fresh:
             # checked once, as VectorField.bracket checks its factors; the
@@ -490,21 +462,18 @@ def _bracket_span(
             fields = ideal.basis if outer is None else ideal.basis + tuple(X for X, *_ in outer)
             if not all(c.is_polynomial() for X in fields for c in X.coeffs if c):
                 raise ValueError("truncation is undefined for terms with negative exponents")
-        room: dict[int, int] = {}  # weight key -> independent fields still missing
+        room = {}
         for _, w, _, _ in right:
             room[w] = room.get(w, 0) + 1
-        entries = _weight_brackets(ideal, left, others, ech, room)
-        kept = [X for X, *_ in entries]
-        entries.sort(key=lambda entry: entry[2])  # the basis keeps its order
-    else:
+    ech = SparseEchelon()
+    entries = _brackets(ideal, left, others, ech, room)
+    kept = tuple(X for X, *_ in entries)
+    if room is None:
         entries = None
-        kept = _field_brackets(ideal, left, others, ech)
+    else:
+        entries.sort(key=lambda entry: entry[2])  # the basis keeps its order
     # [g, I] is an ideal of g, hence a subalgebra
-    span = LieAlgebraSpan(
-        ideal.dim, tuple(kept), ideal.order, ideal.degree_budget,
-        closed=True, _echelon=ech,
-    )
-    return span, entries
+    return LieAlgebraSpan(ideal.dim, kept, ideal.order, closed=True, _echelon=ech), entries
 
 
 def _series(g: LieAlgebraSpan, first: list | None, outer: list | None) -> list[LieAlgebraSpan]:

@@ -181,12 +181,12 @@ def test_exit_codes(capsys):
     assert code == EXIT_PARSE_ERROR and "parse error" in err
     code, _, err = run(capsys, "exp", "--dim", "1", "--order", "4", "x1 d1")
     assert code == EXIT_PRECONDITION and "nilpotent" in err
-    code, _, err = run(
-        capsys,
-        "nilpotency-class", "--dim", "1", "--degree-budget", "8",
-        "--gens", "x1^2 d1; x1^3 d1",
-    )
-    assert code == EXIT_BUDGET
+    # the closure's budget bounds its brackets and its generators
+    for gens, message in (("x1^2 d1; x1^3 d1", "bracket degree 9 exceeds budget 8"),
+                          ("x1^2 d1; x1^9 d1", "field degree 9 exceeds budget 8")):
+        code, _, err = run(capsys, "nilpotency-class", "--dim", "1", "--degree-budget", "8",
+                           "--gens", gens)
+        assert code == EXIT_BUDGET and message in err
 
 
 def test_matrix_parse_error_reports_its_column_in_the_operand(capsys):
@@ -231,6 +231,26 @@ def test_single_target_verify_matches_the_committed_report(capsys, argv, name):
     code, out, _ = run(capsys, "verify", *argv, "--format", "json")
     assert code == EXIT_OK
     assert out == (Path(__file__).parent / "data" / name).read_text()
+
+
+UNGRADED = "x2^2 d1 + x2^3 d1; x2 d2"
+
+
+def test_series_of_fields_without_a_weight_match_the_committed_output(capsys):
+    # every level of the closure and of both series holds fields that are
+    # not weight-homogeneous, so each bracket goes through VectorField.bracket
+    out = ""
+    for mode in (["--mode", "exact"], ["--mode", "jet", "--order", "6"]):
+        for command in ("derived-series", "central-series", "kappa"):
+            code, text, _ = run(capsys, command, "--dim", "2", *mode, "--format", "json",
+                                "--gens", UNGRADED)
+            assert code == EXIT_OK
+            out += text
+    assert out == (Path(__file__).parent / "data" / "ungraded_series.txt").read_text()
+    for mode, expected in ((["--mode", "exact"], EXIT_PRECONDITION),
+                           (["--mode", "jet", "--order", "6"], EXIT_BUDGET)):
+        code, _, _ = run(capsys, "nilpotency-class", "--dim", "2", *mode, "--gens", UNGRADED)
+        assert code == expected
 
 
 def test_verify_solvable_n4_exceeds_the_budget_at_once(capsys):

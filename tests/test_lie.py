@@ -113,11 +113,36 @@ def test_degree_budget_guard():
         bracket_closure([X, Y], degree_budget=10)
 
 
+def test_closedness_check_uses_the_closed_form(monkeypatch):
+    # [x1^2 d1, x1^3 d1] = x1^4 d1 lies outside the span, and no general
+    # bracket is formed to find that out
+    span = span_reduce([mono_field(1, {1: 2}, 1), mono_field(1, {1: 3}, 1)])
+    assert not span.closed
+    monkeypatch.setattr(VectorField, "bracket", None)
+    with pytest.raises(ValueError, match="not closed"):
+        derived_series(span)
+
+
+def test_membership_never_hits_a_budget():
+    # the degree budget guards bracket_closure only
+    span = span_reduce([mono_field(1, {1: 300}, 1)])
+    assert span.dimension == 1 and span.basis[0].abs_degree() == 300
+    assert span.contains_field(mono_field(1, {1: 300}, 1, 7))
+    assert not span.contains_field(mono_field(1, {1: 301}, 1))
+    g = bracket_closure([mono_field(2, {2: 1}, 2)])
+    assert not g.contains_field(mono_field(2, {1: 257}, 2))
+
+
 def _closure_by_all_pairs(gens, order=None, degree_budget=lie.DEFAULT_DEGREE_BUDGET):
     """Oracle: the plain saturation loop, which brackets each new field with
     the whole current basis, itself and the other new fields included, in
-    both orders, through the general ``VectorField.bracket``."""
-    span = span_reduce(gens, order, degree_budget)
+    both orders, through the general ``VectorField.bracket``.  In exact
+    mode every input and every bracket must keep within the budget."""
+    if order is None:
+        for X in gens:
+            if X.abs_degree() > degree_budget:
+                raise BudgetExceededError(f"field degree {X.abs_degree()} exceeds budget {degree_budget}")
+    span = span_reduce(gens, order)
     ech = span.echelon()
     basis = list(span.basis)
     frontier = list(basis)
@@ -157,10 +182,10 @@ def _closure_against_all_pairs(gens, order=None, degree_budget=lie.DEFAULT_DEGRE
         assert info.type is type(exc)
         return type(exc)
     g = bracket_closure(gens, order, degree_budget)
-    oracle = LieAlgebraSpan(g.dim, expected, order, degree_budget)
+    oracle = LieAlgebraSpan(g.dim, expected, order)
     assert g.dimension == oracle.dimension
     assert g.contains_span(oracle) and oracle.contains_span(g)
-    assert g.basis[:g.generators] == span_reduce(gens, order, degree_budget).basis
+    assert g.basis[:g.generators] == span_reduce(gens, order).basis
     return expected
 
 
@@ -224,17 +249,17 @@ def test_closure_matches_all_pairs_on_mixed_combinations():
     assert bracket_closure([z1, z2, z3]).dimension == 9
 
 
-def _pairs_formed(monkeypatch, name, factors):
-    """Record the factors (the arguments at ``factors``) of every bracket
-    that ``lie.<name>`` forms."""
+def _pairs_formed(monkeypatch, owner, name):
+    """Record the factors (the first two arguments) of every bracket that
+    ``owner.<name>`` forms."""
     pairs = []
-    inner = getattr(lie, name)
+    inner = getattr(owner, name)
 
     def recording(*args):
-        pairs.append(args[factors])
+        pairs.append(args[:2])
         return inner(*args)
 
-    monkeypatch.setattr(lie, name, recording)
+    monkeypatch.setattr(owner, name, recording)
     return pairs
 
 
@@ -249,12 +274,12 @@ def _weight_field_key(h):
 def test_closure_brackets_with_the_generators_only(monkeypatch, homogeneous):
     _, _, zs = build_nilpotent_example(4)
     if homogeneous:
-        pairs = _pairs_formed(monkeypatch, "_weight_bracket", slice(0, 2))
+        pairs = _pairs_formed(monkeypatch, lie, "_weight_bracket")
         monkeypatch.setattr(VectorField, "bracket", None)  # the closed form only
         factor, field = _weight_field_key, lambda X: _weight_field_key(lie._weight(X))
     else:
         zs = [VectorField([a + b for a, b in zip(zs[0].coeffs, zs[1].coeffs)])] + zs[1:]
-        pairs = _pairs_formed(monkeypatch, "_bracket_in_mode", slice(1, 3))
+        pairs = _pairs_formed(monkeypatch, VectorField, "bracket")
         factor = field = lambda X: X
     g = bracket_closure(zs)
     index = {field(X): i for i, X in enumerate(g.basis)}
@@ -739,11 +764,14 @@ def test_closed_spans_are_marked():
     assert not span_reduce(zs).closed
     # the marks and the echelon take no part in equality
     g.contains_field(g.basis[0])  # builds the echelon
-    bare = LieAlgebraSpan(g.dim, g.basis, g.order, g.degree_budget)
+    bare = LieAlgebraSpan(g.dim, g.basis, g.order)
     assert (bare.closed, bare.generators, bare._echelon) == (False, None, None)
     assert g.generators == 2 and g._echelon is not None
     assert bare == g and hash(bare) == hash(g)
     assert LieAlgebraSpan(g.dim, g.basis[1:], closed=True, generators=1) != g
+    # the marks are keyword-only, so a stray fourth argument cannot set one
+    with pytest.raises(TypeError):
+        LieAlgebraSpan(g.dim, g.basis, g.order, 256)
     # spans and kappa sequences are immutable values
     ks = kappa_sequence(g)
     for value, name in ((g, "closed"), (g, "basis"), (g, "other"), (ks, "values"), (ks, "other")):

@@ -44,8 +44,8 @@ def _closed_bracket_span(g: LieAlgebraSpan, pairs) -> LieAlgebraSpan:
         if not Z.is_zero():
             brackets.append(Z)
     if not brackets:
-        return LieAlgebraSpan(g.dim, (), g.order, g.degree_budget)
-    return bracket_closure(brackets, g.order, g.degree_budget)
+        return LieAlgebraSpan(g.dim, (), g.order)
+    return bracket_closure(brackets, g.order)
 
 
 def _same_span(a: LieAlgebraSpan, b: LieAlgebraSpan) -> bool:
@@ -170,7 +170,7 @@ def test_nilpotent_family_series_match_reference(n):
 
 def _all_pairs_central_series(g: LieAlgebraSpan) -> list[LieAlgebraSpan]:
     """The central series with the whole basis as the outer row."""
-    return central_series(LieAlgebraSpan(g.dim, g.basis, g.order, g.degree_budget, closed=True))
+    return central_series(LieAlgebraSpan(g.dim, g.basis, g.order, closed=True))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
