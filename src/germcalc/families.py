@@ -18,7 +18,7 @@ from itertools import islice
 
 from .fields import BudgetExceededError, VectorField
 from .laurent import _LAYOUTS, LaurentPoly, _monomials, validate_order
-from .lie import LieAlgebraSpan
+from .lie import LieAlgebraSpan, _monomial_entry
 from .scalars import Scalar
 
 
@@ -140,24 +140,22 @@ def chain_space_size(dim: int, index: int, order: int) -> int:
     return total
 
 
-def _chain_fields(dim: int, order: int):
+def _chain_entries(dim: int, order: int):
     """The monomial fields of chain space 0 up to total degree ``order``,
     summand by summand: U_j = a(x_(j+1), ..., x_n) d/dx_j with a in m^2 and
     V_j = x_j b(x_(j+1), ..., x_n) d/dx_j with b in m, for j < n, then
     U_n = x_n^2 d/dx_n and V_n = x_n d/dx_n.  Within a summand the tails
-    come degree by degree, each degree in ascending lex order."""
-    zero = LaurentPoly.zero(dim)
+    come degree by degree, each degree in ascending lex order.  Each field
+    x^a d/dx_j comes as its entry, of weight u = a - e_j, without the field."""
     for j in range(dim):  # the direction d/dx_(j+1)
         m = dim - 1 - j  # the variables after x_(j+1)
         # (exponent of x_(j+1), lowest tail degree) of U, then of V; with
         # no variables after x_n the tail is 1, of degree 0
         for lead, low in ((0, 2), (1, 1)) if m else ((2, 0), (1, 0)):
-            head = (0,) * j + (lead,)
+            head = (0,) * j + (lead - 1,)
             for d in range(low, order - lead + 1):
                 for tail in reversed(_monomials(m, d)):
-                    coeffs = [zero] * dim
-                    coeffs[j] = LaurentPoly.monomial(dim, head + tail)
-                    yield VectorField(coeffs)
+                    yield _monomial_entry(dim, head + tail, j)
 
 
 def build_chain_algebra(dim: int, index: int, order: int) -> LieAlgebraSpan:
@@ -165,8 +163,9 @@ def build_chain_algebra(dim: int, index: int, order: int) -> LieAlgebraSpan:
     the first ``chain_space_size(dim, index, order)`` fields of chain space 0.
 
     Every chain space is a Lie algebra in jet mode, so the span is marked
-    closed.  Raises BudgetExceededError, before building any generator, when
-    there are more than CHAIN_GENERATOR_BUDGET of them.
+    closed.  Its fields are built only when something reads its basis.
+    Raises BudgetExceededError, before building any generator, when there
+    are more than CHAIN_GENERATOR_BUDGET of them.
     """
     if dim < 1:
         raise ValueError("the solvable chain needs dimension >= 1")
@@ -180,8 +179,8 @@ def build_chain_algebra(dim: int, index: int, order: int) -> LieAlgebraSpan:
     # No span reduction: the generators are distinct monomial fields (each
     # an exponent and a direction), hence independent, and none has degree
     # above the order, so truncation leaves them as they are.
-    gens = tuple(islice(_chain_fields(dim, order), count))
-    return LieAlgebraSpan(dim, gens, order, closed=True)
+    entries = list(islice(_chain_entries(dim, order), count))
+    return LieAlgebraSpan(dim, None, order, closed=True, _entries=entries)
 
 
 def chain_exponent(j: int) -> int:

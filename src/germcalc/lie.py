@@ -18,6 +18,7 @@ the closedness check all form brackets in one loop, ``_brackets``.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import gcd, lcm
 from operator import add
 from typing import Iterable, Sequence
@@ -33,36 +34,43 @@ DEFAULT_DEGREE_BUDGET = 256
 class LieAlgebraSpan:
     """A finite scalar-basis of vector fields and the jet order it computes at.
 
-    The basis is always linearly independent: constructors run span
-    reduction.  With a jet ``order`` k every coefficient is truncated at
-    total degree k (jet mode); with order None nothing is truncated (exact
-    mode).  The keyword-only ``closed`` marks a span known to be closed
-    under the bracket of its mode (``bracket_closure`` results, series
-    terms, the chain family); it does not take part in equality, and neither
-    does ``generators``: the number of leading basis fields known to
-    generate the algebra (set by ``bracket_closure``), or None.
-    ``_echelon`` is the echelon of the basis, kept by the constructors that
-    built it and otherwise built on first use.  A span is immutable.
+    The constructor trusts its caller to pass a linearly independent basis,
+    truncated at the order: it runs neither span reduction nor truncation.
+    ``span_reduce``, ``bracket_closure``, the series and
+    ``build_chain_algebra`` guarantee both.  With a jet ``order`` k every
+    coefficient is truncated at total degree k (jet mode); with order None
+    nothing is truncated (exact mode).  The keyword-only ``closed`` marks a
+    span known to be closed under the bracket of its mode (``bracket_closure``
+    results, series terms, the chain family); it does not take part in
+    equality, and neither does ``generators``: the number of leading basis
+    fields known to generate the algebra (set by ``bracket_closure``), or
+    None.  ``_echelon`` and ``_entries`` (the ``_entry`` of each basis
+    field, in basis order) are kept by the constructors that built them and
+    otherwise built on first use.  A constructor that formed the entries in
+    closed form passes the basis as None; its fields are built from the
+    entries on the first read of ``basis``.  A span is immutable.
     """
 
-    __slots__ = ("dim", "basis", "order", "closed", "generators", "_echelon")
+    __slots__ = ("dim", "_basis", "order", "closed", "generators", "_echelon", "_entries")
 
     def __init__(
         self,
         dim: int,
-        basis: tuple[VectorField, ...],
+        basis: tuple[VectorField, ...] | None,
         order: int | None = None,
         *,
         closed: bool = False,
         generators: int | None = None,
         _echelon: SparseEchelon | None = None,
+        _entries: list[tuple] | None = None,
     ):
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "_basis", basis)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "closed", closed)
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "_echelon", _echelon)
+        object.__setattr__(self, "_entries", _entries)
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebraSpan is immutable")
@@ -88,11 +96,28 @@ class LieAlgebraSpan:
         )
 
     @property
+    def basis(self) -> tuple[VectorField, ...]:
+        basis = self._basis
+        if basis is None:
+            n = self.dim
+            basis = tuple(X if X is not None else _field(h, n) for X, _, _, h in self._entries)
+            object.__setattr__(self, "_basis", basis)
+        return basis
+
+    @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return len(self._entries if self._basis is None else self._basis)
 
     def is_zero(self) -> bool:
-        return not self.basis
+        return not self.dimension
+
+    def _own_entries(self) -> list[tuple]:
+        """The ``_entry`` of each basis field, in basis order, built once."""
+        entries = self._entries
+        if entries is None:
+            entries = [_entry(X) for X in self._basis]
+            object.__setattr__(self, "_entries", entries)
+        return entries
 
     def _own_echelon(self) -> SparseEchelon:
         """The span's own echelon, built once; never inserted into."""
@@ -179,14 +204,14 @@ def bracket_closure(
             if X.abs_degree() > budget:
                 raise BudgetExceededError(f"field degree {X.abs_degree()} exceeds budget {budget}")
     ech = span.echelon()
-    S = [_entry(X) for X in span.basis]
-    basis = list(span.basis)
+    S = span._own_entries()
+    entries = list(S)
     frontier = None  # the first round pairs S with itself
     while frontier := _brackets(span, S, frontier, ech, None, budget):
-        basis += (X for X, *_ in frontier)
+        entries += frontier
     return LieAlgebraSpan(
-        span.dim, tuple(basis), order,
-        closed=True, generators=span.dimension, _echelon=ech,
+        span.dim, None, order,
+        closed=True, generators=span.dimension, _echelon=ech, _entries=entries,
     )
 
 
@@ -203,7 +228,7 @@ def _require_algebra(g: LieAlgebraSpan) -> None:
     of its basis fields once, since the series of a span that is not closed
     is not the series of the algebra it generates.
     """
-    if not g.closed and _brackets(g, _graded(g.basis), None, g.echelon(), None):
+    if not g.closed and _brackets(g, _graded(g), None, g.echelon(), None):
         raise ValueError(_NOT_CLOSED)
 
 
@@ -238,20 +263,19 @@ def _require_algebra(g: LieAlgebraSpan) -> None:
 #
 # one term per component, of weight u + v and total degree |u| + |v| + 1.
 # When every entry has a weight, the loop forms it straight into the
-# echelon's vector and builds a field only for a bracket the echelon keeps;
-# otherwise it calls ``VectorField.bracket``.  The weight data of a kept
-# bracket come from the closed form too, and each level hands them to the
-# next, so ``_weight`` reads only the fields of the first level.  Every
+# echelon's vector, and the entry of a kept bracket comes from the closed
+# form too, without a field.  A term keeps these entries and builds its
+# basis fields from them only when something reads ``basis``, so ``_weight``
+# reads only the fields of the first level and the chain's kappa builds no
+# field.  Otherwise the loop calls ``VectorField.bracket``; it never meets an
+# entry without a field, since only spans whose entries all have a weight
+# hold one, and their series stay graded.  Every
 # bracket of a closed span lies in its span, hence its terms are terms of
 # basis fields of the same weight: no series term exceeds its algebra's
 # degree, and no key leaves the packed range.  ``bracket_closure`` and the
 # closedness check have no such bound, so they check the range, and an
 # exact closure checks its degree budget.  In jet mode the degree break
 # leaves nothing to truncate.
-
-
-def _lowest_degree(X: VectorField) -> int:
-    return min((c.min_total_degree() for c in X.coeffs if c), default=0)
 
 
 def _weight(X: VectorField):
@@ -296,19 +320,38 @@ def _entry(X: VectorField) -> tuple:
     and the weight are None when X is not weight-homogeneous."""
     h = _weight(X)
     if h is None:
-        return X, None, _lowest_degree(X), None
+        return X, None, min((c.min_total_degree() for c in X.coeffs if c), default=0), None
     return X, h[0], sum(h[1]) + 1, h
 
 
-def _graded(basis: Sequence[VectorField]) -> list[tuple]:
-    """The ``_entry`` of each basis field, by ascending lowest degree.
+def _monomial_entry(n: int, u: tuple[int, ...], k: int) -> tuple:
+    """The ``_entry``, without its field, of x^(u+e_k) d_k in n variables."""
+    layout = _LAYOUTS[n]
+    w = layout.pack(u) - layout.zero
+    return None, w, sum(u) + 1, (w, u, ((k, 1, 0),), 1)
+
+
+def _graded(span: LieAlgebraSpan, count: int | None = None) -> list[tuple]:
+    """The entries of the first ``count`` basis fields of span (all of them
+    when None), by ascending lowest degree.
 
     The order lets the truncation test end a row of pairs early, and it
     brackets the fields of low degree first: they act on the most others
     (x_n d_n rescales every monomial field), so weight spaces fill early and
     the later, mostly commuting pairs are skipped.
     """
-    return sorted(map(_entry, basis), key=lambda entry: entry[2])
+    return sorted(span._own_entries()[:count], key=lambda entry: entry[2])
+
+
+def _field(h: tuple, n: int) -> VectorField:
+    """The field in n variables whose ``_weight`` tuple is h, each
+    coefficient in normal form."""
+    w, _, nums, den = h
+    layout = _LAYOUTS[n]
+    coeffs = [LaurentPoly.zero(n)] * n
+    for k, re, im in nums:
+        coeffs[k] = _normal(n, {w + layout.zero - layout.lower[k]: (re, im)}, den)
+    return VectorField(coeffs)
 
 
 def _weight_bracket(hx: tuple, hy: tuple, n: int) -> dict[int, tuple[int, int]]:
@@ -352,29 +395,16 @@ def _weight_bracket(hx: tuple, hy: tuple, n: int) -> dict[int, tuple[int, int]]:
     return vec
 
 
-def _vector_field(vec: dict[int, tuple[int, int]], den: int, n: int) -> VectorField:
-    """The field whose sparse vector over den is vec, one term per
-    component, each coefficient in normal form."""
-    coeffs = [LaurentPoly.zero(n)] * n
-    for key, num in vec.items():
-        packed, k = divmod(key, n)
-        coeffs[k] = _normal(n, {packed: num}, den)
-    return VectorField(coeffs)
-
-
 def _bracket_entry(vec: dict[int, tuple[int, int]], w: int, degree: int, hx: tuple,
                    hy: tuple, n: int) -> tuple:
-    """The ``_graded`` entry of the bracket of weight key w and lowest degree
-    ``degree`` whose closed form ``_weight_bracket(hx, hy, n)`` is vec."""
+    """The ``_entry``, without its field, of the bracket of weight key w and
+    lowest degree ``degree`` whose closed form ``_weight_bracket(hx, hy, n)``
+    is vec."""
     den = hx[3] * hy[3]
-    g = den
-    for re, im in vec.values():
-        g = gcd(g, re, im)
-        if g == 1:
-            break
+    g = gcd(den, *chain.from_iterable(vec.values()))
     nums = sorted((key % n, re // g, im // g) for key, (re, im) in vec.items())
     u = tuple(map(add, hx[1], hy[1]))
-    return _vector_field(vec, den, n), w, degree, (w, u, tuple(nums), den // g)
+    return None, w, degree, (w, u, tuple(nums), den // g)
 
 
 def _check_bracket(n: int, vec: dict, w: int, u: tuple, v: tuple, budget: int | None) -> None:
@@ -434,46 +464,27 @@ def _brackets(span: LieAlgebraSpan, left: list, right: list | None, ech: SparseE
             if budget is not None and Z.abs_degree() > budget:
                 raise BudgetExceededError(f"bracket degree {Z.abs_degree()} exceeds budget {budget}")
             if not Z.is_zero() and ech.insert(Z.sparse()):
-                kept.append((Z, None, _lowest_degree(Z), None))
+                kept.append(_entry(Z))
     return kept
 
 
-def _bracket_span(
-    ideal: LieAlgebraSpan, right: list | None, outer: list | None = None
-) -> tuple[LieAlgebraSpan, list | None]:
+def _bracket_span(ideal: LieAlgebraSpan, outer: list | None = None) -> LieAlgebraSpan:
     """Span of [outer, ideal], with ``outer`` from ``_graded``, or of
     [ideal, ideal] when ``outer`` is None.  Every bracket must lie in
     ``ideal``, which holds when ideal is an ideal of a Lie algebra containing
-    the outer fields.  ``right`` is ``_graded(ideal.basis)``, or None to
-    compute it here.  Returns the span and, when its fields came from the
-    closed form, its ``_graded`` entries for the next level (else None, so
-    that the next level reads weights afresh)."""
-    fresh = right is None
-    if fresh:
-        right = _graded(ideal.basis)
+    the outer fields."""
+    right = _graded(ideal)
     # [I, I] pairs each field with those after it
     left, others = (right, None) if outer is None else (outer, right)
     room = None  # weight key -> independent fields still missing
     if all(w is not None for _, w, _, _ in left) and all(w is not None for _, w, _, _ in right):
-        if ideal.order is not None and fresh:
-            # checked once, as VectorField.bracket checks its factors; the
-            # brackets of polynomial fields that later levels read stay
-            # polynomial
-            fields = ideal.basis if outer is None else ideal.basis + tuple(X for X, *_ in outer)
-            if not all(c.is_polynomial() for X in fields for c in X.coeffs if c):
-                raise ValueError("truncation is undefined for terms with negative exponents")
         room = {}
         for _, w, _, _ in right:
             room[w] = room.get(w, 0) + 1
     ech = SparseEchelon()
     entries = _brackets(ideal, left, others, ech, room)
-    kept = tuple(X for X, *_ in entries)
-    if room is None:
-        entries = None
-    else:
-        entries.sort(key=lambda entry: entry[2])  # the basis keeps its order
     # [g, I] is an ideal of g, hence a subalgebra
-    return LieAlgebraSpan(ideal.dim, kept, ideal.order, closed=True, _echelon=ech), entries
+    return LieAlgebraSpan(ideal.dim, None, ideal.order, closed=True, _echelon=ech, _entries=entries)
 
 
 def _series(g: LieAlgebraSpan, first: list | None, outer: list | None) -> list[LieAlgebraSpan]:
@@ -482,10 +493,16 @@ def _series(g: LieAlgebraSpan, first: list | None, outer: list | None) -> list[L
     not smaller than the one before.  Each term of a Lie algebra's series
     lies in the one before, so a larger term means g was marked closed
     without being closed: ValueError, as from ``_require_algebra``."""
+    # the closed form checks no factor as VectorField.bracket does, so a
+    # graded jet span is checked once here: brackets of polynomial fields
+    # stay polynomial, and entries without a field are polynomial already
+    entries = g._own_entries()
+    if g.order is not None and all(h for *_, h in entries) and not all(
+            c.is_polynomial() for X, *_ in entries if X is not None for c in X.coeffs if c):
+        raise ValueError("truncation is undefined for terms with negative exponents")
     levels = [g]
-    entries = None
     while not levels[-1].is_zero():
-        nxt, entries = _bracket_span(levels[-1], entries, first if len(levels) == 1 else outer)
+        nxt = _bracket_span(levels[-1], first if len(levels) == 1 else outer)
         grown = nxt.dimension - levels[-1].dimension
         levels.append(nxt)
         if grown > 0:
@@ -513,7 +530,7 @@ def derived_series(g: LieAlgebraSpan) -> list[LieAlgebraSpan]:
     each basis field of the term with the ones after it.
     """
     _require_algebra(g)
-    first = None if g.generators is None else _graded(g.basis[:g.generators])
+    first = None if g.generators is None else _graded(g, g.generators)
     return _series(g, first, None)
 
 
@@ -530,7 +547,7 @@ def central_series(g: LieAlgebraSpan) -> list[LieAlgebraSpan]:
     when it records none.
     """
     _require_algebra(g)
-    outer = _graded(g.basis if g.generators is None else g.basis[:g.generators])
+    outer = _graded(g, g.generators)
     return _series(g, outer, outer)
 
 
@@ -688,13 +705,20 @@ def generic_rank(fields_or_span) -> int:
     """Rank over the rational-function field of the coefficient matrix,
     whose rows are the fields' coefficient tuples.
 
-    The rank is certified by two bounds when they meet: it is at most
-    min(#rows, #nonzero columns), and at least the rank of the matrix
-    evaluated exactly at a fixed point with nonzero coordinates (2, 3, 5,
-    ...).  When the bounds differ, fraction-free Bareiss elimination over
-    the polynomial ring decides.
+    When every basis field of a span has a weight, row r is
+    x^(u_r) (c_r1 x_1, ..., c_rn x_n) with constants c_rk; scaling row r by
+    x^(-u_r) and column k by 1/x_k keeps the rank, so it is the rank of the
+    constant rows c_r, read off the span's entries.  Otherwise the rank is
+    certified by two bounds when they meet: it is at most min(#rows,
+    #nonzero columns), and at least the rank of the matrix evaluated exactly
+    at a fixed point with nonzero coordinates (2, 3, 5, ...).  When the
+    bounds differ, fraction-free Bareiss elimination over the polynomial
+    ring decides.
     """
     if isinstance(fields_or_span, LieAlgebraSpan):
+        weights = [h for *_, h in fields_or_span._own_entries()]
+        if None not in weights:
+            return _constant_rank(weights)
         fields = list(fields_or_span.basis)
     else:
         fields = list(fields_or_span)
@@ -703,13 +727,28 @@ def generic_rank(fields_or_span) -> int:
     # zero rows are kept: they leave min(#rows, #columns) an upper bound, and
     # the rank at a point skips their empty supports
     rows = [X.coeffs for X in fields]
-    if not rows:
-        return 0
     columns = sum(1 for j in range(len(rows[0])) if any(row[j] for row in rows))
     upper = min(len(rows), columns)
     if _rank_at_point(rows, upper) == upper:
         return upper
     return _bareiss_rank(rows)
+
+
+def _constant_rank(weights: Sequence[tuple]) -> int:
+    """The rank of the constant rows {k: (re, im)} of ``_weight`` tuples.
+    As in ``_rank_at_point``, while the rank equals the number of columns
+    the inserted rows touch, a row supported on those columns is skipped."""
+    ech = SparseEchelon()
+    rank = 0
+    covered: set[int] = set()
+    for _, _, nums, _ in weights:
+        support = [k for k, _, _ in nums]
+        if rank == len(covered) and covered.issuperset(support):
+            continue
+        if ech.insert({k: (re, im) for k, re, im in nums}):
+            rank += 1
+            covered.update(support)
+    return rank
 
 
 class KappaSequence:

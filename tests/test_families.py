@@ -366,7 +366,7 @@ def test_chain_algebra_over_budget_fails_before_building(monkeypatch):
     def fail(*args):
         raise AssertionError("built a generator")
 
-    monkeypatch.setattr(families, "_chain_fields", fail)
+    monkeypatch.setattr(families, "_chain_entries", fail)
     monkeypatch.setattr(families, "VectorField", fail)
     with pytest.raises(BudgetExceededError, match="1456882 generators"):
         build_chain_algebra(4, 0, 161)

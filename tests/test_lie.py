@@ -123,6 +123,15 @@ def test_closedness_check_uses_the_closed_form(monkeypatch):
         derived_series(span)
 
 
+def test_span_reduce_drops_dependent_and_truncated_fields():
+    # the constructor trusts its caller; span_reduce makes the basis
+    # independent and truncated at the order
+    X = mono_field(1, {1: 2}, 1)
+    assert span_reduce([X, mono_field(1, {1: 2}, 1, 2)]).basis == (X,)
+    jet = span_reduce([X, mono_field(1, {1: 9}, 1)], 5)
+    assert jet.dimension == 1 and jet.basis == (X,)
+
+
 def test_membership_never_hits_a_budget():
     # the degree budget guards bracket_closure only
     span = span_reduce([mono_field(1, {1: 300}, 1)])
@@ -598,6 +607,49 @@ def test_generic_rank_with_planted_zero_fields(fields, data):
     assert generic_rank(padded) == _bareiss_only(fields)
 
 
+@st.composite
+def weighted_families(draw):
+    """Weight-homogeneous fields sum_k c_k x^(u+e_k) d_k with Laurent
+    weights u, Gaussian coefficients c_k, zero components, and coefficient
+    rows c repeated or combined from earlier ones under new weights."""
+    dim = draw(st.integers(1, 4))
+    gaussian = st.tuples(st.integers(-3, 3), st.integers(-2, 2))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        if rows and draw(st.booleans()):
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s = draw(st.integers(-2, 2))
+            row = [(x[0] + s * y[0], x[1] + s * y[1]) for x, y in zip(a, b)]
+        else:
+            row = [draw(gaussian) if draw(st.booleans()) else (0, 0) for _ in range(dim)]
+        if any(re or im for re, im in row):
+            rows.append(row)
+    fields = []
+    for row in rows:
+        u = draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim))
+        den = draw(st.sampled_from([1, 2, 3]))
+        fields.append(VectorField([
+            LaurentPoly.monomial(dim, [e + (j == k) for j, e in enumerate(u)],
+                                 Scalar(Fraction(re, den), Fraction(im, den)))
+            for k, (re, im) in enumerate(row)
+        ]))
+    return fields
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_families())
+def test_constant_rank_of_weighted_rows_matches_elimination(fields):
+    # row r is x^(u_r) (c_r1 x_1, ..., c_rn x_n): its rank over the
+    # fraction field is the rank of the constant rows c_r
+    if not fields:
+        return
+    weights = [lie._weight(X) for X in fields]
+    assert None not in weights
+    rank = _bareiss_rank([list(X.coeffs) for X in fields])
+    assert lie._constant_rank(weights) == rank
+    assert generic_rank(LieAlgebraSpan(fields[0].dim, tuple(fields))) == rank
+
+
 def test_generic_rank_of_zero_fields(monkeypatch):
     calls = _counting_fallback(monkeypatch)
     assert generic_rank([VectorField.zero(2)] * 3) == 0
@@ -623,7 +675,9 @@ def test_rank_at_point_evaluates_each_column_once_on_the_chain(monkeypatch):
     for level in levels[:-1]:
         calls.clear()
         columns = sum(1 for j in range(3) if any(X.coeffs[j] for X in level.basis))
-        assert generic_rank(level) == columns
+        # a list of fields takes the evaluation path; the level itself reads
+        # its constant rows
+        assert generic_rank(list(level.basis)) == generic_rank(level) == columns
         assert len(calls) <= columns
 
 

@@ -106,40 +106,68 @@ def test_chain_n3_dimensions_and_kappa_order_12():
     assert kappa_sequence(g, levels).values == (3, 3, 2, 2, 1, 0)
 
 
-def _gaussian_rationals(h):
-    """The components of a ``_weight`` tuple as {k: (re, im)} Fractions."""
-    _, _, nums, den = h
-    return {k: (Fraction(re, den), Fraction(im, den)) for k, re, im in nums}
+def _reread(span: LieAlgebraSpan) -> LieAlgebraSpan:
+    """The same span, whose entries are read back from its basis fields."""
+    return LieAlgebraSpan(span.dim, span.basis, span.order, closed=True)
 
 
 @pytest.mark.parametrize("n, k", [(3, 9), (3, 12), (2, 12)])
 def test_carried_weights_match_the_recomputed_ones(monkeypatch, n, k):
-    # each level hands the next the _graded entries of its kept brackets,
-    # formed from the closed form instead of read back by _weight
+    # each level keeps the _entry tuples of its kept brackets, formed from
+    # the closed form without a field instead of read back by _weight
     g = build_chain_algebra(n, 0, k)
-    bracket_span = lie._bracket_span
-    handed = []
-
-    def recording(ideal, right, outer=None):
-        span, entries = bracket_span(ideal, right, outer)
-        handed.append((span, entries))
-        return span, entries
-
-    monkeypatch.setattr(lie, "_bracket_span", recording)
     levels = derived_series(g)
-    assert [span for span, _ in handed] == levels[1:]
-    for span, entries in handed:
-        expected = lie._graded(span.basis)
-        assert [e[0] for e in entries] == [e[0] for e in expected]
-        assert [e[1:3] for e in entries] == [e[1:3] for e in expected]
-        for (*_, h), (*_, hh) in zip(entries, expected):
-            assert h[:2] == hh[:2]
-            assert _gaussian_rationals(h) == _gaussian_rationals(hh)
-    # the same levels when every level reads its weights with _weight
+    for level in levels:
+        carried = lie._graded(level)
+        assert all(X is None for X, *_ in carried)
+        assert [e[1:] for e in carried] == [e[1:] for e in lie._graded(_reread(level))]
+    # the same levels when every level reads its weights from its fields
+    bracket_span = lie._bracket_span
     monkeypatch.setattr(
-        lie, "_bracket_span", lambda ideal, right, outer=None: bracket_span(ideal, None, outer)
+        lie, "_bracket_span", lambda ideal, outer=None: bracket_span(_reread(ideal), outer)
     )
-    assert [lv.basis for lv in derived_series(g)] == [lv.basis for lv in levels]
+    assert [lv.basis for lv in derived_series(_reread(g))] == [lv.basis for lv in levels]
+
+
+def _count_fields(monkeypatch) -> list:
+    """Count the VectorField constructions from here on."""
+    built = []
+    init = VectorField.__init__
+
+    def counting(self, coeffs):
+        built.append(None)
+        init(self, coeffs)
+
+    monkeypatch.setattr(VectorField, "__init__", counting)
+    return built
+
+
+def test_chain_kappa_builds_no_field(monkeypatch):
+    built = _count_fields(monkeypatch)
+    g = build_chain_algebra(3, 0, 9)
+    assert kappa_sequence(g).values == (3, 3, 2, 2, 1, 0)
+    levels = derived_series(g)
+    assert [lv.dimension for lv in levels] == [114, 104, 83, 43, 1, 0]
+    assert not any(lv.is_zero() for lv in levels[:-1]) and levels[-1].is_zero()
+    assert built == []
+    # reading the basis builds each field once
+    assert len(g.basis) == 114 and g.basis is g.basis
+    assert len(built) == 114
+
+
+@pytest.mark.parametrize("case", ["chain-2-12", "chain-3-9", "nilpotent-3", "nilpotent-4"])
+def test_built_fields_match_the_fields_read_back(case):
+    # the fields a span builds from its entries are the ones the series
+    # forms from spans that read their entries back from fields: field for
+    # field and in order
+    kind, *args = case.split("-")
+    if kind == "chain":
+        g = build_chain_algebra(int(args[0]), 0, int(args[1]))
+    else:
+        g = bracket_closure(build_nilpotent_example(int(args[0]))[2])
+    fresh = LieAlgebraSpan(g.dim, g.basis, g.order, closed=True, generators=g.generators)
+    for series in (derived_series, central_series):
+        assert [lv.basis for lv in series(g)] == [lv.basis for lv in series(fresh)]
 
 
 @pytest.mark.parametrize("n, k", [(2, 8), (3, 7)])
@@ -149,6 +177,7 @@ def test_weight_skip_keeps_the_bases(monkeypatch, n, k):
     g = build_chain_algebra(n, 0, k)
     derived, central = derived_series(g), central_series(g)
     monkeypatch.setattr(lie, "_weight", lambda X: None)
+    g = _reread(g)  # the chain's own entries carry their weights
     assert [lv.basis for lv in derived_series(g)] == [lv.basis for lv in derived]
     assert [lv.basis for lv in central_series(g)] == [lv.basis for lv in central]
 
@@ -440,8 +469,6 @@ def test_closed_form_bracket_matches_the_general_bracket(case):
     n = X.dim
     hx, hy = lie._weight(X), lie._weight(Y)
     vec = lie._weight_bracket(hx, hy, n)
-    closed = lie._vector_field(vec, hx[3] * hy[3], n)
-    assert (not vec) == closed.is_zero()
     if order is None:
         expected = X.bracket(Y)
     elif sum(hx[1]) + sum(hy[1]) + 1 <= order:
@@ -450,16 +477,18 @@ def test_closed_form_bracket_matches_the_general_bracket(case):
     else:
         assert X.bracket(Y, order).is_zero()
         return
-    assert closed == expected
+    assert (not vec) == expected.is_zero()
     if vec:
         # the vector the echelon receives spans the bracket's line
         ech = SparseEchelon()
         ech.insert(vec)
         assert ech.contains(expected.sparse())
-        # and the entry handed to the next level is the one _graded reads
+        # the entry a level keeps is the one _entry reads off the bracket,
+        # and the field built from it is the bracket
         degree = sum(hx[1]) + sum(hy[1]) + 1
         entry = lie._bracket_entry(vec, hx[0] + hy[0], degree, hx, hy, n)
-        assert entry == (closed, *lie._graded([closed])[0][1:])
+        assert entry == (None, *lie._entry(expected)[1:])
+        assert lie._field(entry[3], n) == expected
 
 
 def test_graded_series_rejects_negative_exponents_in_jet_mode():
