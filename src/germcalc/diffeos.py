@@ -16,19 +16,21 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 from typing import Sequence
 
-from .fields import VectorField
+from .fields import DerivationCache, VectorField
 from .laurent import (
+    _LAYOUTS,
     LaurentPoly,
     SubstitutionCache,
+    _apply_columns,
+    _combine,
+    _parts,
+    _unit_triangles,
     linear_coefficients,
-    linear_combination,
     validate_order,
 )
 from .matrices import is_unipotent_matrix, mat_inverse
-from .scalars import Scalar
 
 
 class FormalDiffeo:
@@ -99,18 +101,14 @@ class FormalDiffeo:
         return self == FormalDiffeo.identity(self.dim, self.order)
 
     def is_unipotent(self) -> bool:
-        """True iff the linear part minus the identity is nilpotent."""
-        return is_unipotent_matrix(self.linear_part())
+        """True iff the linear part minus the identity is nilpotent.  A
+        unitriangular linear part is read off the components' numerators."""
+        return any(_unit_triangles(self.components, 1)) or is_unipotent_matrix(self.linear_part())
 
     def is_tangent_to_identity(self) -> bool:
-        """True iff the linear part is the identity: component i has the
-        coefficient 1 on x_i and no other degree-1 term."""
-        units = _unit_keys(self.dim)
-        for unit, comp in zip(units, self.components):
-            terms, den = comp.numerators()
-            if terms.get(unit) != (den, 0) or sum(u in terms for u in units) != 1:
-                return False
-        return True
+        """True iff the linear part is the identity, read off the
+        components' numerators."""
+        return all(_unit_triangles(self.components, 1))
 
     # -- group operations ------------------------------------------------------
 
@@ -194,7 +192,7 @@ class FormalDiffeo:
             lin = _linear_components(mat_inverse(g.linear_part()))
             lin_inv = SubstitutionCache(lin, k).image
         image = SubstitutionCache(g.components, k).image
-        terms = [[(1, x)] for x in xs]  # x_i and the E_d of component i
+        terms = [[(1, 0, 1, x)] for x in xs]  # x_i and the E_d of component i
         for d in range(m, k + 1):
             parts = [r.degree_part(d) for r in rest]
             if not any(parts):
@@ -203,10 +201,10 @@ class FormalDiffeo:
                 parts = [lin_inv(p) for p in parts]
             for i, p in enumerate(parts):
                 if p:
-                    terms[i].append((1, p))
+                    terms[i].append((1, 0, 1, p))
                     if d < k:
                         rest[i] = rest[i] - image(p)
-        return FormalDiffeo._trusted(n, k, [linear_combination(n, t) for t in terms])
+        return FormalDiffeo._trusted(n, k, [_combine(n, t) for t in terms])
 
     # -- comparison ------------------------------------------------------------
 
@@ -237,12 +235,6 @@ def _variables(n: int) -> tuple[LaurentPoly, ...]:
     return tuple(LaurentPoly.variable(n, i) for i in range(1, n + 1))
 
 
-@functools.cache
-def _unit_keys(n: int) -> tuple[int, ...]:
-    """The packed keys of x_1, ..., x_n."""
-    return tuple(next(iter(x.numerators()[0])) for x in _variables(n))
-
-
 def _linear_components(matrix) -> list[LaurentPoly]:
     """The components of the linear map x -> matrix x."""
     n = len(matrix)
@@ -259,38 +251,56 @@ def _linear_components(matrix) -> list[LaurentPoly]:
 # -- exponential and logarithm -------------------------------------------------
 
 
+def _krylov(n: int, order: int, column, weights, what: str) -> list[LaurentPoly]:
+    """The components sum_j c_j A^j(x_i) for a nilpotent linear map A of the
+    jets at order, given by the cached image column(key) of each monomial:
+    the Krylov run x_i, A(x_i), ... of each x_i, one ``_apply_columns`` a
+    step, ends at its first zero, within the jet dimension, and
+    ``weights(m)`` lists c_0, ..., c_(m-1) as integers (re, im, den)."""
+    cap = math.comb(n + order, n)  # jet dimension + 1
+    cut = _LAYOUTS[n].cut(order)
+    runs = []
+    for w in _variables(n):
+        run = []
+        for _ in range(cap):
+            run.append(w)
+            w = _apply_columns(n, w, column, cut)
+            if not w:
+                break
+        else:
+            raise ArithmeticError(f"{what} sum failed to terminate")
+        runs.append(run)
+    cs = weights(max(map(len, runs)))
+    return [_combine(n, [(*c, w) for c, w in zip(cs, run)]) for run in runs]
+
+
 def exp_field(X: VectorField, t, order: int) -> FormalDiffeo:
     """The time-t exponential of a nilpotent formal field, truncated at order.
 
     Component i is sum_j t^j/j! X^j(x_i).  Nilpotency of the linear part makes
     the jet action nilpotent, so the sum terminates; for a non-nilpotent field
     the coefficients would be transcendental in t and the whole construction
-    leaves the exact scalar field, hence the hard precondition.
+    leaves the exact scalar field, hence the hard precondition.  Each X^j(x_i)
+    is one accumulation over the cached columns X(x^e) of a
+    ``DerivationCache``, and with t = (a + ib)/q the weight t^j/j! is the
+    integer (a + ib)^j over q^j j!.
     """
     validate_order(order)
     if not X.is_formal():
         raise ValueError("exp is defined for formal fields only")
     if not X.is_nilpotent():
         raise ValueError("exp is only computed for nilpotent fields (finite jet sums)")
-    t = Scalar.of(t)
-    comps = []
-    # nilpotency index of the jet action is bounded by the jet dimension
-    cap = math.comb(X.dim + order, X.dim)  # jet dimension + 1
-    for i in range(1, X.dim + 1):
-        term = LaurentPoly.variable(X.dim, i)
-        series = [(1, term)]
-        tpow = Scalar(1)
-        fact = 1
-        for j in range(1, cap + 1):
-            term = X.apply(term, order)
-            if term.is_zero():
-                break
-            tpow = tpow * t
-            fact *= j
-            series.append((tpow / Scalar.rational(fact), term))
-        else:
-            raise ArithmeticError("exponential sum failed to terminate")
-        comps.append(linear_combination(X.dim, series))
+    a, b, q = _parts(t)
+
+    def weights(m):
+        cs = [(1, 0, 1)]
+        for j in range(1, m):
+            re, im, den = cs[-1]
+            cs.append((re * a - im * b, re * b + im * a, den * q * j))
+        return cs
+
+    column = DerivationCache(X, order).monomial_image
+    comps = _krylov(X.dim, order, column, weights, "exponential")
     # every X^j(x_i) is a polynomial in m truncated at order, and the linear
     # part exp(A) of a nilpotent A is unipotent, hence invertible
     return FormalDiffeo._trusted(X.dim, order, comps)
@@ -302,30 +312,21 @@ def log_diffeo(phi: FormalDiffeo) -> VectorField:
     This is the jet-action logarithm: with M the matrix of g -> g o phi on
     m/m^(order+1), the derivation log(M) is a finite alternating sum because
     M - I is nilpotent, and the field's i-th coefficient is the polynomial
-    log(M)(x_i).  We never materialize M: (M - I)^j applied to x_i is computed
-    by iterating g -> g o phi - g with a shared substitution cache, which is
-    the same columns at a fraction of the cost.
+    log(M)(x_i) = sum_j (-1)^(j+1)/j (M - I)^j(x_i).  We never materialize
+    M: each (M - I)^j(x_i) is one accumulation over the cached columns
+    x^e o phi - x^e of a shared substitution cache.
 
     exp_field(log_diffeo(phi), 1, order) == phi at the stored order.
     """
     if not phi.is_unipotent():
         raise ValueError("log is defined for unipotent diffeomorphisms only")
     n, k = phi.dim, phi.order
-    image = SubstitutionCache(phi.components, k).image
-    cap = math.comb(n + k, n)  # jet dimension + 1
-    coeffs = []
-    for i in range(1, n + 1):
-        w = LaurentPoly.variable(n, i)
-        series = []
-        for j in range(1, cap + 1):
-            w = image(w) - w
-            if w.is_zero():
-                break
-            series.append((Fraction(1 if j % 2 == 1 else -1, j), w))
-        else:
-            raise ArithmeticError("logarithm sum failed to terminate")
-        coeffs.append(linear_combination(n, series))
-    return VectorField(coeffs)
+
+    def weights(m):  # c_0 = 0: the series starts at j = 1
+        return [(0, 0, 1)] + [(1 if j % 2 else -1, 0, j) for j in range(1, m)]
+
+    column = SubstitutionCache(phi.components, k).monomial_difference
+    return VectorField(_krylov(n, k, column, weights, "logarithm"))
 
 
 # -- commutator words ------------------------------------------------------------

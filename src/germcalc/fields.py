@@ -12,7 +12,8 @@ from __future__ import annotations
 from math import lcm
 from typing import Iterable, Sequence
 
-from .laurent import LaurentPoly, linear_coefficients, sum_of_products, validate_order
+from .laurent import _LAYOUTS, LaurentPoly, _combine, _shifted, _unit_triangles
+from .laurent import linear_coefficients, sum_of_products, validate_order
 from .scalars import Scalar
 
 
@@ -75,7 +76,10 @@ class VectorField:
         return linear_coefficients(self.coeffs)
 
     def is_nilpotent(self) -> bool:
-        """Exact test: the linear part A satisfies A^dim == 0."""
+        """Exact test: the linear part A satisfies A^dim == 0.  A strictly
+        triangular A is read off the coefficients' numerators."""
+        if self.is_formal() and any(_unit_triangles(self.coeffs, 0)):
+            return True
         from .matrices import is_nilpotent_matrix
 
         return is_nilpotent_matrix(self.linear_part())
@@ -187,6 +191,32 @@ class VectorField:
         coefficients."""
         n = self.dim
         return {key * n + i for i, c in enumerate(self.coeffs) for key in c.numerators()[0]}
+
+
+class DerivationCache:
+    """Memoized images X(x^e) at a jet order of monomials under a formal
+    field X (``is_formal``): the columns of its jet action, as
+    ``SubstitutionCache`` holds those of a diffeomorphism."""
+
+    def __init__(self, X: VectorField, order: int):
+        self.dim = X.dim
+        self._layout = _LAYOUTS[X.dim]
+        self._cut = self._layout.cut(validate_order(order))
+        self._coeffs = [(j, a) for j, a in enumerate(X.coeffs) if a]
+        self._images: dict[int, LaurentPoly] = {}
+
+    def monomial_image(self, key: int) -> LaurentPoly:
+        """X(x^e) = sum_j e_j x^(e - e_j) a_j truncated at order, for the
+        monomial x^e with packed key ``key``."""
+        image = self._images.get(key)
+        if image is None:
+            n, layout, cut = self.dim, self._layout, self._cut
+            exps = layout.unpack(key)
+            image = self._images[key] = _combine(n, [
+                (exps[j], 0, 1, _shifted(n, a._t, a._d, key + layout.lower[j], 1, 0, cut))
+                for j, a in self._coeffs if exps[j]
+            ])
+        return image
 
 
 def is_first_integral(g: LaurentPoly, fields: Iterable[VectorField]) -> bool:

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from math import comb
 
-from .fields import BudgetExceededError
-from .laurent import ExponentVector, LaurentPoly, SubstitutionCache, _monomials, validate_order
+from .fields import BudgetExceededError, DerivationCache
+from .laurent import _LAYOUTS, ExponentVector, LaurentPoly, SubstitutionCache, _monomials
+from .laurent import validate_order
 from .matrices import Matrix
 from .scalars import Scalar
 
@@ -85,10 +86,11 @@ def poly_to_coords(g: LaurentPoly, basis, index: dict | None = None) -> list[Sca
     return coords
 
 
-def _action_matrix(dim: int, order: int, image) -> JetMatrix:
-    """The jet matrix whose column j holds the coordinates of
-    image(basis monomial j).  Raises BudgetExceededError, before building
-    the basis, when the jet dimension exceeds JET_MATRIX_BUDGET."""
+def _action_matrix(dim: int, order: int, column) -> JetMatrix:
+    """The jet matrix whose column j holds the coordinates of column(key),
+    the cached image of basis monomial j with packed key ``key``.  Raises
+    BudgetExceededError, before building the basis, when the jet dimension
+    exceeds JET_MATRIX_BUDGET."""
     size = comb(dim + validate_order(order), dim) - 1
     if size > JET_MATRIX_BUDGET:
         raise BudgetExceededError(
@@ -97,10 +99,8 @@ def _action_matrix(dim: int, order: int, image) -> JetMatrix:
         )
     basis = jet_basis(dim, order)
     index = {e: i for i, e in enumerate(basis)}
-    cols = [
-        poly_to_coords(image(LaurentPoly(dim, {exps: Scalar(1)})), basis, index)
-        for exps in basis
-    ]
+    pack = _LAYOUTS[dim].pack
+    cols = [poly_to_coords(column(pack(exps)), basis, index) for exps in basis]
     matrix = [list(row) for row in zip(*cols)]
     return JetMatrix(dim, order, matrix, basis)
 
@@ -112,7 +112,8 @@ def to_jet_matrix(phi) -> JetMatrix:
     convention the action is contravariant: the matrix of phi o psi equals
     matrix(psi) . matrix(phi).
     """
-    return _action_matrix(phi.dim, phi.order, SubstitutionCache(phi.components, phi.order).image)
+    cache = SubstitutionCache(phi.components, phi.order)
+    return _action_matrix(phi.dim, phi.order, cache.monomial_image)
 
 
 def field_to_jet_matrix(X, order: int) -> JetMatrix:
@@ -124,4 +125,4 @@ def field_to_jet_matrix(X, order: int) -> JetMatrix:
     """
     if not X.is_formal():
         raise ValueError("jet action is defined for formal fields only")
-    return _action_matrix(X.dim, order, lambda g: X.apply(g, order))
+    return _action_matrix(X.dim, order, DerivationCache(X, order).monomial_image)

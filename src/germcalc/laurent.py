@@ -277,6 +277,30 @@ def _combine(dim: int, items) -> "LaurentPoly":
     return _finish(dim, re, im, den)
 
 
+def _apply_columns(dim: int, g: "LaurentPoly", column, cut: int) -> "LaurentPoly":
+    """sum c * column(k) over the terms c x^k of g with k below cut, in one
+    ``_combine``: a linear map applied to g through the cached image
+    column(k) of each monomial."""
+    d = g._d
+    return _combine(dim, [(r, i, d, column(k)) for k, (r, i) in g._t.items() if k < cut])
+
+
+def _unit_triangles(polys: Sequence["LaurentPoly"], diagonal: int) -> tuple[bool, bool]:
+    """Whether A - diagonal*I is (strictly upper, strictly lower)
+    triangular, for A the matrix of ``linear_coefficients(polys)`` and
+    diagonal 0 or 1, read off the numerators at the keys of x_1, ..., x_n."""
+    layout = _LAYOUTS[polys[0].dim]
+    units = [layout.zero - step for step in layout.lower]
+    upper = lower = True
+    for i, p in enumerate(polys):
+        t = p._t
+        if t.get(units[i]) != ((p._d, 0) if diagonal else None):
+            return False, False
+        upper = upper and not any(u in t for u in units[:i])
+        lower = lower and not any(u in t for u in units[i + 1:])
+    return upper, lower
+
+
 class LaurentPoly:
     """A sparse Laurent polynomial in ``dim`` variables."""
 
@@ -682,23 +706,11 @@ def evaluate_parts(p: LaurentPoly, point: Sequence[int]) -> tuple[int, int, int]
     return re, im, den
 
 
-def linear_combination(dim: int, pairs: Iterable[tuple[object, LaurentPoly]]) -> LaurentPoly:
-    """sum c*p over the (scalar c, polynomial p) pairs, accumulated in one dict."""
-    items = []
-    for c, p in pairs:
-        if p.dim != dim:
-            raise ValueError(f"dimension mismatch: {p.dim} vs {dim}")
-        items.append((*_parts(c), p))
-    return _combine(dim, items)
-
-
 def linear_coefficients(polys: Sequence[LaurentPoly]) -> list[list[Scalar]]:
     """The matrix A with A[i][j] = coefficient of x_(j+1) in polys[i]: the
     linear part of a field's coefficients or of a map's components."""
-    dim = polys[0].dim
-    layout = _LAYOUTS[dim]
-    units = [layout.pack(tuple(int(i == j) for i in range(dim))) for j in range(dim)]
-    return [[p._scalar_at(k) for k in units] for p in polys]
+    layout = _LAYOUTS[polys[0].dim]
+    return [[p._scalar_at(layout.zero - step) for step in layout.lower] for p in polys]
 
 
 def substitute(g: LaurentPoly, phi: Sequence[LaurentPoly], order: int) -> LaurentPoly:
@@ -750,13 +762,20 @@ class SubstitutionCache:
         # powers[i][a] = phi_i ** a truncated at order
         self._powers: list[dict[int, LaurentPoly]] = [{0: one, 1: comp} for comp in phi]
         self._images: dict[int, LaurentPoly] = {}
+        self._differences: dict[int, LaurentPoly] = {}
 
     def image(self, g: LaurentPoly) -> LaurentPoly:
         """g o phi truncated at order, for a polynomial g in len(phi)
         variables; ``substitute`` with its checks left out."""
-        d, cut, image = g._d, self._cut, self.monomial_image
-        items = [(r, i, d, image(k)) for k, (r, i) in g._t.items() if k < cut]
-        return _combine(self.out_dim, items)
+        return _apply_columns(self.out_dim, g, self.monomial_image, self._cut)
+
+    def monomial_difference(self, key: int) -> LaurentPoly:
+        """``monomial_image(key)`` - x^e, for phi of len(phi) variables to as many."""
+        diff = self._differences.get(key)
+        if diff is None:
+            x = _make(self.out_dim, {key: (1, 0)}, 1)
+            diff = self._differences[key] = self.monomial_image(key)._add(x, -1)
+        return diff
 
     def component_power(self, i: int, a: int) -> LaurentPoly:
         powers = self._powers[i]

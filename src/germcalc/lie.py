@@ -354,6 +354,17 @@ def _field(h: tuple, n: int) -> VectorField:
     return VectorField(coeffs)
 
 
+def _term_keys(entry: tuple, n: int):
+    """The keys of ``VectorField.support`` of an entry's field in n
+    variables; for an entry with a weight they are read off it, so the
+    field need not exist."""
+    X, w, _, h = entry
+    if h is None:
+        return X.support()
+    layout = _LAYOUTS[n]
+    return [(w + layout.zero - layout.lower[k]) * n + k for k, _, _ in h[2]]
+
+
 def _weight_bracket(hx: tuple, hy: tuple, n: int) -> dict[int, tuple[int, int]]:
     """[X, Y] in closed form, from the ``_weight`` tuples of two fields in
     n variables: the sparse vector {packed key * n + k: (re, im)} of its

@@ -23,6 +23,7 @@ from .fields import VectorField, is_first_integral, nilpotency_degree_a
 from .laurent import LaurentPoly
 from .lie import (
     LieAlgebraSpan,
+    _term_keys,
     bracket_closure,
     central_series,
     derived_series,
@@ -289,12 +290,18 @@ def _chain_prefixes(g0: LieAlgebraSpan, spans) -> list[int]:
     such fields holds a field exactly when each of its terms is one of
     them: G_j, the first ``chain_space_size(n, j, order)`` fields of G_0,
     holds a span exactly when that size is at least its count here.  A term
-    outside G_0 counts past its end.  No echelon is built."""
-    positions = {key: i for i, X in enumerate(g0.basis) for key in X.support()}
+    outside G_0 counts past its end.  No echelon is built, and the terms
+    are read off the spans' entries, so no field is built."""
+    n = g0.dim
+
+    def keys(span):
+        return (key for entry in span._own_entries() for key in _term_keys(entry, n))
+
+    entries = g0._own_entries()
+    positions = {key: i for i, entry in enumerate(entries) for key in _term_keys(entry, n)}
     outside = len(positions)
     return [
-        1 + max((positions.get(key, outside) for X in span.basis for key in X.support()), default=-1)
-        for span in spans
+        1 + max((positions.get(key, outside) for key in keys(span)), default=-1) for span in spans
     ]
 
 

@@ -330,3 +330,40 @@ def test_verify_all_end_to_end(capsys):
     code, out, _ = run(capsys, "verify", "all", "--format", "json", "--seed", "18")
     assert code == EXIT_VERIFY_FAILED
     assert out == reference.with_name("seed-18.json").read_text()
+
+
+def test_jet_matrix_matches_the_committed_output(capsys):
+    # the columns are read by packed key from the derivation and
+    # substitution caches; the output is the one built from X.apply and
+    # SubstitutionCache.image of each basis monomial
+    out = ""
+    for source in (
+        ["--field", "x2 d1 + x3 d2 + 1/2*i*x1*x3 d1 - x2^2 d3 + x1^3 d2 + x1 d1"],
+        ["--diffeo", "(x1 + 2*x2^2 - x1*x3, x2 + 1/3*x1^2 + i*x3^2, -x3 + x1*x2 + x2^3)"],
+    ):
+        code, text, _ = run(capsys, "jet-matrix", "--dim", "3", "--order", "3", *source)
+        assert code == EXIT_OK
+        out += text
+    assert out == (Path(__file__).parent / "data" / "jet_matrix_n3_k3.txt").read_text()
+
+
+EXP_FIELD = "x2 d1 + x3 d2 + x1*x3 d1 - 2*x2^2 d3 + 1/2*x1^3 d2 + i*x3^2 d1"
+
+
+def test_exp_then_log_match_the_committed_output(capsys):
+    data = Path(__file__).parent / "data"
+    common = ["--dim", "3", "--order", "6"]
+    code, exp_out, _ = run(capsys, "exp", *common, "--time", "1/2+i", EXP_FIELD)
+    assert code == EXIT_OK and exp_out == (data / "exp_n3_k6.txt").read_text()
+    code, log_out, _ = run(capsys, "log", *common, exp_out.removeprefix("result: ").strip())
+    assert code == EXIT_OK and log_out == (data / "log_n3_k6.txt").read_text()
+    # the log is t X
+    from fractions import Fraction
+
+    from germcalc.fields import VectorField
+    from germcalc.parsing import parse_field
+    from germcalc.scalars import Scalar
+
+    t = Scalar(Fraction(1, 2), 1)
+    tX = VectorField([c * t for c in parse_field(EXP_FIELD, 3).coeffs])
+    assert parse_field(log_out.removeprefix("result: ").strip(), 3) == tX

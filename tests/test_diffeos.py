@@ -20,8 +20,8 @@ from germcalc.diffeos import (
     word_depth,
 )
 from germcalc.fields import VectorField
-from germcalc.laurent import LaurentPoly
-from germcalc.matrices import mat_inverse
+from germcalc.laurent import LaurentPoly, substitute
+from germcalc.matrices import identity, is_nilpotent_matrix, is_unipotent_matrix, mat_inverse
 from germcalc.scalars import I, Scalar
 
 
@@ -765,3 +765,134 @@ def test_log_diffeo_against_sympy_flow(rng):
             assert _flow(_ring_element(f, R), QQ_I.one, order) == _ring_element(
                 phi.components[0], R
             )
+
+
+# -- independent oracles for the Krylov kernel of exp and log -----------------------
+
+
+def _exp_by_apply(X, t, order):
+    """exp(tX) from repeated public ``VectorField.apply(w, order)`` and
+    Scalar weights t^j/j!."""
+    comps = []
+    for w in (LaurentPoly.variable(X.dim, i) for i in range(1, X.dim + 1)):
+        total, weight = w, Scalar(1)
+        for j in range(1, 200):
+            w = X.apply(w, order)
+            if w.is_zero():
+                break
+            weight = weight * t / j
+            total = total + w * weight
+        else:
+            raise AssertionError("the reference sum did not terminate")
+        comps.append(total)
+    return FormalDiffeo(comps, order)
+
+
+def _log_by_substitute(phi):
+    """log(phi) from repeated ``substitute(w, phi) - w`` and Fraction
+    weights (-1)^(j+1)/j."""
+    coeffs = []
+    for w in (LaurentPoly.variable(phi.dim, i) for i in range(1, phi.dim + 1)):
+        total = LaurentPoly.zero(phi.dim)
+        for j in range(1, 200):
+            w = substitute(w, phi.components, phi.order) - w
+            if w.is_zero():
+                break
+            total = total + w * Fraction((-1) ** (j + 1), j)
+        else:
+            raise AssertionError("the reference sum did not terminate")
+        coeffs.append(total)
+    return VectorField(coeffs)
+
+
+# linear parts that are neither upper nor lower triangular, all nilpotent
+# but the permutation
+_NON_TRIANGULAR = (
+    [[1, 1], [-1, -1]],
+    [[2, -4], [1, -2]],
+    [[1, 1, 0], [-1, -1, 1], [0, 0, 0]],
+    [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
+    [[1, 0, 1], [0, 0, 0], [-1, 0, -1]],
+)
+
+
+def _with_linear_part(rng, matrix, higher):
+    """The polynomials sum_j matrix[i][j] x_j plus random terms of degree >= 2."""
+    n = len(matrix)
+    polys = []
+    for row in matrix:
+        terms = {tuple(int(i == j) for i in range(n)): Scalar(c) for j, c in enumerate(row) if c}
+        for _ in range(higher):
+            e = [0] * n
+            for _ in range(rng.randint(2, 4)):
+                e[rng.randrange(n)] += 1
+            terms[tuple(e)] = terms.get(tuple(e), Scalar(0)) + random_scalar(rng)
+        polys.append(LaurentPoly(n, terms))
+    return polys
+
+
+def _random_linear_part(rng, n):
+    """A random integer matrix: triangular (strictly, unitriangular or
+    with a random diagonal) in either direction, or unconstrained."""
+    kind = rng.choice(["upper", "lower", "any"])
+    diag = rng.choice([0, 1, None])
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            if i == j and diag is not None:
+                row.append(diag)
+            elif (kind == "upper" and j < i) or (kind == "lower" and j > i):
+                row.append(0)
+            else:
+                row.append(rng.choice([0, 0, 1, -1, 2]))
+        rows.append(row)
+    return rows
+
+
+def test_exp_field_matches_repeated_apply(rng):
+    for t in (Scalar(1), Scalar(Fraction(-3, 2)), Scalar(Fraction(1, 2), 1), Scalar(0, -2)):
+        for n in (1, 2, 3):
+            for k in (2, 4, 6):
+                X = random_nilpotent_field(rng, n, min(k, 4))
+                assert exp_field(X, t, k) == _exp_by_apply(X, t, k)
+    for matrix in _NON_TRIANGULAR:
+        X = VectorField(_with_linear_part(rng, matrix, 2))
+        if X.is_nilpotent():
+            t = Scalar(Fraction(1, 3), 1)
+            assert exp_field(X, t, 5) == _exp_by_apply(X, t, 5)
+
+
+def test_log_diffeo_matches_repeated_substitute(rng):
+    for n in (1, 2, 3):
+        for k in (2, 4, 6):
+            phi = random_unipotent_diffeo(rng, n, k)
+            assert log_diffeo(phi) == _log_by_substitute(phi)
+    for matrix in _NON_TRIANGULAR:
+        unipotent = [[c + (i == j) for j, c in enumerate(row)] for i, row in enumerate(matrix)]
+        phi = FormalDiffeo(_with_linear_part(rng, unipotent, 2), 5)
+        if phi.is_unipotent():
+            X = log_diffeo(phi)
+            assert X == _log_by_substitute(phi)
+            assert exp_field(X, 1, 5) == phi
+
+
+def test_predicates_match_the_matrix_tests(rng):
+    cases = [_random_linear_part(rng, rng.choice([1, 2, 3])) for _ in range(300)]
+    cases += [list(map(list, m)) for m in _NON_TRIANGULAR]
+    cases += [[[1, 1], [1, 1]], [[0, 1], [1, 0]], [[1, 0], [3, 1]], [[1, 2], [0, 1]]]
+    seen = set()
+    for matrix in cases:
+        A = [[Scalar(c) for c in row] for row in matrix]
+        X = VectorField(_with_linear_part(rng, matrix, 1))
+        assert X.is_nilpotent() == is_nilpotent_matrix(A), matrix
+        seen.add(("nilpotent", X.is_nilpotent()))
+        try:
+            phi = FormalDiffeo(_with_linear_part(rng, matrix, 1), 4)
+        except ValueError:  # singular linear part
+            continue
+        assert phi.is_unipotent() == is_unipotent_matrix(A), matrix
+        assert phi.is_tangent_to_identity() == (A == identity(len(A))), matrix
+        seen.add(("unipotent", phi.is_unipotent()))
+    # both answers of both predicates occur
+    assert len(seen) == 4

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from germcalc.diffeos import exp_field, log_diffeo
 from germcalc.laurent import LaurentPoly, substitute
 from germcalc.fields import VectorField
 from germcalc.scalars import Scalar
@@ -107,3 +108,53 @@ def test_leibniz_rule(X, g, h):
 def test_commuting_fields_commute_as_operators(X, Y, g):
     if X.bracket(Y).is_zero():
         assert X.apply(Y.apply(g)) == Y.apply(X.apply(g))
+
+
+@st.composite
+def nilpotent_field_pairs(draw):
+    """(order, X, Y): two nilpotent formal fields in 1 to 3 variables, each
+    with a strictly upper or strictly lower triangular linear part and a
+    few terms of degree 2 to order."""
+    n = draw(st.integers(1, 3))
+    order = draw(st.integers(2, 5))
+    higher = st.tuples(*[st.integers(0, 3)] * n).filter(lambda e: 2 <= sum(e) <= order)
+
+    def field():
+        upper = draw(st.booleans())
+        components = []
+        for i in range(n):
+            terms = {}
+            for j in range(i + 1, n) if upper else range(i):
+                terms[tuple(int(m == j) for m in range(n))] = draw(coeffs_or_zero)
+            for e in draw(st.lists(higher, max_size=2)):
+                terms[e] = draw(coeffs)
+            components.append(LaurentPoly(n, terms))
+        return VectorField(components)
+
+    return order, field(), field()
+
+
+coeffs_or_zero = st.sampled_from([Scalar(0), Scalar(1), Scalar(-2), Scalar(Fraction(1, 3), 1)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(nilpotent_field_pairs())
+def test_log_of_a_conjugate_is_the_adjoint_series(case):
+    # log(exp X o exp Y o exp(-X)) = e^(-ad X) Y = sum_m (-1)^m ad_X^m Y / m!,
+    # with ad_X Z = [X, Z]: g -> g o phi is contravariant, so the jet action
+    # of the conjugate is e^(-X) e^Y e^X
+    order, X, Y = case
+    conjugate = exp_field(X, 1, order).compose(exp_field(Y, 1, order)).compose(
+        exp_field(X, -1, order)
+    )
+    total = list(Y.truncate(order).coeffs)
+    Z, weight = Y.truncate(order), Fraction(1)
+    for m in range(1, 200):
+        Z = X.bracket(Z, order)
+        if Z.is_zero():
+            break
+        weight /= -m
+        total = [a + b * weight for a, b in zip(total, Z.coeffs)]
+    else:
+        raise AssertionError("ad_X is not nilpotent on the jets")
+    assert log_diffeo(conjugate) == VectorField(total)

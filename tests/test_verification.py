@@ -320,3 +320,31 @@ def test_one_variable_group_depth_two_trivial():
         inner1 = a.commutator(b)
         inner2 = b.commutator(a.compose(b))
         assert inner1.commutator(inner2) == ident
+
+
+def test_chain_prefixes_build_no_vector_field(monkeypatch):
+    # the chain's spans keep closed-form entries, and the prefix count reads
+    # the term keys off them
+    from germcalc import fields
+    from germcalc.families import build_chain_algebra
+
+    g0 = build_chain_algebra(3, 0, 12)
+    levels = derived_series(g0)
+    built = []
+    init = fields.VectorField.__init__
+
+    def counting(self, coeffs):
+        built.append(None)
+        init(self, coeffs)
+
+    monkeypatch.setattr(fields.VectorField, "__init__", counting)
+    prefixes = verification._chain_prefixes(g0, levels)
+    assert built == []
+    monkeypatch.undo()
+    # the count from the materialized fields' supports
+    positions = {key: i for i, X in enumerate(g0.basis) for key in X.support()}
+    assert prefixes == [
+        1 + max((positions.get(key, len(positions)) for X in s.basis for key in X.support()),
+                default=-1)
+        for s in levels
+    ]
