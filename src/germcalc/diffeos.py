@@ -28,6 +28,7 @@ from .laurent import (
     _parts,
     _unit_triangles,
     linear_coefficients,
+    sum_of_products,
     validate_order,
 )
 from .matrices import is_unipotent_matrix, mat_inverse
@@ -148,15 +149,11 @@ class FormalDiffeo:
             t = min(k, 2 * d - 2)
             image = SubstitutionCache(psi, t).image
             err = [image(comp) - x for comp, x in zip(self.components, xs)]
-            if any(err):
-                new_psi = []
-                for p in psi:
-                    step = p
-                    for j, e in enumerate(err, start=1):
-                        if e:
-                            step = step - p.partial_derivative(j).mul_truncated(e, t)
-                    new_psi.append(step)
-                psi = new_psi
+            err = [(j, e) for j, e in enumerate(err, start=1) if e]
+            if err:
+                # psi - Dpsi . e, one sum of products per component
+                psi = [p - sum_of_products(n, [(p.partial_derivative(j), e) for j, e in err], t)
+                       for p in psi]
             d = t + 1
         return FormalDiffeo._trusted(n, k, psi)
 

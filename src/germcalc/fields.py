@@ -186,12 +186,6 @@ class VectorField:
                     out[key * n + i] = (re * scale, im * scale)
         return out
 
-    def support(self) -> set[int]:
-        """The keys of ``sparse()``: the field's terms, without their
-        coefficients."""
-        n = self.dim
-        return {key * n + i for i, c in enumerate(self.coeffs) for key in c.numerators()[0]}
-
 
 class DerivationCache:
     """Memoized images X(x^e) at a jet order of monomials under a formal

@@ -44,11 +44,12 @@ class LieAlgebraSpan:
     results, series terms, the chain family); it does not take part in
     equality, and neither does ``generators``: the number of leading basis
     fields known to generate the algebra (set by ``bracket_closure``), or
-    None.  ``_echelon`` and ``_entries`` (the ``_entry`` of each basis
-    field, in basis order) are kept by the constructors that built them and
-    otherwise built on first use.  A constructor that formed the entries in
-    closed form passes the basis as None; its fields are built from the
-    entries on the first read of ``basis``.  A span is immutable.
+    None.  A span stores one form of its members, ``_entries``: the
+    ``_entry`` of each basis field, in basis order, formed from the fields
+    unless a constructor that formed them in closed form passes them with
+    the basis None.  ``basis`` is only a cache of fields built from the
+    entries on its first read.  ``_echelon`` is kept by the constructors
+    that built it and otherwise built on first use.  A span is immutable.
     """
 
     __slots__ = ("dim", "_basis", "order", "closed", "generators", "_echelon", "_entries")
@@ -64,6 +65,8 @@ class LieAlgebraSpan:
         _echelon: SparseEchelon | None = None,
         _entries: list[tuple] | None = None,
     ):
+        if _entries is None:
+            _entries = [_entry(X) for X in basis]
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_basis", basis)
         object.__setattr__(self, "order", order)
@@ -79,7 +82,8 @@ class LieAlgebraSpan:
         raise AttributeError("LieAlgebraSpan is immutable")
 
     def _key(self) -> tuple:
-        return (self.dim, self.basis, self.order)
+        # a weight tuple fixes its field, so no field is built
+        return (self.dim, tuple(X if h is None else h for X, _, _, h in self._entries), self.order)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -106,26 +110,18 @@ class LieAlgebraSpan:
 
     @property
     def dimension(self) -> int:
-        return len(self._entries if self._basis is None else self._basis)
+        return len(self._entries)
 
     def is_zero(self) -> bool:
-        return not self.dimension
-
-    def _own_entries(self) -> list[tuple]:
-        """The ``_entry`` of each basis field, in basis order, built once."""
-        entries = self._entries
-        if entries is None:
-            entries = [_entry(X) for X in self._basis]
-            object.__setattr__(self, "_entries", entries)
-        return entries
+        return not self._entries
 
     def _own_echelon(self) -> SparseEchelon:
         """The span's own echelon, built once; never inserted into."""
         ech = self._echelon
         if ech is None:
             ech = SparseEchelon()
-            for X in self.basis:
-                ech.insert(X.sparse())
+            for entry in self._entries:
+                ech.insert(_vector(entry, self.dim))
             object.__setattr__(self, "_echelon", ech)
         return ech
 
@@ -139,8 +135,14 @@ class LieAlgebraSpan:
         return self._own_echelon().contains(X.sparse())
 
     def contains_span(self, other: "LieAlgebraSpan") -> bool:
+        """Whether every basis field of other passes ``contains_field``, read
+        off other's entries when that would not truncate them."""
+        if other.dim != self.dim:
+            raise ValueError(f"dimension mismatch: {other.dim} vs {self.dim}")
+        if self.order is not None and other.order != self.order:
+            return all(self.contains_field(X) for X in other.basis)
         ech = self._own_echelon()
-        return all(ech.contains(X.sparse()) for X in other.basis)
+        return all(ech.contains(_vector(entry, other.dim)) for entry in other._entries)
 
     def _prepare(self, X: VectorField) -> VectorField:
         if X.dim != self.dim:
@@ -204,7 +206,7 @@ def bracket_closure(
             if X.abs_degree() > budget:
                 raise BudgetExceededError(f"field degree {X.abs_degree()} exceeds budget {budget}")
     ech = span.echelon()
-    S = span._own_entries()
+    S = span._entries
     entries = list(S)
     frontier = None  # the first round pairs S with itself
     while frontier := _brackets(span, S, frontier, ech, None, budget):
@@ -266,16 +268,15 @@ def _require_algebra(g: LieAlgebraSpan) -> None:
 # echelon's vector, and the entry of a kept bracket comes from the closed
 # form too, without a field.  A term keeps these entries and builds its
 # basis fields from them only when something reads ``basis``, so ``_weight``
-# reads only the fields of the first level and the chain's kappa builds no
-# field.  Otherwise the loop calls ``VectorField.bracket``; it never meets an
-# entry without a field, since only spans whose entries all have a weight
-# hold one, and their series stay graded.  Every
-# bracket of a closed span lies in its span, hence its terms are terms of
-# basis fields of the same weight: no series term exceeds its algebra's
-# degree, and no key leaves the packed range.  ``bracket_closure`` and the
-# closedness check have no such bound, so they check the range, and an
-# exact closure checks its degree budget.  In jet mode the degree break
-# leaves nothing to truncate.
+# reads only the fields a span is built from, and the chain's verdict builds
+# no field.  Otherwise the loop calls ``VectorField.bracket``; it never meets
+# an entry without a field, since only spans whose entries all have a weight
+# hold one, and their series stay graded.  Every bracket of a closed span
+# lies in its span, hence its terms are terms of basis fields of the same
+# weight: no series term exceeds its algebra's degree, and no key leaves the
+# packed range.  ``bracket_closure`` and the closedness check have no such
+# bound, so they check the range, and an exact closure checks its degree
+# budget.  In jet mode the degree break leaves nothing to truncate.
 
 
 def _weight(X: VectorField):
@@ -340,7 +341,7 @@ def _graded(span: LieAlgebraSpan, count: int | None = None) -> list[tuple]:
     (x_n d_n rescales every monomial field), so weight spaces fill early and
     the later, mostly commuting pairs are skipped.
     """
-    return sorted(span._own_entries()[:count], key=lambda entry: entry[2])
+    return sorted(span._entries[:count], key=lambda entry: entry[2])
 
 
 def _field(h: tuple, n: int) -> VectorField:
@@ -354,15 +355,15 @@ def _field(h: tuple, n: int) -> VectorField:
     return VectorField(coeffs)
 
 
-def _term_keys(entry: tuple, n: int):
-    """The keys of ``VectorField.support`` of an entry's field in n
-    variables; for an entry with a weight they are read off it, so the
-    field need not exist."""
+def _vector(entry: tuple, n: int) -> dict[int, tuple[int, int]]:
+    """``VectorField.sparse`` of an entry's field in n variables; for an
+    entry with a weight it is read off the weight, so the field need not
+    exist."""
     X, w, _, h = entry
     if h is None:
-        return X.support()
+        return X.sparse()
     layout = _LAYOUTS[n]
-    return [(w + layout.zero - layout.lower[k]) * n + k for k, _, _ in h[2]]
+    return {(w + layout.zero - layout.lower[k]) * n + k: (re, im) for k, re, im in h[2]}
 
 
 def _weight_bracket(hx: tuple, hy: tuple, n: int) -> dict[int, tuple[int, int]]:
@@ -507,7 +508,7 @@ def _series(g: LieAlgebraSpan, first: list | None, outer: list | None) -> list[L
     # the closed form checks no factor as VectorField.bracket does, so a
     # graded jet span is checked once here: brackets of polynomial fields
     # stay polynomial, and entries without a field are polynomial already
-    entries = g._own_entries()
+    entries = g._entries
     if g.order is not None and all(h for *_, h in entries) and not all(
             c.is_polynomial() for X, *_ in entries if X is not None for c in X.coeffs if c):
         raise ValueError("truncation is undefined for terms with negative exponents")
@@ -727,7 +728,7 @@ def generic_rank(fields_or_span) -> int:
     ring decides.
     """
     if isinstance(fields_or_span, LieAlgebraSpan):
-        weights = [h for *_, h in fields_or_span._own_entries()]
+        weights = [h for *_, h in fields_or_span._entries]
         if None not in weights:
             return _constant_rank(weights)
         fields = list(fields_or_span.basis)

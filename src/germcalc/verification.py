@@ -20,10 +20,10 @@ from importlib import resources
 
 from .diffeos import FormalDiffeo, evaluate_word, word_depth
 from .fields import VectorField, is_first_integral, nilpotency_degree_a
-from .laurent import LaurentPoly
+from .laurent import _LAYOUTS, LaurentPoly
 from .lie import (
     LieAlgebraSpan,
-    _term_keys,
+    _vector,
     bracket_closure,
     central_series,
     derived_series,
@@ -230,7 +230,10 @@ def verify_solvable_family(n: int, jet_order: int | None = None) -> Verification
     bound the true ones from below.  Derived term j lies in G_j, of generic
     rank n - floor(j/2), and G_2n = 0: the paper's upper bounds.  A jet
     value below its bound is unstable (the order is too low); the claim
-    fails only on what truncation cannot cause.
+    fails only on what truncation cannot cause.  Both containments read
+    packed term keys off the spans' entries (the scaled copy of x^a d_i is
+    the term whose key is shifted by that of x_n^c), so the verdict builds
+    no vector field.
     """
     if n < 1:
         raise ValueError("the solvable chain needs dimension >= 1")
@@ -257,22 +260,23 @@ def verify_solvable_family(n: int, jet_order: int | None = None) -> Verification
     sizes = [chain_space_size(n, j, jet_order) for j in range(min(2 * n, len(levels) - 1) + 1)]
     for j, (size, needed) in enumerate(zip(sizes, _chain_prefixes(g0, levels[:len(sizes)]))):
         claim.check(needed <= size, f"derived term {j} leaves the chain space {j}")
-    # monomial-scaled copies downstairs
-    xn = LaurentPoly.monomial(n, {n: 1})
+    # monomial-scaled copies downstairs, dropping terms past the jet order
+    layout = _LAYOUTS[n]
+    cut = layout.cut(jet_order) * n
     for j in range(2, len(sizes)):
         c = chain_exponent(j)
         if c >= jet_order:
             continue
-        mono = xn ** c
+        shift = (layout.pack((0,) * (n - 1) + (c,)) - layout.zero) * n
+        ech = levels[j]._own_echelon()
         checked = 0
-        for X in g0.basis[:sizes[j]]:
-            scaled = VectorField([co.mul_truncated(mono, jet_order) for co in X.coeffs])
-            if scaled.is_zero():
+        for entry in g0._entries[:sizes[j]]:
+            copy = {key + shift: v for key, v in _vector(entry, n).items() if key + shift < cut}
+            if not copy:
                 continue
             checked += 1
             claim.check(
-                levels[j].contains_field(scaled),
-                f"x{n}^{c} copy of chain space {j} escapes derived term {j}",
+                ech.contains(copy), f"x{n}^{c} copy of chain space {j} escapes derived term {j}"
             )
         claim.notes.append(f"scaled-copy check at depth {j}: {checked} generators")
     if missed and not claim.failures:
@@ -293,16 +297,10 @@ def _chain_prefixes(g0: LieAlgebraSpan, spans) -> list[int]:
     outside G_0 counts past its end.  No echelon is built, and the terms
     are read off the spans' entries, so no field is built."""
     n = g0.dim
-
-    def keys(span):
-        return (key for entry in span._own_entries() for key in _term_keys(entry, n))
-
-    entries = g0._own_entries()
-    positions = {key: i for i, entry in enumerate(entries) for key in _term_keys(entry, n)}
+    positions = {key: i for i, entry in enumerate(g0._entries) for key in _vector(entry, n)}
     outside = len(positions)
-    return [
-        1 + max((positions.get(key, outside) for key in keys(span)), default=-1) for span in spans
-    ]
+    return [1 + max((positions.get(key, outside) for entry in span._entries
+                     for key in _vector(entry, n)), default=-1) for span in spans]
 
 
 # -- the nilpotent family -----------------------------------------------------------

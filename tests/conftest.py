@@ -155,6 +155,22 @@ def good_monomials(gens, max_depth: int) -> list[VectorField]:
     return out
 
 
+def fields_built(monkeypatch, call):
+    """(call(), the number of ``VectorField``s it built)."""
+    built = []
+    init = VectorField.__init__
+
+    def counting(self, coeffs):
+        built.append(None)
+        init(self, coeffs)
+
+    monkeypatch.setattr(VectorField, "__init__", counting)
+    try:
+        return call(), len(built)
+    finally:
+        monkeypatch.undo()
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)

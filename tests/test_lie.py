@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import good_monomials, random_field, random_poly, random_scalar
+from conftest import fields_built, good_monomials, random_field, random_poly, random_scalar
 
 from germcalc import lie
 from germcalc.fields import BudgetExceededError, VectorField
@@ -835,6 +835,70 @@ def test_closed_spans_are_marked():
         del g.generators
     assert g.closed and g.generators == 2
     assert pickle.loads(pickle.dumps(ks)) == ks and hash(ks) == hash(kappa_sequence(bare))
+
+
+def _spans_with_entries():
+    """Spans that hold entries without fields: the chain family and its
+    derived terms, an exact closure and its series, and a jet closure of
+    weight-homogeneous fields with Gaussian and fractional coefficients;
+    and, for comparison, a closure of fields without a weight."""
+    chain = build_chain_algebra(2, 0, 8)
+    _, _, zs = build_nilpotent_example(3)
+    exact = bracket_closure(zs)
+    graded = bracket_closure(
+        parse_fields("1/2*x1^2 d1 + 1/3*x1*x2 d2; i*x2^2 d2 + 3/4*x1*x2 d1; x1 d1 - 2*x2 d2", 2),
+        6)
+    ungraded = bracket_closure(parse_fields("x2^2 d1 + x2^3 d1; x2 d2", 2), 6)
+    return [chain, *derived_series(chain), exact, *derived_series(exact),
+            *central_series(exact), graded, *derived_series(graded),
+            ungraded, *derived_series(ungraded)]
+
+
+def test_a_span_from_entries_equals_the_span_of_its_fields():
+    for span in _spans_with_entries():
+        bare = LieAlgebraSpan(span.dim, span.basis, span.order)
+        assert bare == span and hash(bare) == hash(span)
+        assert [h for *_, h in bare._entries] == [h for *_, h in span._entries]
+    chain = build_chain_algebra(2, 0, 8)
+    assert chain != LieAlgebraSpan(2, chain.basis[1:], 8)
+    assert chain != LieAlgebraSpan(2, chain.basis, 9)
+
+
+def test_vector_of_an_entry_is_its_fields_sparse_vector():
+    for span in _spans_with_entries():
+        for entry, X in zip(span._entries, span.basis):
+            assert lie._vector(entry, span.dim) == X.sparse()
+
+
+def test_contains_span_agrees_with_contains_field():
+    # a jet span truncates the fields it is asked about, whatever the other
+    # span's order
+    x1 = LaurentPoly.variable(1, 1)
+    g = span_reduce([VectorField([x1 ** 2])], 3)
+    field = VectorField([x1 ** 2 + x1 ** 5])
+    assert g.contains_field(field)
+    for order in (None, 6):
+        other = LieAlgebraSpan(1, (field,), order)
+        assert g.contains_span(other)
+    assert not g.contains_span(LieAlgebraSpan(1, (VectorField([x1 ** 3]),), 6))
+    # an exact span tests the fields as they are
+    exact = LieAlgebraSpan(1, (VectorField([x1 ** 2]),))
+    assert exact.contains_span(g)
+    assert not exact.contains_span(LieAlgebraSpan(1, (field,)))
+    # a span of another dimension is an error, as for contains_field
+    plane = build_chain_algebra(2, 0, 3)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        g.contains_span(plane)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        plane.contains_span(g)
+
+
+def test_contains_span_at_the_same_order_builds_no_field(monkeypatch):
+    G0, G2 = build_chain_algebra(2, 0, 8), build_chain_algebra(2, 2, 8)
+    answers, built = fields_built(monkeypatch, lambda: (
+        G0.contains_span(G2), G2.contains_span(G0), G0 == build_chain_algebra(2, 0, 8), G0 == G2))
+    assert answers == (True, False, True, False)
+    assert built == 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from conftest import fields_built
+
 from germcalc import lie, verification
 from germcalc.diffeos import FormalDiffeo, WordComm, WordLeaf
 from germcalc.laurent import LaurentPoly
@@ -325,26 +327,69 @@ def test_one_variable_group_depth_two_trivial():
 def test_chain_prefixes_build_no_vector_field(monkeypatch):
     # the chain's spans keep closed-form entries, and the prefix count reads
     # the term keys off them
-    from germcalc import fields
     from germcalc.families import build_chain_algebra
 
     g0 = build_chain_algebra(3, 0, 12)
     levels = derived_series(g0)
-    built = []
-    init = fields.VectorField.__init__
-
-    def counting(self, coeffs):
-        built.append(None)
-        init(self, coeffs)
-
-    monkeypatch.setattr(fields.VectorField, "__init__", counting)
-    prefixes = verification._chain_prefixes(g0, levels)
-    assert built == []
-    monkeypatch.undo()
-    # the count from the materialized fields' supports
-    positions = {key: i for i, X in enumerate(g0.basis) for key in X.support()}
+    prefixes, built = fields_built(monkeypatch, lambda: verification._chain_prefixes(g0, levels))
+    assert built == 0
+    # the count from the term keys of the materialized fields
+    positions = {key: i for i, X in enumerate(g0.basis) for key in X.sparse()}
     assert prefixes == [
-        1 + max((positions.get(key, len(positions)) for X in s.basis for key in X.support()),
+        1 + max((positions.get(key, len(positions)) for X in s.basis for key in X.sparse()),
                 default=-1)
         for s in levels
     ]
+
+
+@pytest.mark.parametrize("n, order", [(2, 12), (3, None)])
+def test_solvable_verdict_builds_no_vector_field(monkeypatch, n, order):
+    report, built = fields_built(monkeypatch, lambda: verify_solvable_family(n, order))
+    assert report.ok and report.parameters["soluble_length"] == 2 * n
+    assert built == 0
+
+
+@pytest.mark.parametrize("low", [False, True])
+@pytest.mark.parametrize("n, order", [(2, 12), (3, 17)])
+def test_scaled_copy_check_matches_a_field_oracle(monkeypatch, n, order, low):
+    # the oracle forms each copy x_n^c X of a chain-space field X as a field,
+    # truncated at the order, and asks the derived term's contains_field;
+    # with ``low`` every exponent is 1, and some copies escape
+    from germcalc.families import build_chain_algebra, chain_exponent, chain_space_size
+
+    if low:
+        monkeypatch.setattr(verification, "chain_exponent", lambda j: 1)
+    report = verify_solvable_family(n, order)
+    g0 = build_chain_algebra(n, 0, order)
+    levels = derived_series(g0)
+    xn = LaurentPoly.monomial(n, {n: 1})
+    notes, failures = [], []
+    for j in range(2, min(2 * n, len(levels) - 1) + 1):
+        c = 1 if low else chain_exponent(j)
+        if c >= order:
+            continue
+        copies = [VectorField([co.mul_truncated(xn ** c, order) for co in X.coeffs])
+                  for X in g0.basis[:chain_space_size(n, j, order)]]
+        copies = [Y for Y in copies if not Y.is_zero()]
+        notes.append(f"scaled-copy check at depth {j}: {len(copies)} generators")
+        failures += [f"x{n}^{c} copy of chain space {j} escapes derived term {j}"
+                     for Y in copies if not levels[j].contains_field(Y)]
+    assert report.notes == tuple(notes)
+    assert [f for f in (report.witness or "").split("; ") if "copy" in f] == failures
+    assert bool(failures) == low
+    if not low:
+        assert len(notes) == 2 and not any(note.endswith(": 0 generators") for note in notes)
+
+
+def test_scaled_copy_check_can_fail(monkeypatch):
+    # with exponent 1 the x2 copy of chain space 3 is too large for derived
+    # term 3; the field-based check reported the same
+    monkeypatch.setattr(verification, "chain_exponent", lambda j: 1)
+    report = verify_solvable_family(2, 12)
+    assert report.status == "fail"
+    assert report.witness == "; ".join(["x2^1 copy of chain space 3 escapes derived term 3"] * 2)
+    assert report.notes == (
+        "scaled-copy check at depth 2: 20 generators",
+        "scaled-copy check at depth 3: 10 generators",
+        "scaled-copy check at depth 4: 0 generators",
+    )
