@@ -135,14 +135,13 @@ class LieAlgebraSpan:
         return self._own_echelon().contains(X.sparse())
 
     def contains_span(self, other: "LieAlgebraSpan") -> bool:
-        """Whether every basis field of other passes ``contains_field``, read
-        off other's entries when that would not truncate them."""
+        """Whether every basis field of other, truncated at this span's jet
+        order, lies in the span; read off other's entries, so no field is
+        built."""
         if other.dim != self.dim:
             raise ValueError(f"dimension mismatch: {other.dim} vs {self.dim}")
-        if self.order is not None and other.order != self.order:
-            return all(self.contains_field(X) for X in other.basis)
         ech = self._own_echelon()
-        return all(ech.contains(_vector(entry, other.dim)) for entry in other._entries)
+        return all(ech.contains(_vector(entry, self.dim, self.order)) for entry in other._entries)
 
     def _prepare(self, X: VectorField) -> VectorField:
         if X.dim != self.dim:
@@ -355,15 +354,25 @@ def _field(h: tuple, n: int) -> VectorField:
     return VectorField(coeffs)
 
 
-def _vector(entry: tuple, n: int) -> dict[int, tuple[int, int]]:
+def _vector(entry: tuple, n: int, order: int | None = None,
+            times: tuple[int, ...] | None = None) -> dict[int, tuple[int, int]]:
     """``VectorField.sparse`` of an entry's field in n variables; for an
     entry with a weight it is read off the weight, so the field need not
-    exist."""
+    exist.  With ``times`` the field is first multiplied by the monomial
+    x^times, which adds one key to each term's; with a jet ``order`` the
+    terms of coefficient degree past it are dropped, which leaves a nonzero
+    multiple of the truncated field's vector."""
     X, w, _, h = entry
-    if h is None:
-        return X.sparse()
     layout = _LAYOUTS[n]
-    return {(w + layout.zero - layout.lower[k]) * n + k: (re, im) for k, re, im in h[2]}
+    if h is None:
+        vector = X.sparse()
+    else:
+        vector = {(w + layout.zero - layout.lower[k]) * n + k: (re, im) for k, re, im in h[2]}
+    if order is None and times is None:
+        return vector
+    shift = 0 if times is None else (layout.pack(times) - layout.zero) * n
+    cut = (layout.unbounded if order is None else layout.cut(order)) * n
+    return {key + shift: v for key, v in vector.items() if key + shift < cut}
 
 
 def _weight_bracket(hx: tuple, hy: tuple, n: int) -> dict[int, tuple[int, int]]:

@@ -20,7 +20,7 @@ from importlib import resources
 
 from .diffeos import FormalDiffeo, evaluate_word, word_depth
 from .fields import VectorField, is_first_integral, nilpotency_degree_a
-from .laurent import _LAYOUTS, LaurentPoly
+from .laurent import LaurentPoly
 from .lie import (
     LieAlgebraSpan,
     _vector,
@@ -261,17 +261,15 @@ def verify_solvable_family(n: int, jet_order: int | None = None) -> Verification
     for j, (size, needed) in enumerate(zip(sizes, _chain_prefixes(g0, levels[:len(sizes)]))):
         claim.check(needed <= size, f"derived term {j} leaves the chain space {j}")
     # monomial-scaled copies downstairs, dropping terms past the jet order
-    layout = _LAYOUTS[n]
-    cut = layout.cut(jet_order) * n
     for j in range(2, len(sizes)):
         c = chain_exponent(j)
         if c >= jet_order:
             continue
-        shift = (layout.pack((0,) * (n - 1) + (c,)) - layout.zero) * n
+        times = (0,) * (n - 1) + (c,)
         ech = levels[j]._own_echelon()
         checked = 0
         for entry in g0._entries[:sizes[j]]:
-            copy = {key + shift: v for key, v in _vector(entry, n).items() if key + shift < cut}
+            copy = _vector(entry, n, jet_order, times)
             if not copy:
                 continue
             checked += 1

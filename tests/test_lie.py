@@ -24,6 +24,7 @@ from germcalc.lie import (
 )
 from germcalc.parsing import parse_fields
 from germcalc.scalars import Scalar
+from germcalc.spans import SparseEchelon
 from germcalc.families import build_nilpotent_example, build_chain_algebra
 from germcalc.verification import _triangular_coefficients
 
@@ -870,6 +871,25 @@ def test_vector_of_an_entry_is_its_fields_sparse_vector():
             assert lie._vector(entry, span.dim) == X.sparse()
 
 
+def test_vector_of_an_entry_times_a_monomial_at_an_order():
+    # the oracle multiplies and truncates the field; the two vectors span
+    # one line, as truncation can drop the largest denominator
+    for span in _spans_with_entries():
+        n = span.dim
+        for times in (None, (0,) * (n - 1) + (2,)):
+            mono = LaurentPoly.one(n) if times is None else LaurentPoly.monomial(n, times)
+            for order in (3, 5, 8):
+                for entry, X in zip(span._entries, span.basis):
+                    if not X.is_formal():
+                        continue
+                    oracle = VectorField([(c * mono).truncate(order) for c in X.coeffs]).sparse()
+                    vector = lie._vector(entry, n, order, times)
+                    assert vector.keys() == oracle.keys()
+                    line = SparseEchelon()
+                    line.insert(oracle)
+                    assert line.contains(vector)
+
+
 def test_contains_span_agrees_with_contains_field():
     # a jet span truncates the fields it is asked about, whatever the other
     # span's order
@@ -893,11 +913,14 @@ def test_contains_span_agrees_with_contains_field():
         plane.contains_span(g)
 
 
-def test_contains_span_at_the_same_order_builds_no_field(monkeypatch):
+def test_contains_span_builds_no_field(monkeypatch):
+    # at the same order and across orders: truncation drops term keys
     G0, G2 = build_chain_algebra(2, 0, 8), build_chain_algebra(2, 2, 8)
+    G2_fine, G0_fine = build_chain_algebra(2, 2, 12), build_chain_algebra(2, 0, 12)
     answers, built = fields_built(monkeypatch, lambda: (
-        G0.contains_span(G2), G2.contains_span(G0), G0 == build_chain_algebra(2, 0, 8), G0 == G2))
-    assert answers == (True, False, True, False)
+        G0.contains_span(G2), G2.contains_span(G0), G0.contains_span(G2_fine),
+        G2.contains_span(G0_fine), G0 == build_chain_algebra(2, 0, 8), G0 == G2))
+    assert answers == (True, False, True, False, True, False)
     assert built == 0
 
 
