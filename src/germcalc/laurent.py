@@ -513,9 +513,6 @@ class LaurentPoly:
             other = LaurentPoly.constant(self.dim, other)
         return self._add(other, -1)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
             return _combine(self.dim, ((*_parts(other), self),))

@@ -64,9 +64,6 @@ class Scalar:
         other = Scalar.of(other)
         return Scalar(self.re - other.re, self.im - other.im)
 
-    def __rsub__(self, other):
-        return Scalar.of(other) - self
-
     def __mul__(self, other):
         other = Scalar.of(other)
         # Real-only values dominate in practice; skip the full complex product.
@@ -93,9 +90,6 @@ class Scalar:
 
     def __rtruediv__(self, other):
         return Scalar.of(other) / self
-
-    def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
 
     # -- comparison / hashing -------------------------------------------
 

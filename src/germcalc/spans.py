@@ -166,9 +166,6 @@ class FieldEchelon:
                 return v
             v = vec_sub_scaled(v, self.rows[hit], v[hit])
 
-    def contains(self, vector: SparseVector) -> bool:
-        return not self.reduce(vector)
-
     def insert(self, vector: SparseVector) -> bool:
         """Add a vector to the span.  Returns True iff it enlarged the span."""
         v = self.reduce(vector)

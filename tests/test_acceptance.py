@@ -235,10 +235,17 @@ def test_criterion_8_structural_suites():
 
 
 def test_criterion_9_theorem_bounds():
-    """Every constructed example respects the applicable global bound."""
-    reports = [verify_solvable_family(1, 6), verify_solvable_family(2, 12)]
-    reports += [verify_nilpotent_example(n) for n in (2, 3, 4)]
-    r = verify_length_bounds(reports, sample_planar_depth2_words())
+    """Every constructed example respects the applicable global bound: each
+    family claim checks its own length, and length-bounds the planar one."""
+    chains = [verify_solvable_family(1, 6), verify_solvable_family(2, 12)]
+    nilpotent = [verify_nilpotent_example(n) for n in (2, 3, 4)]
+    for r in chains + nilpotent:
+        assert r.status == "pass", r.witness
+    for r in chains:
+        assert r.parameters["soluble_length"] <= 2 * r.parameters["n"]
+    for r in nilpotent:
+        assert r.parameters["soluble_length"] <= r.parameters["n"]
+    r = verify_length_bounds(chains + nilpotent, sample_planar_depth2_words())
     assert r.status == "pass", r.witness
     _ok("9 (global length bounds)")
 

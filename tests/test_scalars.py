@@ -30,11 +30,6 @@ def test_equality_with_plain_numbers():
     assert Scalar(0, 1) != 1
 
 
-def test_conjugate_and_norm():
-    z = Scalar(2, 3)
-    assert z * z.conjugate() == Scalar(13)
-
-
 def test_immutable():
     z = Scalar(1)
     with pytest.raises(AttributeError):

@@ -252,41 +252,76 @@ def test_length_bounds():
 PLANAR = [True] * 4
 
 
-def _chain_report(n, length):
-    params = {"n": n, "jet_order": 9}
-    if length is not None:
-        params["soluble_length"] = length
+def _chain_report(n):
+    params = {"n": n, "jet_order": 9, "soluble_length": 2 * n}
     return VerificationReport(f"solvable-chain-n{n}", params, "pass")
 
 
-def _nilpotent_report(n, length):
-    params = {"n": n}
-    if length is not None:
-        params["soluble_length"] = length
-    return VerificationReport(f"nilpotent-family-n{n}", params, "pass")
-
-
-def test_length_bounds_fail_on_reported_lengths():
-    r = verify_length_bounds([_chain_report(1, 2), _chain_report(2, 5)], PLANAR)
-    assert r.status == "fail"
-    assert r.witness == "chain algebra n=2 exceeds the solvable bound"
-    # a chain report without a length (series did not terminate) fails too
-    assert verify_length_bounds([_chain_report(1, None)], PLANAR).status == "fail"
-    r = verify_length_bounds([_nilpotent_report(2, 4)], PLANAR)
-    assert r.witness == "nilpotent family n=2: length 4 > 2; nilpotent family n=2: length 4 > 3"
-    # a nilpotent-family report without a length fails too
-    r = verify_length_bounds([_nilpotent_report(3, None)], PLANAR)
-    assert r.witness == "nilpotent family n=3 not solvable"
-
-
 def test_length_bounds_heavy_iff_n3_chain_reported():
-    chains = [_chain_report(n, 2 * n) for n in (1, 2)]
+    chains = [_chain_report(n) for n in (1, 2)]
     r = verify_length_bounds(chains, PLANAR)
     assert r.status == "pass" and r.parameters == {"heavy": False}
-    r = verify_length_bounds(chains + [_chain_report(3, 6)], PLANAR)
+    r = verify_length_bounds(chains + [_chain_report(3)], PLANAR)
     assert r.status == "pass" and r.parameters == {"heavy": True}
-    r = verify_length_bounds(chains + [_chain_report(3, 7)], PLANAR)
-    assert r.status == "fail" and r.parameters == {"heavy": True}
+
+
+# -- the bound rule of _Claim ------------------------------------------------------------
+
+
+def _bounded(value, bound, jet_order=None, failure=None):
+    claim = _Claim("bounded", {})
+    claim.check(failure is None, failure)
+    claim.bound("soluble length", value, bound, jet_order)
+    return claim.report()
+
+
+def test_bound_above_fails():
+    for jet_order in (None, 9):
+        r = _bounded(5, 4, jet_order)
+        assert (r.status, r.witness) == ("fail", "soluble length 5 > 4")
+
+
+def test_bound_exact_value_below_fails():
+    r = _bounded(3, 4)
+    assert (r.status, r.witness) == ("fail", "soluble length 3 < 4")
+
+
+def test_bound_jet_value_below_is_unstable():
+    r = _bounded(3, 4, 9)
+    assert (r.status, r.witness) == ("unstable", "soluble length 3 < 4 at jet order 9")
+
+
+def test_bound_jet_value_below_with_a_failure_fails():
+    r = _bounded(3, 4, 9, failure="derived term 1 leaves the chain space 1")
+    assert (r.status, r.witness) == ("fail", "derived term 1 leaves the chain space 1")
+
+
+def test_bound_equal_passes():
+    for jet_order in (None, 9):
+        r = _bounded(4, 4, jet_order)
+        assert (r.status, r.witness) == ("pass", None)
+
+
+def test_solvable_family_fails_on_a_length_above_2n(monkeypatch):
+    # one derived level too many: the length 5 exceeds the paper's bound 4
+    def long_series(g):
+        levels = lie.derived_series(g)
+        return levels[:-1] + levels[-2:]
+
+    monkeypatch.setattr(verification, "derived_series", long_series)
+    r = verify_solvable_family(2, 12)
+    assert r.status == "fail"
+    assert r.parameters["soluble_length"] == 5
+    assert r.witness.startswith("soluble length 5 > 4")
+
+
+@pytest.mark.parametrize("shift, message", [(1, "nilpotency class 2 < 3"), (-1, "nilpotency class 2 > 1")])
+def test_nilpotent_family_fails_on_a_class_off_its_value(monkeypatch, shift, message):
+    monkeypatch.setattr(verification, "expected_nilpotency_class", lambda n: 2 + shift)
+    r = verify_nilpotent_example(2)
+    assert r.status == "fail"
+    assert r.witness == message
+    assert r.parameters["nilpotency_class"] == 2
 
 
 def test_report_serialization_deterministic():
